@@ -53,8 +53,7 @@ void experiment() {
     core::Engine engine(net, cfg);
     engine.finalize();
     double rstar = 0.0;
-    for (const auto& node : net.nodes())
-      rstar = std::max(rstar, node.sensing_range);
+    for (const double r : net.sensing_ranges()) rstar = std::max(rstar, r);
     report("static random", net, rstar);
   }
   {  // Lloyd / centroid rule

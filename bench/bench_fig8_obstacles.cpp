@@ -87,8 +87,8 @@ void experiment() {
         const wsn::Network& net = runner.network();
         row.nodes = net.size();
         row.feasible = true;
-        for (const wsn::Node& node : net.nodes())
-          row.feasible = row.feasible && runner.domain().contains(node.pos);
+        for (const geom::Vec2 p : net.positions())
+          row.feasible = row.feasible && runner.domain().contains(p);
         row.clusters = cluster_count(
             net.positions(), 0.10 * sres.phases.back().final_max_range);
         row.verified_depth =

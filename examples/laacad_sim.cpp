@@ -10,44 +10,37 @@
 //              [--backend global|localized] [--max-hops H] [--noise SIGMA]
 //              [--threads T] [--svg PREFIX] [--csv FILE] [--trace FILE]
 //              [--heartbeat] [--quiet]
+//
+// Every flag that names a scenario setting (--k, --nodes, --rounds, ...,
+// --seed, --threads) is parsed by the .scn grammar (scenario::set_key /
+// specparse) and the result checked by scenario::validate, so a malformed
+// or out-of-range value exits 2 with a message naming the flag.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <cmath>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/trace.hpp"
+#include "scenario/spec.hpp"
 #include "viz/render.hpp"
 #include "wsn/connectivity.hpp"
 #include "wsn/deployment.hpp"
 
 namespace {
 
+using laacad::scenario::ScenarioSpec;
+
+/// The CLI-only flags; everything else lands in the ScenarioSpec.
 struct Options {
-  int k = 2;
-  int nodes = 60;
-  std::uint64_t seed = 1;
-  double alpha = 1.0;
-  double epsilon = 0.5;
-  int rounds = 300;
-  double gamma = 0.0;  // 0 -> auto (side / 6)
-  std::string domain = "square";
-  double side = 500.0;
-  bool hole = false;
-  std::string deploy = "uniform";
-  std::string backend = "global";
-  int max_hops = 10;
-  double noise = 0.0;
-  int threads = 1;  // 0 = hardware concurrency
   std::string svg_prefix;
   std::string csv_path;
   std::string trace_path;
@@ -66,36 +59,62 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+/// specparse errors read "line N: ..."; a command-line flag has no line.
+std::string without_line(const std::string& what) {
+  const auto colon = what.find(": ");
+  return what.rfind("line ", 0) == 0 && colon != std::string::npos
+             ? what.substr(colon + 2)
+             : what;
+}
+
+/// Applies one valued flag. Throws std::runtime_error on an unknown flag or
+/// a malformed value.
+void set_flag(ScenarioSpec& spec, Options& opt, const std::string& flag,
+              const std::string& value) {
+  using namespace laacad;
+  // Flags that set a scenario key, parsed exactly as a .scn file parses it.
+  static const std::map<std::string, std::string> kKeyFlags = {
+      {"--k", "k"}, {"--nodes", "nodes"}, {"--alpha", "alpha"},
+      {"--epsilon", "epsilon"}, {"--rounds", "max_rounds"},
+      {"--gamma", "gamma"}, {"--domain", "domain"}, {"--side", "side"},
+      {"--deploy", "deploy"}, {"--backend", "backend"},
+      {"--max-hops", "max_hops"}, {"--noise", "noise"}};
+  if (flag == "--seed") {
+    spec.seed = specparse::parse_uint64(value, 0, "seed");
+  } else if (flag == "--threads") {
+    spec.num_threads = specparse::parse_int(value, 0, "threads");
+  } else if (flag == "--svg") {
+    opt.svg_prefix = value;
+  } else if (flag == "--csv") {
+    opt.csv_path = value;
+  } else if (flag == "--trace") {
+    opt.trace_path = value;
+  } else if (const auto it = kKeyFlags.find(flag); it != kKeyFlags.end()) {
+    scenario::set_key(spec, it->second, value, 0);
+  } else {
+    throw std::runtime_error("unknown flag");
+  }
+}
+
+/// Returns false for --help. Throws std::runtime_error naming the flag on
+/// an unknown flag or a missing or malformed value.
+bool parse(int argc, char** argv, ScenarioSpec& spec, Options& opt) {
   for (int a = 1; a < argc; ++a) {
     const std::string flag = argv[a];
-    auto next = [&]() -> const char* {
-      return a + 1 < argc ? argv[++a] : nullptr;
-    };
     if (flag == "--help" || flag == "-h") return false;
-    else if (flag == "--quiet") opt.quiet = true;
-    else if (flag == "--heartbeat") opt.heartbeat = true;
-    else if (flag == "--hole") opt.hole = true;
-    else if (flag == "--k") { if (auto* v = next()) opt.k = std::atoi(v); }
-    else if (flag == "--nodes") { if (auto* v = next()) opt.nodes = std::atoi(v); }
-    else if (flag == "--seed") { if (auto* v = next()) opt.seed = std::strtoull(v, nullptr, 10); }
-    else if (flag == "--alpha") { if (auto* v = next()) opt.alpha = std::atof(v); }
-    else if (flag == "--epsilon") { if (auto* v = next()) opt.epsilon = std::atof(v); }
-    else if (flag == "--rounds") { if (auto* v = next()) opt.rounds = std::atoi(v); }
-    else if (flag == "--gamma") { if (auto* v = next()) opt.gamma = std::atof(v); }
-    else if (flag == "--domain") { if (auto* v = next()) opt.domain = v; }
-    else if (flag == "--side") { if (auto* v = next()) opt.side = std::atof(v); }
-    else if (flag == "--deploy") { if (auto* v = next()) opt.deploy = v; }
-    else if (flag == "--backend") { if (auto* v = next()) opt.backend = v; }
-    else if (flag == "--max-hops") { if (auto* v = next()) opt.max_hops = std::atoi(v); }
-    else if (flag == "--noise") { if (auto* v = next()) opt.noise = std::atof(v); }
-    else if (flag == "--threads") { if (auto* v = next()) opt.threads = std::atoi(v); }
-    else if (flag == "--svg") { if (auto* v = next()) opt.svg_prefix = v; }
-    else if (flag == "--csv") { if (auto* v = next()) opt.csv_path = v; }
-    else if (flag == "--trace") { if (auto* v = next()) opt.trace_path = v; }
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
+    if (flag == "--quiet") {
+      opt.quiet = true;
+    } else if (flag == "--heartbeat") {
+      opt.heartbeat = true;
+    } else if (flag == "--hole") {
+      spec.hole = true;
+    } else {
+      try {
+        if (a + 1 >= argc) throw std::runtime_error("needs a value");
+        set_flag(spec, opt, flag, argv[++a]);
+      } catch (const std::runtime_error& e) {
+        throw std::runtime_error(flag + ": " + without_line(e.what()));
+      }
     }
   }
   return true;
@@ -105,50 +124,56 @@ bool parse(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   using namespace laacad;
+  // laacad_sim's own defaults; every other setting is ScenarioSpec's.
+  ScenarioSpec spec;
+  spec.nodes = 60;
+  spec.side = 500.0;
   Options opt;
-  if (!parse(argc, argv, opt)) {
-    usage(argv[0]);
-    return 2;
-  }
-  if (opt.threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0 (0 = hardware)\n");
+  try {
+    if (!parse(argc, argv, spec, opt)) {
+      usage(argv[0]);
+      return 2;
+    }
+    scenario::validate(spec);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "laacad_sim: %s\n", e.what());
     return 2;
   }
 
   // -- Domain and initial deployment (shared with the scenario engine) -----
   wsn::Domain domain;
   std::vector<geom::Vec2> init;
-  Rng rng(opt.seed);
+  Rng rng(spec.seed);
   try {
-    domain = wsn::make_named_domain(opt.domain, opt.side, opt.hole);
-    init = wsn::deploy_named(domain, opt.deploy, opt.nodes, opt.side, rng);
+    domain = wsn::make_named_domain(spec.domain, spec.side, spec.hole);
+    init = wsn::deploy_named(domain, spec.deploy, spec.nodes, spec.side, rng);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
-  const double gamma = opt.gamma > 0.0
-                           ? opt.gamma
-                           : wsn::auto_comm_range(domain, opt.nodes, opt.side);
+  const double gamma =
+      spec.gamma > 0.0 ? spec.gamma
+                       : wsn::auto_comm_range(domain, spec.nodes, spec.side);
   wsn::Network net(&domain, init, gamma);
   if (!opt.svg_prefix.empty())
     viz::render_deployment(opt.svg_prefix + "_initial.svg", net);
 
   // -- Run -----------------------------------------------------------------
   core::LaacadConfig cfg;
-  cfg.k = opt.k;
-  cfg.alpha = opt.alpha;
-  cfg.epsilon = opt.epsilon;
-  cfg.max_rounds = opt.rounds;
-  cfg.seed = opt.seed;
-  cfg.num_threads = opt.threads;
+  cfg.k = spec.k;
+  cfg.alpha = spec.alpha;
+  cfg.epsilon = spec.epsilon;
+  cfg.max_rounds = spec.max_rounds;
+  cfg.seed = spec.seed;
+  cfg.num_threads = spec.num_threads;
   cfg.retain_history = true;  // the CSV dump below walks every round
-  if (opt.backend == "localized") {
-    cfg.localized.max_hops = opt.max_hops;
-    cfg.localized.frame.range_noise = opt.noise;
+  if (spec.backend == "localized") {
+    cfg.localized.max_hops = spec.max_hops;
+    cfg.localized.frame.range_noise = spec.noise;
     cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
-  } else if (opt.backend != "global") {
-    std::fprintf(stderr, "unknown backend '%s'\n", opt.backend.c_str());
+  } else if (spec.backend != "global") {
+    std::fprintf(stderr, "unknown backend '%s'\n", spec.backend.c_str());
     return 2;
   }
   // --heartbeat streams one {"hb":"engine",...} line per round to stderr:
@@ -157,7 +182,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::HeartbeatEmitter> heartbeat;
   if (opt.heartbeat) {
     heartbeat = std::make_unique<obs::HeartbeatEmitter>(
-        stderr, "engine", "laacad_sim", /*shard=*/"", opt.rounds);
+        stderr, "engine", "laacad_sim", /*shard=*/"", spec.max_rounds);
     cfg.on_round = [&heartbeat](const core::RoundMetrics& m) {
       heartbeat->tick(m.round, m.moved == 0 ? 1 : 0);
     };
@@ -179,10 +204,10 @@ int main(int argc, char** argv) {
       wsn::analyze_connectivity(net, 1.25 * result.final_max_range);
   if (!opt.quiet) {
     TextTable table({"metric", "value"});
-    table.add_row({"nodes", std::to_string(opt.nodes)});
-    table.add_row({"k", std::to_string(opt.k)});
-    table.add_row({"backend", opt.backend});
-    table.add_row({"threads", std::to_string(opt.threads)});
+    table.add_row({"nodes", std::to_string(spec.nodes)});
+    table.add_row({"k", std::to_string(spec.k)});
+    table.add_row({"backend", spec.backend});
+    table.add_row({"threads", std::to_string(spec.num_threads)});
     table.add_row({"converged", result.converged ? "yes" : "no"});
     table.add_row({"rounds", std::to_string(result.rounds)});
     table.add_row({"R* max range (m)", TextTable::num(result.final_max_range, 3)});
@@ -207,7 +232,7 @@ int main(int argc, char** argv) {
   if (!opt.svg_prefix.empty()) {
     viz::render_deployment(opt.svg_prefix + "_final.svg", net);
     viz::render_order_k_partition(opt.svg_prefix + "_partition.svg", net,
-                                  opt.k);
+                                  spec.k);
   }
-  return exact.min_depth >= opt.k ? 0 : 1;
+  return exact.min_depth >= spec.k ? 0 : 1;
 }

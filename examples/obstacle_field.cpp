@@ -29,8 +29,8 @@ void run_scenario(const char* name, const laacad::wsn::Domain& domain, int n,
 
   // Obstacles are never occupied.
   bool feasible = true;
-  for (const wsn::Node& node : net.nodes())
-    feasible = feasible && domain.contains(node.pos);
+  for (const geom::Vec2 p : net.positions())
+    feasible = feasible && domain.contains(p);
 
   const auto exact =
       cov::critical_point_coverage(domain, cov::sensing_disks(net));

@@ -18,8 +18,8 @@ double GridReport::fraction_at_least(int k) const {
 std::vector<Circle> sensing_disks(const wsn::Network& net) {
   std::vector<Circle> out;
   out.reserve(static_cast<std::size_t>(net.size()));
-  for (const wsn::Node& n : net.nodes())
-    out.push_back({n.pos, n.sensing_range});
+  for (wsn::NodeId i = 0; i < net.size(); ++i)
+    out.push_back({net.position(i), net.sensing_range(i)});
   return out;
 }
 

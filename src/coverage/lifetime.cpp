@@ -18,7 +18,7 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
   std::vector<int> death_epoch(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const double drain =
-        cfg.epoch * wsn::sensing_energy(net.node(i).sensing_range);
+        cfg.epoch * wsn::sensing_energy(net.sensing_range(i));
     death_epoch[static_cast<std::size_t>(i)] =
         drain <= 0.0 ? cfg.max_epochs
                      : static_cast<int>(std::floor(cfg.battery / drain));
@@ -42,7 +42,7 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
     std::vector<geom::Circle> disks;
     for (int i = 0; i < n; ++i) {
       if (alive[static_cast<std::size_t>(i)]) {
-        disks.push_back({net.position(i), net.node(i).sensing_range});
+        disks.push_back({net.position(i), net.sensing_range(i)});
       }
     }
     const auto grid =
@@ -76,7 +76,7 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
     if (!alive[static_cast<std::size_t>(i)]) continue;
     ++survivors;
     const double drain =
-        cfg.epoch * wsn::sensing_energy(net.node(i).sensing_range);
+        cfg.epoch * wsn::sensing_energy(net.sensing_range(i));
     unused += std::max(0.0, cfg.battery - drain * epoch);
   }
   rep.nodes_alive_at_loss = survivors;

@@ -181,16 +181,9 @@ RunResult Engine::run() {
   }
   result.rounds = round_;
   finalize();
-
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (const double r : net_->sensing_ranges()) {
-    rmax = std::max(rmax, r);
-    rmin = std::min(rmin, r);
-  }
-  result.final_max_range = rmax;
-  result.final_min_range =
-      rmin == std::numeric_limits<double>::infinity() ? 0.0 : rmin;
   result.load = wsn::load_report(*net_);
+  result.final_max_range = result.load.max_range;
+  result.final_min_range = result.load.min_range;
   return result;
 }
 

@@ -28,8 +28,7 @@ InnerRun run_laacad(const wsn::Domain& domain, std::vector<Vec2> positions,
   InnerRun out;
   out.max_range = res.final_max_range;
   out.positions = net.positions();
-  out.ranges.reserve(static_cast<std::size_t>(net.size()));
-  for (const wsn::Node& n : net.nodes()) out.ranges.push_back(n.sensing_range);
+  out.ranges = net.sensing_ranges();
   return out;
 }
 

@@ -30,7 +30,7 @@ std::uint64_t node_stream(std::uint64_t seed, std::uint64_t epoch,
 GlobalRegionProvider::GlobalRegionProvider(vor::AdaptiveConfig cfg)
     : cfg_(cfg) {}
 
-void GlobalRegionProvider::begin_round(wsn::Network& net, int k,
+void GlobalRegionProvider::begin_round(const wsn::Network& net, int k,
                                        std::uint64_t /*epoch*/,
                                        common::ThreadPool* pool) {
   if (net.size() > kMaxSites) {
@@ -63,8 +63,8 @@ LocalizedRegionProvider::LocalizedRegionProvider(LocalizedConfig cfg,
                                                  std::uint64_t seed)
     : cfg_(cfg), seed_(seed) {}
 
-void LocalizedRegionProvider::begin_round(wsn::Network& net, int k,
-                                          std::uint64_t epoch,
+void LocalizedRegionProvider::begin_round(const wsn::Network& net,
+                                          int k, std::uint64_t epoch,
                                           common::ThreadPool* pool) {
   k_ = k;
   epoch_ = epoch;

@@ -57,16 +57,17 @@ class RegionProvider {
  public:
   virtual ~RegionProvider() = default;
 
-  /// Serial per-round snapshot phase. May mutate the network's per-node
-  /// annotations (boundary flags) but not positions. `epoch` is a strictly
-  /// increasing call counter supplied by the engine; providers that consume
-  /// randomness must derive it from (seed, epoch, node) only, never from a
-  /// stream shared across nodes, or parallel rounds lose determinism.
+  /// Serial per-round snapshot phase; reads the network, never mutates it.
+  /// `epoch` is a strictly increasing call counter supplied by the engine;
+  /// providers that consume randomness must derive it from (seed, epoch,
+  /// node) only, never from a stream shared across nodes, or parallel
+  /// rounds lose determinism.
   /// `pool` (possibly null) is the engine's round pool, lent for data-
   /// parallel snapshot work — anything run on it must stay bit-identical
   /// for every thread count (e.g. SpatialGrid::rebuild); it must not leak
   /// past the call.
-  virtual void begin_round(wsn::Network& net, int k, std::uint64_t epoch,
+  virtual void begin_round(const wsn::Network& net, int k,
+                           std::uint64_t epoch,
                            common::ThreadPool* pool = nullptr) = 0;
 
   /// Dominating region of node i against the begin_round() snapshot. Must be
@@ -89,7 +90,7 @@ class GlobalRegionProvider final : public RegionProvider {
 
   explicit GlobalRegionProvider(vor::AdaptiveConfig cfg = {});
 
-  void begin_round(wsn::Network& net, int k, std::uint64_t epoch,
+  void begin_round(const wsn::Network& net, int k, std::uint64_t epoch,
                    common::ThreadPool* pool = nullptr) override;
   RegionOutput compute(wsn::NodeId i) const override;
   std::string_view name() const override { return "global"; }
@@ -108,7 +109,7 @@ class LocalizedRegionProvider final : public RegionProvider {
   explicit LocalizedRegionProvider(LocalizedConfig cfg = {},
                                    std::uint64_t seed = 1);
 
-  void begin_round(wsn::Network& net, int k, std::uint64_t epoch,
+  void begin_round(const wsn::Network& net, int k, std::uint64_t epoch,
                    common::ThreadPool* pool = nullptr) override;
   RegionOutput compute(wsn::NodeId i) const override;
   std::string_view name() const override { return "localized"; }

@@ -212,8 +212,8 @@ EventRecord apply_event(World& w, const Event& ev, int index,
         std::vector<int> ids(static_cast<std::size_t>(n));
         std::iota(ids.begin(), ids.end(), 0);
         std::sort(ids.begin(), ids.end(), [&](int a, int b) {
-          const double ra = w.net->node(a).sensing_range;
-          const double rb = w.net->node(b).sensing_range;
+          const double ra = w.net->sensing_range(a);
+          const double rb = w.net->sensing_range(b);
           return ra != rb ? ra > rb : a < b;
         });
         ids.resize(static_cast<std::size_t>(std::min(ev.count, n)));
@@ -240,7 +240,7 @@ EventRecord apply_event(World& w, const Event& ev, int index,
       std::vector<int> depleted;
       for (int i = 0; i < n; ++i) {
         const double drain =
-            ev.epochs * wsn::sensing_energy(w.net->node(i).sensing_range) +
+            ev.epochs * wsn::sensing_energy(w.net->sensing_range(i)) +
             ev.fraction * w.spec.battery;
         w.battery[static_cast<std::size_t>(i)] -= drain;
         if (w.battery[static_cast<std::size_t>(i)] <= 0.0)

@@ -47,7 +47,7 @@ struct World {
   std::vector<std::unique_ptr<wsn::Domain>> domains;
   std::unique_ptr<wsn::Network> net;
   std::unique_ptr<core::Engine> engine;
-  std::vector<double> battery;  ///< parallel to net->nodes()
+  std::vector<double> battery;  ///< indexed by node id, like net's columns
   std::vector<geom::Vec2> initial_positions;
   Rng rng{1};  ///< deployment + event randomness, in order
 

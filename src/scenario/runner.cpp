@@ -1,8 +1,6 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <ostream>
 
@@ -52,14 +50,9 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   // phase actually delivers: k-coverage, load balance, connectivity.
   world_.engine->finalize();
   rec.nodes = world_.net->size();
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (const double r : world_.net->sensing_ranges()) {
-    rmax = std::max(rmax, r);
-    rmin = std::min(rmin, r);
-  }
-  rec.final_max_range = rmax;
-  rec.final_min_range = std::isfinite(rmin) ? rmin : 0.0;
   rec.load = wsn::load_report(*world_.net);
+  rec.final_max_range = rec.load.max_range;
+  rec.final_min_range = rec.load.min_range;
 
   const auto coverage = cov::grid_coverage(
       domain(), cov::sensing_disks(*world_.net), spec.grid_resolution,
@@ -69,7 +62,9 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   rec.covered_fraction_k = coverage.fraction_at_least(spec.k);
 
   rec.components =
-      rmax > 0.0 ? wsn::analyze_connectivity(*world_.net, 1.25 * rmax).components
+      rec.final_max_range > 0.0
+          ? wsn::analyze_connectivity(*world_.net, 1.25 * rec.final_max_range)
+                .components
                  : world_.net->size();
 
   if (!world_.battery.empty()) {

@@ -1,8 +1,6 @@
 #include "serve/event_log.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -49,15 +47,10 @@ void write_network_state(std::ostream& out, const wsn::Network& net,
   w.kv("nodes", net.size());
   w.kv("gamma", net.gamma());
 
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (const double r : net.sensing_ranges()) {
-    rmax = std::max(rmax, r);
-    rmin = std::min(rmin, r);
-  }
-  w.kv("max_range", rmax);
-  w.kv("min_range", std::isfinite(rmin) ? rmin : 0.0);
-
   const wsn::LoadReport load = wsn::load_report(net);
+  w.kv("max_range", load.max_range);
+  w.kv("min_range", load.min_range);
+
   w.key("load").begin_object();
   w.kv("max", load.max_load);
   w.kv("min", load.min_load);

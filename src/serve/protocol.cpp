@@ -144,8 +144,8 @@ std::string handle_load(CoverageService& svc, PhaseDurations* d) {
   w.begin_object();
   snapshot_header(w, *snap);
   w.kv("nodes", snap->size());
-  w.kv("max_range", snap->max_range());
-  w.kv("min_range", snap->min_range());
+  w.kv("max_range", snap->load().max_range);
+  w.kv("min_range", snap->load().min_range);
   w.key("load").begin_object();
   w.kv("max", snap->load().max_load);
   w.kv("min", snap->load().min_load);

@@ -1,8 +1,6 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace laacad::serve {
 
@@ -11,15 +9,8 @@ Snapshot::Snapshot(const wsn::Domain& domain, const wsn::Network& live,
     : meta_(meta), domain_(std::make_unique<wsn::Domain>(domain)) {
   net_ = std::make_unique<wsn::Network>(domain_.get(), live.positions(),
                                         live.gamma());
-  const auto& ranges = live.sensing_ranges();
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < net_->size(); ++i) {
-    net_->set_sensing_range(i, ranges[static_cast<std::size_t>(i)]);
-    rmax = std::max(rmax, ranges[static_cast<std::size_t>(i)]);
-    rmin = std::min(rmin, ranges[static_cast<std::size_t>(i)]);
-  }
-  max_range_ = rmax;
-  min_range_ = std::isfinite(rmin) ? rmin : 0.0;
+  for (int i = 0; i < net_->size(); ++i)
+    net_->set_sensing_range(i, live.sensing_range(i));
   load_ = wsn::load_report(*net_);
   // Build the grid now, on the publisher's thread: snapshot queries are
   // const and lock-free afterwards.
@@ -35,7 +26,7 @@ std::vector<NeighborInfo> Snapshot::closest_nodes(geom::Vec2 q, int k) const {
     NeighborInfo info;
     info.id = id;
     info.pos = net_->position(id);
-    info.sensing_range = net_->node(id).sensing_range;
+    info.sensing_range = net_->sensing_range(id);
     info.dist = (info.pos - q).norm();
     out.push_back(info);
   }
@@ -43,11 +34,10 @@ std::vector<NeighborInfo> Snapshot::closest_nodes(geom::Vec2 q, int k) const {
 }
 
 int Snapshot::coverage_depth(geom::Vec2 q) const {
-  if (max_range_ <= 0.0) return 0;
+  if (load_.max_range <= 0.0) return 0;
   int depth = 0;
-  for (const int id : net_->nodes_within(q, max_range_)) {
-    const double r = net_->node(id).sensing_range;
-    if ((net_->position(id) - q).norm() <= r) ++depth;
+  for (const int id : net_->nodes_within(q, load_.max_range)) {
+    if ((net_->position(id) - q).norm() <= net_->sensing_range(id)) ++depth;
   }
   return depth;
 }

@@ -53,8 +53,6 @@ class Snapshot {
   const Meta& meta() const { return meta_; }
   int size() const { return net_->size(); }
   double gamma() const { return net_->gamma(); }
-  double max_range() const { return max_range_; }
-  double min_range() const { return min_range_; }
   const wsn::LoadReport& load() const { return load_; }
   const wsn::Network& network() const { return *net_; }
   const wsn::Domain& domain() const { return *domain_; }
@@ -70,8 +68,6 @@ class Snapshot {
   Meta meta_;
   std::unique_ptr<wsn::Domain> domain_;
   std::unique_ptr<wsn::Network> net_;
-  double max_range_ = 0.0;
-  double min_range_ = 0.0;
   wsn::LoadReport load_;
 };
 

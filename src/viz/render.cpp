@@ -37,14 +37,15 @@ bool render_deployment(const std::string& path, const wsn::Network& net,
     disk.stroke = "#6baed6";
     disk.stroke_width = 0.5;
     disk.opacity = 0.3;
-    for (const wsn::Node& n : net.nodes()) {
-      if (n.sensing_range > 0.0) canvas.circle(n.pos, n.sensing_range, disk);
+    for (wsn::NodeId i = 0; i < net.size(); ++i) {
+      const double r = net.sensing_range(i);
+      if (r > 0.0) canvas.circle(net.position(i), r, disk);
     }
   }
-  for (const wsn::Node& n : net.nodes()) {
-    canvas.dot(n.pos, 2.5, "#d62728");
+  for (wsn::NodeId i = 0; i < net.size(); ++i) {
+    canvas.dot(net.position(i), 2.5, "#d62728");
     if (opts.node_ids) {
-      canvas.text(n.pos + Vec2{1.0, 1.0}, std::to_string(n.id), 9.0);
+      canvas.text(net.position(i) + Vec2{1.0, 1.0}, std::to_string(i), 9.0);
     }
   }
   return canvas.save(path);
@@ -67,7 +68,7 @@ bool render_order_k_partition(const std::string& path,
     canvas.polygon(cell.poly, cs);
   }
   draw_domain(canvas, net.domain());
-  for (const wsn::Node& n : net.nodes()) canvas.dot(n.pos, 2.5, "#000000");
+  for (const Vec2 p : net.positions()) canvas.dot(p, 2.5, "#000000");
   return canvas.save(path);
 }
 
@@ -84,8 +85,8 @@ bool render_dominating_region(const std::string& path,
   region.opacity = 0.35;
   region.stroke = "#2ca02c";
   for (const vor::OrderKCell& cell : cells) canvas.polygon(cell.poly, region);
-  for (const wsn::Node& n : net.nodes()) {
-    canvas.dot(n.pos, 2.0, n.id == i ? "#d62728" : "#555555");
+  for (wsn::NodeId j = 0; j < net.size(); ++j) {
+    canvas.dot(net.position(j), 2.0, j == i ? "#d62728" : "#555555");
   }
   return canvas.save(path);
 }

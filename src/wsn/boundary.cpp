@@ -44,14 +44,12 @@ BoundaryInfo detect_boundary(const Network& net, NodeId i,
   return info;
 }
 
-std::vector<BoundaryInfo> detect_all_boundaries(Network& net,
+std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
                                                 const BoundaryConfig& cfg) {
   std::vector<BoundaryInfo> out;
   out.reserve(static_cast<std::size_t>(net.size()));
-  for (NodeId i = 0; i < net.size(); ++i) {
+  for (NodeId i = 0; i < net.size(); ++i)
     out.push_back(detect_boundary(net, i, cfg));
-    net.set_boundary(i, out.back().any());
-  }
   return out;
 }
 

@@ -36,8 +36,8 @@ struct BoundaryInfo {
 BoundaryInfo detect_boundary(const Network& net, NodeId i,
                              const BoundaryConfig& cfg = {});
 
-/// Classify all nodes and stamp Node::boundary.
-std::vector<BoundaryInfo> detect_all_boundaries(Network& net,
+/// Classify all nodes, in id order.
+std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
                                                 const BoundaryConfig& cfg = {});
 
 }  // namespace laacad::wsn

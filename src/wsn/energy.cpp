@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/stats.hpp"
 
@@ -12,7 +13,7 @@ double sensing_energy(double range) { return M_PI * range * range; }
 std::vector<double> sensing_loads(const Network& net) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(net.size()));
-  for (const Node& n : net.nodes()) out.push_back(sensing_energy(n.sensing_range));
+  for (const double r : net.sensing_ranges()) out.push_back(sensing_energy(r));
   return out;
 }
 
@@ -20,6 +21,12 @@ LoadReport load_report(const Network& net) {
   LoadReport rep;
   const auto loads = sensing_loads(net);
   if (loads.empty()) return rep;
+  rep.min_range = std::numeric_limits<double>::infinity();
+  for (const double r : net.sensing_ranges()) {
+    rep.max_range = std::max(rep.max_range, r);
+    rep.min_range = std::min(rep.min_range, r);
+  }
+  if (!std::isfinite(rep.min_range)) rep.min_range = 0.0;
   const Summary s = summarize(loads);
   rep.max_load = s.max();
   rep.min_load = s.min();

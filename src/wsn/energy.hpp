@@ -17,6 +17,9 @@ double sensing_energy(double range);
 std::vector<double> sensing_loads(const Network& net);
 
 struct LoadReport {
+  /// Extremes of the sensing ranges r_i; both 0 for a network with no nodes.
+  double max_range = 0.0;
+  double min_range = 0.0;
   double max_load = 0.0;
   double min_load = 0.0;
   double total_load = 0.0;

@@ -1,6 +1,7 @@
 #include "wsn/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace laacad::wsn {
 
@@ -8,83 +9,38 @@ using geom::Vec2;
 
 Network::Network(const Domain* domain, std::vector<Vec2> positions,
                  double gamma)
-    : domain_(domain), gamma_(gamma) {
-  const std::size_t n = positions.size();
-  nodes_.reserve(n);
-  xs_.reserve(n);
-  ys_.reserve(n);
-  sense_.reserve(n);
-  boundary_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Node nd;
-    nd.id = static_cast<NodeId>(i);
-    nd.pos = domain_->project_inside(positions[i]);
-    nodes_.push_back(nd);
-    xs_.push_back(nd.pos.x);
-    ys_.push_back(nd.pos.y);
-    sense_.push_back(nd.sensing_range);
-    boundary_.push_back(0);
-  }
-}
-
-std::vector<Vec2> Network::positions() const {
-  std::vector<Vec2> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < xs_.size(); ++i)
-    out.push_back(Vec2{xs_[i], ys_[i]});
-  return out;
+    : domain_(domain),
+      gamma_(gamma),
+      pos_(std::move(positions)),
+      range_(pos_.size(), 0.0) {
+  for (Vec2& p : pos_) p = domain_->project_inside(p);
 }
 
 void Network::set_position(NodeId i, Vec2 p) {
-  const Vec2 q = domain_->project_inside(p);
-  nodes_[static_cast<size_t>(i)].pos = q;
-  xs_[static_cast<size_t>(i)] = q.x;
-  ys_[static_cast<size_t>(i)] = q.y;
+  pos_[static_cast<std::size_t>(i)] = domain_->project_inside(p);
   grid_dirty_.store(true, std::memory_order_release);
 }
 
 void Network::set_sensing_range(NodeId i, double r) {
-  nodes_[static_cast<size_t>(i)].sensing_range = r;
-  sense_[static_cast<size_t>(i)] = r;
-}
-
-void Network::set_boundary(NodeId i, bool boundary) {
-  nodes_[static_cast<size_t>(i)].boundary = boundary;
-  boundary_[static_cast<size_t>(i)] = boundary ? 1 : 0;
+  range_[static_cast<std::size_t>(i)] = r;
 }
 
 NodeId Network::add_node(Vec2 p) {
-  Node n;
-  n.id = static_cast<NodeId>(nodes_.size());
-  n.pos = domain_->project_inside(p);
-  nodes_.push_back(n);
-  xs_.push_back(n.pos.x);
-  ys_.push_back(n.pos.y);
-  sense_.push_back(n.sensing_range);
-  boundary_.push_back(0);
+  pos_.push_back(domain_->project_inside(p));
+  range_.push_back(0.0);
   grid_dirty_.store(true, std::memory_order_release);
-  return n.id;
+  return static_cast<NodeId>(pos_.size() - 1);
 }
 
 void Network::rebind_domain(const Domain* domain) {
   domain_ = domain;
-  for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    Node& n = nodes_[j];
-    n.pos = domain_->project_inside(n.pos);
-    xs_[j] = n.pos.x;
-    ys_[j] = n.pos.y;
-  }
+  for (Vec2& p : pos_) p = domain_->project_inside(p);
   grid_dirty_.store(true, std::memory_order_release);
 }
 
 void Network::remove_node(NodeId i) {
-  nodes_.erase(nodes_.begin() + i);
-  xs_.erase(xs_.begin() + i);
-  ys_.erase(ys_.begin() + i);
-  sense_.erase(sense_.begin() + i);
-  boundary_.erase(boundary_.begin() + i);
-  for (std::size_t j = 0; j < nodes_.size(); ++j)
-    nodes_[j].id = static_cast<NodeId>(j);
+  pos_.erase(pos_.begin() + i);
+  range_.erase(range_.begin() + i);
   grid_dirty_.store(true, std::memory_order_release);
 }
 
@@ -95,10 +51,8 @@ const SpatialGrid& Network::grid(common::ThreadPool* pool) const {
   if (grid_dirty_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(grid_mutex_);
     if (grid_dirty_.load(std::memory_order_relaxed)) {
-      // Cell size ~ gamma works for both comm queries and k-nearest. The
-      // rebuild reads the SoA arrays directly — no positions() staging copy.
-      grid_.rebuild(xs_.data(), ys_.data(), xs_.size(), std::max(gamma_, 1.0),
-                    pool);
+      // Cell size ~ gamma works for both comm queries and k-nearest.
+      grid_.rebuild(pos_, std::max(gamma_, 1.0), pool);
       grid_dirty_.store(false, std::memory_order_release);
     }
   }

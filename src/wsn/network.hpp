@@ -1,14 +1,15 @@
 // The WSN itself: a set of mobile sensor nodes in a domain with a common
 // transmission range gamma (Sec. III-A).
 //
-// Storage is dual AoS/SoA: the `Node` records (id, pos, sensing range,
-// boundary flag) stay the inspection-friendly API, while the hot per-round
-// loops — grid rebuilds, candidate dist² scans, range reductions — read the
-// parallel SoA arrays xs()/ys()/sensing_ranges()/boundary_mask(), which are
-// contiguous and vectorize. Every mutation goes through the setters below,
-// which write both representations, so the two can never diverge (the
-// coherence is property-tested; there is deliberately no mutable node
-// accessor).
+// Sensor node model (Sec. III-A of the paper): omnidirectional disk sensing
+// with a tunable range, a common transmission range, and motion capability.
+// A node is therefore exactly two pieces of state, and the network stores
+// exactly two per-node columns: the location u_i (`positions()`, metres)
+// and the sensing range r_i (`sensing_ranges()`, tuned at algorithm
+// termination). A node's id is its index into both. Every mutation goes
+// through the setters below, which keep the columns the same length and
+// invalidate the spatial index when a position changes; there is
+// deliberately no mutable accessor.
 //
 // Threading contract: the spatial index behind the const query methods
 // (nodes_within / k_nearest / one_hop_neighbors) is built lazily after
@@ -24,47 +25,38 @@
 #include <mutex>
 #include <vector>
 
+#include "geometry/vec2.hpp"
 #include "wsn/domain.hpp"
-#include "wsn/node.hpp"
 #include "wsn/spatial_grid.hpp"
 
 namespace laacad::wsn {
 
+using NodeId = std::int32_t;
+
 class Network {
  public:
-  /// Nodes are placed at `positions`; gamma is the (identical) transmission
-  /// range. The domain is shared, not owned.
+  /// Nodes are placed at `positions` (projected into the domain) with zero
+  /// sensing range; gamma is the (identical) transmission range. The domain
+  /// is shared, not owned.
   Network(const Domain* domain, std::vector<geom::Vec2> positions,
           double gamma);
 
-  int size() const { return static_cast<int>(nodes_.size()); }
+  int size() const { return static_cast<int>(pos_.size()); }
   const Domain& domain() const { return *domain_; }
   double gamma() const { return gamma_; }
 
-  const Node& node(NodeId i) const { return nodes_[static_cast<size_t>(i)]; }
-  const std::vector<Node>& nodes() const { return nodes_; }
-
   geom::Vec2 position(NodeId i) const {
-    return nodes_[static_cast<size_t>(i)].pos;
+    return pos_[static_cast<std::size_t>(i)];
   }
-  std::vector<geom::Vec2> positions() const;
-
-  /// SoA hot state, parallel to nodes(): coordinate, sensing-range, and
-  /// boundary-flag arrays kept bitwise in sync with the Node records by the
-  /// setters. These are what the per-round hot loops scan — contiguous
-  /// doubles the compiler vectorizes, where iterating Node records cannot.
-  const std::vector<double>& xs() const { return xs_; }
-  const std::vector<double>& ys() const { return ys_; }
-  const std::vector<double>& sensing_ranges() const { return sense_; }
-  const std::vector<std::uint8_t>& boundary_mask() const { return boundary_; }
+  double sensing_range(NodeId i) const {
+    return range_[static_cast<std::size_t>(i)];
+  }
+  const std::vector<geom::Vec2>& positions() const { return pos_; }
+  const std::vector<double>& sensing_ranges() const { return range_; }
 
   /// Move node i (projected into the feasible domain); invalidates the grid.
-  /// All mutation goes through these setters — there is deliberately no
-  /// mutable node accessor, so a position can never change behind the
-  /// spatial index's (or the SoA mirror's) back.
   void set_position(NodeId i, geom::Vec2 p);
   void set_sensing_range(NodeId i, double r);
-  void set_boundary(NodeId i, bool boundary);
 
   /// Add a node at p; returns its id. Remove erases in place and shifts
   /// every higher id down by one (ids stay dense 0..n-1) — removal
@@ -99,10 +91,8 @@ class Network {
 
   const Domain* domain_;
   double gamma_;
-  std::vector<Node> nodes_;
-  // SoA mirrors of the hot Node fields, maintained by every mutator.
-  std::vector<double> xs_, ys_, sense_;
-  std::vector<std::uint8_t> boundary_;
+  std::vector<geom::Vec2> pos_;  ///< u_i
+  std::vector<double> range_;    ///< r_i
   mutable SpatialGrid grid_;
   mutable std::atomic<bool> grid_dirty_{true};
   mutable std::mutex grid_mutex_;

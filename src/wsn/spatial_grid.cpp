@@ -18,20 +18,7 @@ SpatialGrid::SpatialGrid(const std::vector<Vec2>& points, double cell_size) {
 
 void SpatialGrid::rebuild(const std::vector<Vec2>& points, double cell_size,
                           common::ThreadPool* pool) {
-  // Stage the AoS snapshot into the slot arrays unsorted, then re-bin over
-  // them in place. px_/py_ double as the staging buffer: the cell-id pass
-  // below reads coordinates by point index before any slot is written.
   const std::size_t n = points.size();
-  std::vector<double> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = points[i].x;
-    ys[i] = points[i].y;
-  }
-  rebuild(xs.data(), ys.data(), n, cell_size, pool);
-}
-
-void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
-                          double cell_size, common::ThreadPool* pool) {
   n_ = n;
   cell_ = std::max(cell_size, 1e-6);
   if (n == 0) {
@@ -47,12 +34,13 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   // Bounding box: min/max are order-independent, so the chunked reduction
   // below matches the serial scan bit-for-bit regardless of thread count.
   const int nn = static_cast<int>(n);
-  double lo_x = xs[0], lo_y = ys[0], hi_x = xs[0], hi_y = ys[0];
-  for (int i = 1; i < nn; ++i) {
-    lo_x = std::min(lo_x, xs[i]);
-    lo_y = std::min(lo_y, ys[i]);
-    hi_x = std::max(hi_x, xs[i]);
-    hi_y = std::max(hi_y, ys[i]);
+  double lo_x = points[0].x, lo_y = points[0].y;
+  double hi_x = lo_x, hi_y = lo_y;
+  for (const Vec2& p : points) {
+    lo_x = std::min(lo_x, p.x);
+    lo_y = std::min(lo_y, p.y);
+    hi_x = std::max(hi_x, p.x);
+    hi_y = std::max(hi_y, p.y);
   }
   origin_ = Vec2{lo_x, lo_y};
   nx_ = std::max(1, static_cast<int>(std::ceil((hi_x - lo_x + 1e-9) / cell_)));
@@ -72,7 +60,8 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     // ascending-index pass that drops every point into its cell's next free
     // slot — cell-major order, ascending index within a cell.
     for (int i = 0; i < nn; ++i) {
-      const auto [cx, cy] = cell_of(xs[i], ys[i]);
+      const Vec2& p = points[static_cast<std::size_t>(i)];
+      const auto [cx, cy] = cell_of(p.x, p.y);
       const int c = cell_index(cx, cy);
       cell_id_[static_cast<std::size_t>(i)] = c;
       ++cell_start_[static_cast<std::size_t>(c) + 1];
@@ -83,9 +72,10 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     for (int i = 0; i < nn; ++i) {
       const int c = cell_id_[static_cast<std::size_t>(i)];
       const int slot = cursor[static_cast<std::size_t>(c)]++;
+      const Vec2& p = points[static_cast<std::size_t>(i)];
       order_[static_cast<std::size_t>(slot)] = i;
-      px_[static_cast<std::size_t>(slot)] = xs[i];
-      py_[static_cast<std::size_t>(slot)] = ys[i];
+      px_[static_cast<std::size_t>(slot)] = p.x;
+      py_[static_cast<std::size_t>(slot)] = p.y;
     }
     return;
   }
@@ -107,7 +97,8 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     mine.assign(cells, 0);
     const auto [begin, end] = chunk_bounds(t);
     for (int i = begin; i < end; ++i) {
-      const auto [cx, cy] = cell_of(xs[i], ys[i]);
+      const Vec2& p = points[static_cast<std::size_t>(i)];
+      const auto [cx, cy] = cell_of(p.x, p.y);
       const int c = cell_index(cx, cy);
       cell_id_[static_cast<std::size_t>(i)] = c;
       ++mine[static_cast<std::size_t>(c)];
@@ -131,9 +122,10 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     for (int i = begin; i < end; ++i) {
       const int c = cell_id_[static_cast<std::size_t>(i)];
       const int slot = cursor[static_cast<std::size_t>(c)]++;
+      const Vec2& p = points[static_cast<std::size_t>(i)];
       order_[static_cast<std::size_t>(slot)] = i;
-      px_[static_cast<std::size_t>(slot)] = xs[i];
-      py_[static_cast<std::size_t>(slot)] = ys[i];
+      px_[static_cast<std::size_t>(slot)] = p.x;
+      py_[static_cast<std::size_t>(slot)] = p.y;
     }
   });
 }

@@ -46,11 +46,6 @@ class SpatialGrid {
   void rebuild(const std::vector<geom::Vec2>& points, double cell_size,
                common::ThreadPool* pool = nullptr);
 
-  /// Same, over SoA coordinate arrays (the wsn::Network hot state) — skips
-  /// staging a vector<Vec2> copy of a million-point snapshot.
-  void rebuild(const double* xs, const double* ys, std::size_t n,
-               double cell_size, common::ThreadPool* pool = nullptr);
-
   /// Indices of points with dist(p, q) <= radius (including any point equal
   /// to q itself), sorted ascending by index.
   std::vector<int> within(geom::Vec2 q, double radius) const;

@@ -199,17 +199,17 @@ TEST(Engine, CornerDeploymentExpandsOverArea) {
   Rng rng(9);
   wsn::Network net(&d, wsn::deploy_corner(d, 30, rng), 80.0);
   // All nodes start in the corner 48x48 box.
-  for (const auto& n : net.nodes()) {
-    EXPECT_LE(n.pos.x, 48.1);
-    EXPECT_LE(n.pos.y, 48.1);
+  for (const Vec2 p : net.positions()) {
+    EXPECT_LE(p.x, 48.1);
+    EXPECT_LE(p.y, 48.1);
   }
   Engine engine(net, quick_config(1));
   RunResult res = engine.run();
   EXPECT_TRUE(res.converged);
   // Spread: some node should end far from the corner.
   double max_reach = 0.0;
-  for (const auto& n : net.nodes())
-    max_reach = std::max(max_reach, n.pos.norm());
+  for (const Vec2 p : net.positions())
+    max_reach = std::max(max_reach, p.norm());
   EXPECT_GT(max_reach, 300.0);
   const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
   EXPECT_GE(exact.min_depth, 1);
@@ -235,7 +235,7 @@ TEST(Engine, ObstacleDomainConvergesAndCovers) {
   RunResult res = Engine(net, quick_config(2)).run();
   EXPECT_TRUE(res.converged);
   // No node ended up inside the obstacle.
-  for (const auto& n : net.nodes()) EXPECT_TRUE(d.contains(n.pos));
+  for (const Vec2 p : net.positions()) EXPECT_TRUE(d.contains(p));
   const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
   EXPECT_GE(exact.min_depth, 2);
 }
@@ -310,7 +310,7 @@ class StubSquareProvider final : public RegionProvider {
  public:
   explicit StubSquareProvider(geom::BBox box) : box_(box) {}
 
-  void begin_round(wsn::Network&, int, std::uint64_t,
+  void begin_round(const wsn::Network&, int, std::uint64_t,
                    common::ThreadPool*) override {}
 
   RegionOutput compute(wsn::NodeId) const override {

@@ -118,7 +118,7 @@ TEST(EngineProperty, CrossDomainWithHolesKCovers) {
   wsn::Network net(&d, wsn::deploy_uniform(d, 26, rng), 80.0);
   RunResult res = Engine(net, cfg_quick(1)).run();
   EXPECT_TRUE(res.converged);
-  for (const auto& node : net.nodes()) EXPECT_TRUE(d.contains(node.pos));
+  for (const Vec2 p : net.positions()) EXPECT_TRUE(d.contains(p));
   const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
   EXPECT_GE(exact.min_depth, 1);
 }
@@ -131,9 +131,9 @@ TEST(EngineProperty, KEqualsNodeCountCoLocatesAtDomainChebyshev) {
   wsn::Network net(&d, wsn::deploy_uniform(d, 4, rng), 60.0);
   RunResult res = Engine(net, cfg_quick(4)).run();
   EXPECT_TRUE(res.converged);
-  for (const auto& node : net.nodes()) {
-    EXPECT_NEAR(node.pos.x, 60.0, 1.5);
-    EXPECT_NEAR(node.pos.y, 40.0, 1.5);
+  for (const Vec2 p : net.positions()) {
+    EXPECT_NEAR(p.x, 60.0, 1.5);
+    EXPECT_NEAR(p.y, 40.0, 1.5);
   }
   EXPECT_NEAR(res.final_max_range, std::hypot(60.0, 40.0), 1.5);
 }
@@ -148,8 +148,7 @@ TEST(EngineProperty, MeanDepthApproxKTimesDiskShare) {
   Engine(net, cfg_quick(2)).run();
   const auto grid = cov::grid_coverage(d, cov::sensing_disks(net), 3.0);
   double disk_area = 0.0;
-  for (const auto& node : net.nodes())
-    disk_area += M_PI * node.sensing_range * node.sensing_range;
+  for (const double r : net.sensing_ranges()) disk_area += M_PI * r * r;
   EXPECT_GE(grid.mean_depth, 2.0);
   // Disk area over |A| bounds the mean depth from above (disks of boundary
   // nodes spill outside the domain) and should not exceed it wildly.

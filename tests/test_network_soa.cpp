@@ -1,12 +1,13 @@
-// SoA/AoS coherence and parallel grid-rebuild determinism.
+// Node-state column alignment and parallel grid-rebuild determinism.
 //
-// wsn::Network stores node state twice: the inspection-friendly Node
-// records (AoS) and the hot-loop arrays xs()/ys()/sensing_ranges()/
-// boundary_mask() (SoA). The contract is that every mutation path leaves
-// the two representations bitwise identical — these tests drive each
-// mutator (construction, set_position, set_sensing_range, set_boundary,
-// add_node, remove_node, rebind_domain) through randomized sequences and
-// check the invariant after every step.
+// wsn::Network stores a node as two columns, positions() and
+// sensing_ranges(), both indexed by node id. These tests drive every
+// mutator (construction, set_position, set_sensing_range, add_node,
+// remove_node, rebind_domain) through randomized sequences interleaved
+// with queries, and after every step compare the network bitwise against a
+// reference model: two plain vectors the test updates itself, projecting
+// positions through Domain::project_inside. A mutator that drops, shifts or
+// misaligns one column against the other shows up as a mismatch.
 //
 // The second half pins SpatialGrid's count-then-scatter parallel rebuild:
 // the CSR arrays (order, cell_start, slot coordinates) must be bitwise
@@ -29,81 +30,112 @@ namespace {
 using namespace laacad;
 using geom::Vec2;
 
-// Bitwise equality: the SoA arrays are written from the same stores as the
-// Node fields, so even -0.0 vs 0.0 or NaN payload differences would be a
-// coherence bug.
-void expect_coherent(const wsn::Network& net, const char* where) {
-  const auto& nodes = net.nodes();
-  ASSERT_EQ(nodes.size(), net.xs().size()) << where;
-  ASSERT_EQ(nodes.size(), net.ys().size()) << where;
-  ASSERT_EQ(nodes.size(), net.sensing_ranges().size()) << where;
-  ASSERT_EQ(nodes.size(), net.boundary_mask().size()) << where;
-  const auto pos = net.positions();
-  ASSERT_EQ(nodes.size(), pos.size()) << where;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_EQ(nodes[i].id, static_cast<wsn::NodeId>(i)) << where << " i=" << i;
-    EXPECT_EQ(std::memcmp(&nodes[i].pos.x, &net.xs()[i], sizeof(double)), 0)
+/// What the network should hold, maintained independently of it.
+struct ReferenceModel {
+  std::vector<Vec2> pos;
+  std::vector<double> range;
+};
+
+ReferenceModel model_of(const wsn::Domain& domain,
+                        const std::vector<Vec2>& initial) {
+  ReferenceModel m;
+  for (const Vec2 p : initial) m.pos.push_back(domain.project_inside(p));
+  m.range.assign(initial.size(), 0.0);
+  return m;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Bitwise equality: the network must store exactly what the model computes,
+// so even -0.0 vs 0.0 or a NaN payload difference counts as a mismatch.
+void expect_matches(const wsn::Network& net, const ReferenceModel& m,
+                    const char* where) {
+  ASSERT_EQ(net.size(), static_cast<int>(m.pos.size())) << where;
+  ASSERT_EQ(net.sensing_ranges().size(), m.range.size()) << where;
+  for (int i = 0; i < net.size(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_TRUE(same_bits(net.position(i).x, m.pos[u].x))
         << where << " x i=" << i;
-    EXPECT_EQ(std::memcmp(&nodes[i].pos.y, &net.ys()[i], sizeof(double)), 0)
+    EXPECT_TRUE(same_bits(net.position(i).y, m.pos[u].y))
         << where << " y i=" << i;
-    EXPECT_EQ(std::memcmp(&nodes[i].sensing_range, &net.sensing_ranges()[i],
-                          sizeof(double)),
-              0)
+    EXPECT_TRUE(same_bits(net.sensing_range(i), m.range[u]))
         << where << " range i=" << i;
-    EXPECT_EQ(nodes[i].boundary, net.boundary_mask()[i] != 0)
-        << where << " boundary i=" << i;
-    EXPECT_EQ(std::memcmp(&pos[i].x, &net.xs()[i], sizeof(double)), 0)
-        << where << " positions() x i=" << i;
-    EXPECT_EQ(std::memcmp(&pos[i].y, &net.ys()[i], sizeof(double)), 0)
-        << where << " positions() y i=" << i;
   }
 }
 
 TEST(NetworkSoA, ConstructionMirrorsPositions) {
   wsn::Domain domain = wsn::Domain::rectangle(500, 400);
   Rng rng(11);
-  wsn::Network net(&domain, wsn::deploy_uniform(domain, 60, rng), 80.0);
-  expect_coherent(net, "after construction");
+  // Some starts fall outside the domain, so construction must project.
+  std::vector<Vec2> initial = wsn::deploy_uniform(domain, 60, rng);
+  initial.push_back({-30.0, 200.0});
+  initial.push_back({650.0, 450.0});
+  wsn::Network net(&domain, initial, 80.0);
+  expect_matches(net, model_of(domain, initial), "after construction");
 }
 
 TEST(NetworkSoA, EveryMutationPathStaysCoherent) {
   wsn::Domain domain = wsn::Domain::rectangle(300, 300);
+  wsn::Domain shrunk = wsn::Domain::rectangle(260, 240);
   Rng rng(29);
-  wsn::Network net(&domain, wsn::deploy_uniform(domain, 40, rng), 60.0);
+  const auto initial = wsn::deploy_uniform(domain, 40, rng);
+  wsn::Network net(&domain, initial, 60.0);
+  ReferenceModel m = model_of(domain, initial);
+  const wsn::Domain* current = &domain;
 
-  // Randomized mutation fuzz: pick a mutator, apply it, re-check the full
-  // invariant. Covers interleavings (e.g. remove after set_position) that
-  // single-mutator tests miss.
+  // Randomized mutation fuzz: pick a mutator, apply it to both the network
+  // and the model, re-check. Covers interleavings (e.g. remove after
+  // set_position, add after a rebind) that single-mutator tests miss.
   for (int step = 0; step < 400; ++step) {
     const int n = net.size();
     ASSERT_GT(n, 0);
-    const auto i =
-        static_cast<wsn::NodeId>(rng.uniform_int(0, n - 1));
+    const auto i = static_cast<wsn::NodeId>(rng.uniform_int(0, n - 1));
+    const auto u = static_cast<std::size_t>(i);
     switch (rng.uniform_int(0, 5)) {
-      case 0:
-        net.set_position(i, {rng.uniform(-50.0, 350.0),
-                             rng.uniform(-50.0, 350.0)});
+      case 0: {
+        const Vec2 p{rng.uniform(-50.0, 350.0), rng.uniform(-50.0, 350.0)};
+        net.set_position(i, p);
+        m.pos[u] = current->project_inside(p);
         break;
-      case 1:
-        net.set_sensing_range(i, rng.uniform(0.0, 120.0));
+      }
+      case 1: {
+        const double r = rng.uniform(0.0, 120.0);
+        net.set_sensing_range(i, r);
+        m.range[u] = r;
         break;
-      case 2:
-        net.set_boundary(i, rng.uniform_int(0, 1) == 1);
+      }
+      case 2: {
+        const Vec2 p{rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)};
+        EXPECT_EQ(net.add_node(p), n);
+        m.pos.push_back(current->project_inside(p));
+        m.range.push_back(0.0);
         break;
+      }
       case 3:
-        net.add_node({rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+        if (n > 8) {
+          net.remove_node(i);
+          m.pos.erase(m.pos.begin() + i);
+          m.range.erase(m.range.begin() + i);
+        }
         break;
       case 4:
-        if (n > 8) net.remove_node(i);
+        if (rng.uniform_int(0, 9) == 0) {  // rare: swap the domain
+          current = current == &domain ? &shrunk : &domain;
+          net.rebind_domain(current);
+          for (Vec2& p : m.pos) p = current->project_inside(p);
+        }
         break;
       case 5: {
         // Queries between mutations force lazy grid rebuilds mid-sequence.
         const auto near = net.k_nearest(net.position(i), 3, i);
         EXPECT_LE(near.size(), 3u);
+        for (const int j : near) EXPECT_NE(j, i);
         break;
       }
     }
-    expect_coherent(net, "after mutation step");
+    expect_matches(net, m, "after mutation step");
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -112,11 +144,18 @@ TEST(NetworkSoA, RebindDomainReprojectsBothRepresentations) {
   wsn::Domain big = wsn::Domain::rectangle(1000, 1000);
   wsn::Domain small = wsn::Domain::rectangle(200, 200);
   Rng rng(7);
-  wsn::Network net(&big, wsn::deploy_uniform(big, 50, rng), 100.0);
+  const auto initial = wsn::deploy_uniform(big, 50, rng);
+  wsn::Network net(&big, initial, 100.0);
+  ReferenceModel m = model_of(big, initial);
+  for (int i = 0; i < net.size(); ++i) {
+    net.set_sensing_range(i, 1.0 + i);
+    m.range[static_cast<std::size_t>(i)] = 1.0 + i;
+  }
+  // Positions move into the new domain; ranges stay with their nodes.
   net.rebind_domain(&small);
-  expect_coherent(net, "after rebind_domain");
-  for (const wsn::Node& nd : net.nodes())
-    EXPECT_TRUE(small.contains(nd.pos)) << "node " << nd.id;
+  for (Vec2& p : m.pos) p = small.project_inside(p);
+  expect_matches(net, m, "after rebind_domain");
+  for (const Vec2 p : net.positions()) EXPECT_TRUE(small.contains(p));
 }
 
 // --------------------------------------------------------------------------

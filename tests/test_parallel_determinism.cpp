@@ -31,8 +31,7 @@ RunRecord run_engine(const wsn::Domain& domain,
   RunResult res = engine.run();
   rec.history = std::move(res.history);
   rec.final_positions = net.positions();
-  for (const wsn::Node& n : net.nodes())
-    rec.final_ranges.push_back(n.sensing_range);
+  rec.final_ranges = net.sensing_ranges();
   return rec;
 }
 

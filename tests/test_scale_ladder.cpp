@@ -78,10 +78,10 @@ std::uint64_t run_hash(const std::string& backend, int threads) {
     h = fnv1a(h, bits(m.max_move));
     h = fnv1a(h, static_cast<std::uint64_t>(m.moved));
   }
-  for (const auto& node : net.nodes()) {
-    h = fnv1a(h, bits(node.pos.x));
-    h = fnv1a(h, bits(node.pos.y));
-    h = fnv1a(h, bits(node.sensing_range));
+  for (int i = 0; i < net.size(); ++i) {
+    h = fnv1a(h, bits(net.position(i).x));
+    h = fnv1a(h, bits(net.position(i).y));
+    h = fnv1a(h, bits(net.sensing_range(i)));
   }
   h = fnv1a(h, static_cast<std::uint64_t>(res.rounds));
   return h;
@@ -216,9 +216,9 @@ TEST(ProviderPolicy, AutoSelectsLocalizedAboveThreshold) {
     Outcome out;
     out.gathers = res.series.comm.gather_requests;
     std::uint64_t h = 1469598103934665603ULL;
-    for (const auto& node : net.nodes()) {
-      h = fnv1a(h, bits(node.pos.x));
-      h = fnv1a(h, bits(node.pos.y));
+    for (const geom::Vec2 p : net.positions()) {
+      h = fnv1a(h, bits(p.x));
+      h = fnv1a(h, bits(p.y));
     }
     out.hash = h;
     return out;

@@ -193,8 +193,8 @@ TEST(ScenarioRunner, ExecutesTimelineAndRestoresCoverage) {
 
   // The jam event swapped in a domain with a hole; no node sits inside it.
   ASSERT_EQ(runner.domain().holes().size(), 1u);
-  for (const auto& n : runner.network().nodes())
-    EXPECT_TRUE(runner.domain().contains(n.pos));
+  for (const geom::Vec2 p : runner.network().positions())
+    EXPECT_TRUE(runner.domain().contains(p));
 
   // Global round bookkeeping: phases tile the timeline.
   int expected_start = 0;
@@ -308,8 +308,8 @@ event converged resize_boundary scale=0.5
   EXPECT_LT(result.phases[1].load.max_load, result.phases[0].load.max_load);
   // The new domain really is half-sized and every node moved inside it.
   EXPECT_NEAR(runner.domain().bbox().width(), 150.0, 1e-9);
-  for (const auto& n : runner.network().nodes())
-    EXPECT_TRUE(runner.domain().contains(n.pos));
+  for (const geom::Vec2 p : runner.network().positions())
+    EXPECT_TRUE(runner.domain().contains(p));
 }
 
 TEST(ScenarioRunner, BatteryMetricsTrackDrain) {
@@ -390,8 +390,8 @@ event converged jam_region x0=0.5 y0=0.5 x1=0.7 y1=0.7
   EXPECT_FALSE(runner.domain().contains({85.0, 85.0}));    // first jam only
   EXPECT_FALSE(runner.domain().contains({135.0, 135.0}));  // second jam only
   EXPECT_TRUE(runner.domain().contains({85.0, 135.0}));    // in neither
-  for (const auto& n : runner.network().nodes())
-    EXPECT_TRUE(runner.domain().contains(n.pos));
+  for (const geom::Vec2 p : runner.network().positions())
+    EXPECT_TRUE(runner.domain().contains(p));
 }
 
 TEST(ScenarioRunner, RedundantJamInsideExistingJamIsANoOp) {
@@ -431,8 +431,8 @@ obstacle 0.3 0.3 0.5 0.5
   ASSERT_EQ(spec.obstacles.size(), 2u);
   ScenarioRunner runner(spec);
   EXPECT_NEAR(runner.domain().area(), 200.0 * 200.0 - 2800.0, 1e-6);
-  for (const auto& n : runner.network().nodes())
-    EXPECT_TRUE(runner.domain().contains(n.pos));
+  for (const geom::Vec2 p : runner.network().positions())
+    EXPECT_TRUE(runner.domain().contains(p));
   const ScenarioResult result = runner.run();
   EXPECT_FALSE(result.aborted);
   EXPECT_TRUE(result.final_coverage_ok);
@@ -492,8 +492,8 @@ event converged jam_region x0=0.3 y0=0.55 x1=0.6 y1=0.8
   const double hole_area = geom::area(runner.domain().holes()[0]);
   EXPECT_GT(hole_area, 0.0);
   EXPECT_LT(hole_area, 3000.0 - 1.0);
-  for (const auto& n : runner.network().nodes())
-    EXPECT_TRUE(runner.domain().contains(n.pos));
+  for (const geom::Vec2 p : runner.network().positions())
+    EXPECT_TRUE(runner.domain().contains(p));
 }
 
 // ------------------------------------------------- determinism & JSON ----

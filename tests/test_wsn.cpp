@@ -177,13 +177,16 @@ TEST(Network, OneHopNeighbors) {
 TEST(Network, AddRemoveNode) {
   Domain d = Domain::rectangle(100, 100);
   Network net(&d, {{10, 10}}, 10.0);
+  net.set_sensing_range(0, 3.0);
   NodeId id = net.add_node({20, 20});
   EXPECT_EQ(net.size(), 2);
   EXPECT_EQ(id, 1);
+  EXPECT_EQ(net.sensing_range(id), 0.0);
+  net.set_sensing_range(id, 7.0);
   net.remove_node(0);
   EXPECT_EQ(net.size(), 1);
-  EXPECT_EQ(net.node(0).id, 0);  // ids re-densified
   EXPECT_EQ(net.position(0), Vec2(20, 20));
+  EXPECT_EQ(net.sensing_range(0), 7.0);  // the survivor kept its own range
 }
 
 TEST(Network, RemoveAfterQueriesReindexesGrid) {
@@ -418,8 +421,6 @@ TEST(Boundary, ClusterEdgeDetected) {
   EXPECT_TRUE(info[0].network_boundary);
   // Center node (index 12): surrounded on all sides.
   EXPECT_FALSE(info[12].network_boundary);
-  EXPECT_TRUE(net.node(0).boundary);
-  EXPECT_FALSE(net.node(12).boundary);
 }
 
 TEST(Boundary, AreaBoundaryByProximity) {
