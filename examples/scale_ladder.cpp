@@ -11,7 +11,7 @@
 //   scale_ladder [--campaign PATH] [--max-nodes N] [--budget PATH]
 //                [--json PATH] [--trial-threads N] [--trace PATH] [--quiet]
 //
-// --max-nodes caps which rungs run: ctest climbs to 10^5, the CI bench
+// --max-nodes caps which rungs run: ctest climbs to 10^5, CI's nightly
 // job runs the full ladder. --budget loads campaigns/scale_ladder.budget;
 // dist2-evaluation budgets are enforced unconditionally for every
 // --trial-threads value (they are deterministic and machine-independent,

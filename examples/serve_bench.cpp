@@ -20,7 +20,7 @@
 // spec the daemon loaded.
 //
 // Exit status: 0 on a clean run, 1 if any protocol or transport errors
-// were tallied (CI treats a nonzero error count as failure), 2 on usage
+// were tallied (ctest treats a nonzero error count as failure), 2 on usage
 // or setup problems.
 #include <cstdio>
 #include <cstdlib>

@@ -1,8 +1,8 @@
 #include "common/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace laacad {
@@ -40,13 +40,26 @@ std::string JsonWriter::number_to_string(double v) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
     return buf;
   }
-  // Shortest precision that round-trips: deterministic across platforms
-  // using the same IEEE doubles, and far more readable than blanket %.17g.
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  // Shortest precision that round-trips, printed as %.<precision>g:
+  // deterministic across platforms using the same IEEE doubles, and far
+  // more readable than blanket %.17g. Shortest to_chars yields the digit
+  // count; the correctly rounded %g form at that count can still miss
+  // when the value sits on a power of two (the rounding interval is
+  // asymmetric there), so bump the precision until it parses back.
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p)
+    if (*p >= '0' && *p <= '9') ++precision;
+  for (;; ++precision) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v || precision >= 17) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 JsonWriter::JsonWriter(std::ostream& out, int indent)

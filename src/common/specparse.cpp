@@ -45,6 +45,9 @@ int parse_int(const std::string& s, int line, const std::string& key) {
 std::uint64_t parse_uint64(const std::string& s, int line,
                            const std::string& key) {
   try {
+    // std::stoull skips leading whitespace and wraps a leading '-' modulo
+    // 2^64 ("-1" -> 2^64-1): demand a digit up front.
+    if (s.empty() || s[0] < '0' || s[0] > '9') throw std::invalid_argument(s);
     std::size_t used = 0;
     const unsigned long long v = std::stoull(s, &used);
     if (used != s.size()) throw std::invalid_argument(s);

@@ -21,16 +21,6 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-std::string error_response(const std::string& what) {
-  std::ostringstream out;
-  JsonWriter w(out, /*indent=*/0);
-  w.begin_object();
-  w.kv("ok", false);
-  w.kv("error", what);
-  w.end_object();
-  return out.str();
-}
-
 /// Common prologue of snapshot-backed responses.
 void snapshot_header(JsonWriter& w, const Snapshot& snap) {
   w.kv("ok", true);
@@ -256,6 +246,16 @@ std::string handle_drain(CoverageService& svc, PhaseDurations* d) {
 }
 
 }  // namespace
+
+std::string error_response(const std::string& what) {
+  std::ostringstream out;
+  JsonWriter w(out, /*indent=*/0);
+  w.begin_object();
+  w.kv("ok", false);
+  w.kv("error", what);
+  w.end_object();
+  return out.str();
+}
 
 HandleResult handle_line(CoverageService& svc, const std::string& line) {
   return handle_line(svc, line, Clock::now());

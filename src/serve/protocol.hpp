@@ -37,6 +37,9 @@ struct HandleResult {
   HandleAction action = HandleAction::kRespond;
 };
 
+/// The one-line {"ok":false,"error":<what>} response every error takes.
+std::string error_response(const std::string& what);
+
 /// Parse and execute one request line. Never throws: malformed input and
 /// rejected events become {"ok":false,...} responses. `shutdown` returns
 /// kShutdown with the response; the transport owns calling

@@ -71,26 +71,32 @@ TcpServer::~TcpServer() {
 
 namespace {
 
+enum class ReadStatus { kLine, kClosed, kOverlong };
+
 /// Connection-scoped line reader over a raw fd. `arrival` is stamped after
 /// every successful read(), so when a pipelined client leaves several
 /// requests in one TCP segment, each extracted line keeps the timestamp of
 /// the read that delivered its bytes — that is what makes the protocol
 /// layer's queue-wait phase measure real head-of-line blocking instead of
-/// always reading zero. Interrupted reads (EINTR) are retried.
-bool read_line(int fd, std::string* buffer, std::string* line,
-               std::chrono::steady_clock::time_point* arrival) {
+/// always reading zero. Interrupted reads (EINTR) are retried. A line
+/// longer than kMaxRequestLineBytes is kOverlong, whether or not its
+/// newline has arrived yet: the buffer never grows much past the cap.
+ReadStatus read_line(int fd, std::string* buffer, std::string* line,
+                     std::chrono::steady_clock::time_point* arrival) {
   for (;;) {
     const auto nl = buffer->find('\n');
+    if (std::min(nl, buffer->size()) > kMaxRequestLineBytes)
+      return ReadStatus::kOverlong;
     if (nl != std::string::npos) {
       *line = buffer->substr(0, nl);
       buffer->erase(0, nl + 1);
       if (!line->empty() && line->back() == '\r') line->pop_back();
-      return true;
+      return ReadStatus::kLine;
     }
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
+    if (n <= 0) return ReadStatus::kClosed;
     buffer->append(chunk, static_cast<std::size_t>(n));
     *arrival = std::chrono::steady_clock::now();
   }
@@ -141,7 +147,14 @@ int TcpServer::serve() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       std::string buffer, line;
       auto arrival = std::chrono::steady_clock::now();
-      while (read_line(fd, &buffer, &line, &arrival)) {
+      for (;;) {
+        const ReadStatus status = read_line(fd, &buffer, &line, &arrival);
+        if (status == ReadStatus::kOverlong)
+          write_all(fd, error_response("request line exceeds " +
+                                       std::to_string(kMaxRequestLineBytes) +
+                                       " bytes; closing connection") +
+                            "\n");
+        if (status != ReadStatus::kLine) break;
         if (line.empty()) continue;
         const HandleResult result = handle_line(svc_, line, arrival);
         handled.fetch_add(1);

@@ -1,9 +1,10 @@
 // Line-oriented transports for the serving daemon: stdio (tests, scripted
-// CI sessions, piping) and a minimal TCP listener (one thread per
+// sessions, piping) and a minimal TCP listener (one thread per
 // connection, newline-delimited requests). Both feed serve::handle_line;
 // the shutdown op (or EOF on stdio) stops the service gracefully.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "serve/protocol.hpp"
@@ -15,6 +16,12 @@ namespace laacad::serve {
 /// the service (drain + final phase). Returns the number of requests
 /// handled.
 int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out);
+
+/// Longest request line, in bytes without its newline, a TCP connection
+/// may send. Past it the connection gets one protocol-error line and is
+/// closed, so a peer that never sends '\n' cannot grow daemon memory
+/// without bound. Real requests are a few hundred bytes.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 class TcpServer {
  public:

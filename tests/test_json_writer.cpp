@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/json_writer.hpp"
+#include "common/rng.hpp"
 
 namespace laacad {
 namespace {
@@ -72,6 +78,82 @@ TEST(JsonWriter, NumbersRoundTripShortest) {
   EXPECT_EQ(std::stod(JsonWriter::number_to_string(v)), v);
   const double tiny = 1.2345678901234567e-12;
   EXPECT_EQ(std::stod(JsonWriter::number_to_string(tiny)), tiny);
+}
+
+// The snprintf+strtod formatter number_to_string replaced: try %.Pg for
+// P = 1..17 and keep the first that parses back to the same double. Kept
+// as the byte-for-byte reference for the to_chars implementation.
+std::string reference_number_to_string(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+TEST(JsonWriter, NumberFormatMatchesSnprintfReferenceOn200kValues) {
+  Rng rng(20261016);
+  auto& engine = rng.engine();
+  const double inf = std::numeric_limits<double>::infinity();
+  int checked = 0;
+  bool ok = true;
+  const auto check = [&](double v) {
+    const std::string got = JsonWriter::number_to_string(v);
+    const std::string want = reference_number_to_string(v);
+    if (got != want) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << got << ", want "
+                    << want;
+      ok = false;
+    }
+    ++checked;
+  };
+  for (const double v : {0.0, -0.0, 9.0e15, -9.0e15,
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::lowest(),
+                         std::numeric_limits<double>::epsilon()})
+    check(v);
+  for (int i = 0; i < 31000 && ok; ++i) {
+    // Uniform bit patterns: every exponent, both signs, NaN/inf included.
+    check(from_bits(engine()));
+    // Subnormals of both signs.
+    const double sub = from_bits(engine() & ((std::uint64_t{1} << 52) - 1));
+    check(rng.coin(0.5) ? sub : -sub);
+    // Mixed decimal magnitudes, 1e-300 .. 1e300.
+    const double mag = rng.uniform(1.0, 10.0) *
+                       std::pow(10.0, rng.uniform_int(-300, 300));
+    check(rng.coin(0.5) ? mag : -mag);
+    // Short decimals (what metrics usually look like): x.yz at 0..6 places.
+    const double scale = std::pow(10.0, rng.uniform_int(0, 6));
+    check(std::round(rng.uniform(-1.0e4, 1.0e4) * scale) / scale);
+    // Powers of two and their neighbours (asymmetric rounding intervals),
+    // and the integral branch's 9e15 cut-off: integers on both sides of
+    // it, and negative ones halved into non-integers near 4.5e15.
+    if (i % 2 == 0) {
+      const double p2 = std::ldexp(1.0, rng.uniform_int(-1074, 1023));
+      check(p2);
+      check(std::nextafter(p2, 0.0));
+      check(std::nextafter(p2, inf));
+    } else {
+      const double near = 9.0e15 + rng.uniform_int(-2000, 2000);
+      check(near);
+      check(std::nextafter(-near, 0.0) * (rng.coin(0.5) ? 1.0 : 0.5));
+    }
+  }
+  EXPECT_GE(checked, 200000);
 }
 
 TEST(JsonWriter, NonFiniteSerializesAsNull) {

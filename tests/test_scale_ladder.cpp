@@ -9,7 +9,7 @@
 //  2. The scale ladder's small/medium rungs complete with verified
 //     k-coverage through the campaign engine, within a deterministic
 //     dist2-evaluations-per-node budget (the machine-independent stand-in
-//     for the wall-clock gates the CI bench job enforces).
+//     for the wall-clock gates the nightly CI job enforces).
 //  3. The provider policy at scale: `backend auto` / a null provider picks
 //     the localized Algorithm-2 provider above provider_auto_threshold,
 //     and the global snapshot solver refuses site counts above its hard

@@ -91,6 +91,7 @@ TEST(ScenarioSpec, RejectsMalformedInputWithLineNumbers) {
   expect_error("side big\n", "expects a number");
   expect_error("seed abc\n", "unsigned integer");
   expect_error("seed 12x3\n", "unsigned integer");
+  expect_error("seed -1\n", "unsigned integer");
   expect_error("name a b\n", "key value");
   expect_error("event converged explode\n", "unknown event type");
   expect_error("event soon fail_nodes count=1\n", "unknown trigger");

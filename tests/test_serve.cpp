@@ -7,6 +7,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -412,6 +413,38 @@ TEST(Protocol, StdioTransportRunsAScriptedSession) {
   EXPECT_TRUE(flatjson::get_bool(lines[3], "stopping", &flag) && flag);
 }
 
+/// One blocking loopback TCP session: connect to `port`, send `request`,
+/// read until the server closes. False on any socket error, including a
+/// reset in place of an orderly EOF.
+bool tcp_session(int port, const std::string& request, std::string* response) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  // A server that never answers fails the test instead of hanging it.
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  bool ok =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  for (std::size_t off = 0; ok && off < request.size();) {
+    const ssize_t n =
+        ::send(fd, request.data() + off, request.size() - off, 0);
+    ok = n > 0;
+    if (ok) off += static_cast<std::size_t>(n);
+  }
+  char chunk[4096];
+  while (ok) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0) break;
+    ok = n > 0;
+    if (ok) response->append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return ok;
+}
+
 TEST(Protocol, TcpRoundTripOnEphemeralPort) {
   ServeConfig cfg;
   cfg.spec = base_spec();
@@ -422,30 +455,14 @@ TEST(Protocol, TcpRoundTripOnEphemeralPort) {
   ASSERT_GT(server.port(), 0);
   std::thread accept_thread([&] { server.serve(); });
 
-  // Plain blocking client socket.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request =
+  std::string response;
+  EXPECT_TRUE(tcp_session(
+      server.port(),
       "{\"op\":\"event\",\"spec\":\"fail_nodes count=2 pick=random\"}\n"
       "{\"op\":\"drain\"}\n"
       "{\"op\":\"load\"}\n"
-      "{\"op\":\"shutdown\"}\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+      "{\"op\":\"shutdown\"}\n",
+      &response));
   accept_thread.join();
   EXPECT_FALSE(svc.running());
 
@@ -460,10 +477,50 @@ TEST(Protocol, TcpRoundTripOnEphemeralPort) {
   EXPECT_TRUE(flatjson::get_bool(lines[3], "stopping", &flag) && flag);
 }
 
+// A client that never sends a newline must not grow daemon memory without
+// bound: one line past kMaxRequestLineBytes earns one protocol-error line
+// and an orderly close, and the daemon keeps serving new connections.
+TEST(Protocol, TcpOverlongLineGetsOneErrorThenEof) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  TcpServer server(svc, /*port=*/0);
+  std::thread accept_thread([&] { server.serve(); });
+
+  // Stream one byte past the cap and no newline. The server consumes all
+  // of it before answering, so its close is an orderly EOF, not a reset.
+  std::string reply;
+  EXPECT_TRUE(tcp_session(server.port(),
+                          std::string(kMaxRequestLineBytes + 1, 'x'), &reply));
+  // The daemon still serves a new connection.
+  std::string response;
+  EXPECT_TRUE(tcp_session(server.port(),
+                          "{\"op\":\"health\"}\n{\"op\":\"shutdown\"}\n",
+                          &response));
+  accept_thread.join();
+
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  bool ok = true;
+  EXPECT_TRUE(flatjson::get_bool(reply, "ok", &ok));
+  EXPECT_FALSE(ok);
+  std::string error;
+  EXPECT_TRUE(flatjson::get_string(reply, "error", &error));
+  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+
+  std::vector<std::string> lines;
+  std::istringstream split(response);
+  for (std::string l; std::getline(split, l);) lines.push_back(l);
+  ASSERT_EQ(lines.size(), 2u) << response;
+  EXPECT_EQ(lines[0].find("\"error\""), std::string::npos) << lines[0];
+  bool flag = false;
+  EXPECT_TRUE(flatjson::get_bool(lines[1], "stopping", &flag) && flag);
+}
+
 // ---------------------------------------------------- concurrency (TSan) ----
 
 // N reader threads hammer snapshot queries while the round loop applies a
-// stream of churn events. Run under TSan in CI (obs-tsan job). Each reader
+// stream of churn events. Run under TSan (ctest -L tsan). Each reader
 // asserts the consistency contract: epochs never go backwards, and every
 // k-NN answer is internally consistent with the snapshot that produced it.
 TEST(ServeStress, ConcurrentReadersSeeConsistentEpochs) {

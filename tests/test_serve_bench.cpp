@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/flatjson.hpp"
+#include "obs/histogram.hpp"
 #include "scenario/spec.hpp"
 #include "serve/bench.hpp"
 #include "serve/server.hpp"
@@ -193,7 +194,7 @@ TEST(ServeBench, DeterministicSubtreeIsByteStableAcrossRunsAndThreads) {
   EXPECT_EQ(deterministic(again), base);
   EXPECT_EQ(deterministic(threaded), base);
 
-  // And the subtree carries what CI asserts on.
+  // And the subtree carries the run's error and response counts.
   std::string flat = base;
   double n = -1.0;
   EXPECT_TRUE(flatjson::get_number(flat, "protocol_errors", &n));
@@ -213,9 +214,51 @@ TEST(ServeBench, DeterministicSubtreeIsByteStableAcrossRunsAndThreads) {
   ASSERT_TRUE(flatjson::get_raw(timing_flat, "server", &server_raw)) << first;
   EXPECT_TRUE(flatjson::get_raw(server_raw, "serve", &raw));
   EXPECT_NE(raw.find("snapshot_age_s"), std::string::npos);
-  EXPECT_TRUE(flatjson::get_raw(server_raw, "latency", &raw));
-  EXPECT_NE(raw.find("\"queue\""), std::string::npos);
-  EXPECT_NE(raw.find("\"serialize\""), std::string::npos);
+
+  // Per-op client blocks: every scheduled request is counted once, the
+  // percentiles are ordered, and the embedded histogram's buckets sum to
+  // its count (Histogram::from_json refuses a document where they don't).
+  // The server's "latency" block splits each verb into its four phases.
+  std::string scheduled_raw, timing_raw, per_op_raw, server_latency;
+  ASSERT_TRUE(flatjson::get_raw(base, "scheduled_per_op", &scheduled_raw));
+  ASSERT_TRUE(flatjson::get_raw(server_raw, "latency", &server_latency));
+  ASSERT_TRUE(flatjson::get_raw(timing_flat, "timing", &timing_raw));
+  ASSERT_TRUE(flatjson::get_raw(timing_raw, "per_op", &per_op_raw));
+  for (const char* op : kBenchOps) {
+    double scheduled = 0.0;
+    ASSERT_TRUE(flatjson::get_number(scheduled_raw, op, &scheduled)) << op;
+    if (scheduled == 0.0) continue;
+    std::string block;
+    ASSERT_TRUE(flatjson::get_raw(per_op_raw, op, &block)) << op;
+    for (const char* section : {"latency", "service"}) {
+      std::string p;
+      ASSERT_TRUE(flatjson::get_raw(block, section, &p))
+          << op << ' ' << section;
+      double count = 0.0, p50 = 0.0, p99 = 0.0, max_us = 0.0;
+      EXPECT_TRUE(flatjson::get_number(p, "count", &count));
+      EXPECT_TRUE(flatjson::get_number(p, "p50_us", &p50));
+      EXPECT_TRUE(flatjson::get_number(p, "p99_us", &p99));
+      EXPECT_TRUE(flatjson::get_number(p, "max_us", &max_us));
+      EXPECT_EQ(count, scheduled) << op << ' ' << section;
+      EXPECT_LE(p50, p99) << op << ' ' << section;
+      EXPECT_LE(p99, max_us) << op << ' ' << section;
+    }
+    std::string hist_raw;
+    ASSERT_TRUE(flatjson::get_raw(block, "latency_hist", &hist_raw)) << op;
+    obs::Histogram hist;
+    EXPECT_TRUE(obs::Histogram::from_json(hist_raw, &hist)) << hist_raw;
+    EXPECT_EQ(static_cast<double>(hist.count()), scheduled) << op;
+    std::string server_verb;
+    ASSERT_TRUE(flatjson::get_raw(server_latency, op, &server_verb)) << op;
+    for (const char* phase : {"total", "queue", "query", "serialize"}) {
+      std::string p;
+      double count = 0.0;
+      EXPECT_TRUE(flatjson::get_raw(server_verb, phase, &p))
+          << op << ' ' << phase;
+      EXPECT_TRUE(flatjson::get_number(p, "count", &count));
+      EXPECT_GE(count, scheduled) << op << ' ' << phase;
+    }
+  }
 }
 
 }  // namespace
