@@ -1,10 +1,15 @@
 #include "laacad/engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "wsn/spatial_grid.hpp"
 
 namespace laacad::core {
 
@@ -71,6 +76,7 @@ void Engine::begin_phase() {
         std::to_string(cfg_.k) + ", nodes=" + std::to_string(net_->size()) +
         ")");
   round_ = 0;  // epoch_ deliberately keeps counting across phases
+  cache_pos_.clear();
 }
 
 void Engine::snapshot_round() {
@@ -79,64 +85,132 @@ void Engine::snapshot_round() {
 
 namespace {
 
-/// What a round keeps of one node's dominating region: a few doubles, not
-/// the polygon soup. Computed on the worker that built the region so the
-/// cells can be freed immediately — this is what keeps a round's footprint
-/// O(n) instead of O(n · region complexity).
-struct NodeRound {
-  Vec2 target{};
-  double cheb_radius = 0.0;
-  double hat_radius = 0.0;
-  bool has_target = false;
-};
+bool same_bits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
 
 }  // namespace
+
+std::vector<int> Engine::dirty_nodes() const {
+  obs::ScopedSpan span("dirty_scan");
+  const std::vector<Vec2>& pos = net_->positions();
+  const std::size_t n = pos.size();
+  std::vector<int> dirty;
+  if (cache_pos_.size() != n || cache_domain_ != &net_->domain()) {
+    dirty.resize(n);
+    std::iota(dirty.begin(), dirty.end(), 0);
+    return dirty;
+  }
+  std::vector<int> moved;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!same_bits(pos[i], cache_pos_[i]))
+      moved.push_back(static_cast<int>(i));
+
+  // One index over where the moved nodes were and where they are now, with
+  // the mean finite support as its cell so a query scans a few cells.
+  wsn::SpatialGrid ends;
+  if (!moved.empty()) {
+    std::vector<Vec2> pts;
+    pts.reserve(2 * moved.size());
+    for (const int j : moved) {
+      pts.push_back(cache_pos_[static_cast<std::size_t>(j)]);
+      pts.push_back(pos[static_cast<std::size_t>(j)]);
+    }
+    double sum = 0.0;
+    int finite = 0;
+    for (const NodeRound& r : cache_) {
+      if (!std::isfinite(r.support)) continue;
+      sum += r.support;
+      ++finite;
+    }
+    ends.rebuild(pts, finite > 0 ? sum / finite : 1.0);
+  }
+
+  auto next_moved = moved.begin();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double support = cache_[i].support;
+    bool stale = !std::isfinite(support);
+    if (next_moved != moved.end() && *next_moved == static_cast<int>(i)) {
+      stale = true;
+      ++next_moved;
+    } else if (!stale && !moved.empty()) {
+      stale = !ends.within(pos[i], support).empty();
+    }
+    if (stale) dirty.push_back(static_cast<int>(i));
+  }
+  return dirty;
+}
+
+void Engine::refresh(const std::vector<int>& dirty,
+                     std::vector<wsn::CommStats>* comm) {
+  const auto n = static_cast<std::size_t>(net_->size());
+  cache_.resize(n);
+  // Invalid until the pass completes: a compute() that throws must not
+  // leave half-updated slots that look reusable.
+  cache_pos_.clear();
+
+  // Each dirty slot is written by exactly one index, so the cache contents
+  // are independent of the chunk schedule. Providers that query the
+  // network's spatial index warm it during begin_round (and
+  // Network::grid() is safe under concurrent readers regardless).
+  if (comm != nullptr) comm->assign(dirty.size(), wsn::CommStats{});
+  const int count = static_cast<int>(dirty.size());
+  common::parallel_for(pool_.get(), count, [&](int d) {
+    const int i = dirty[static_cast<std::size_t>(d)];
+    RegionOutput out = provider_->compute(i);
+    if (comm != nullptr) (*comm)[static_cast<std::size_t>(d)] = out.comm;
+    const DominatingRegion region(out.cells, net_->domain());
+    NodeRound& r = cache_[static_cast<std::size_t>(i)];
+    r = NodeRound{};
+    r.support = out.support_radius;
+    if (region.empty()) return;  // no feasible region: hold position
+    r.hat_radius = region.max_dist_from(net_->position(i));
+    // finalize() reads only radii; a target nobody can reuse is not worth
+    // its Welzl pass there.
+    if (comm == nullptr && !std::isfinite(out.support_radius)) return;
+    const geom::Circle cheb = region.chebyshev();
+    if (!cheb.valid()) return;
+    r.target = cheb.center;
+    r.cheb_radius = cheb.radius;
+    r.has_target = true;
+  });
+
+  cache_domain_ = &net_->domain();
+  if (std::any_of(cache_.begin(), cache_.end(), [](const NodeRound& r) {
+        return std::isfinite(r.support);
+      }))
+    cache_pos_ = net_->positions();
+}
 
 RoundMetrics Engine::step() {
   RoundMetrics m;
   m.round = ++round_;
   obs::ScopedSpan round_span("round", m.round);
 
-  // Serial snapshot phase, then the embarrassingly parallel per-node phase.
-  // Each slot of `rounds`/`stats` is written by exactly one index, so the
-  // contents are independent of the chunk schedule; the reductions below
-  // walk them in node order, making metrics bit-identical for every thread
-  // count. Providers that query the network's spatial index warm it during
-  // begin_round (and Network::grid() is safe under concurrent readers
-  // regardless). The "grid_rebuild" span inside the providers covers the
-  // index rebuild; this one covers the full snapshot.
+  // Serial snapshot phase, then the parallel per-node phase over the dirty
+  // nodes; the reductions below walk the cache in node order, making
+  // metrics bit-identical for every thread count. The "grid_rebuild" span
+  // inside the providers covers the index rebuild.
   snapshot_round();
-  const int n = net_->size();
-  std::vector<NodeRound> rounds(static_cast<std::size_t>(n));
-  std::vector<wsn::CommStats> stats(static_cast<std::size_t>(n));
+  const std::vector<int> dirty = dirty_nodes();
+  std::vector<wsn::CommStats> stats;
   {
-    obs::ScopedSpan s("region_fanout");
-    common::parallel_for(pool_.get(), n, [&](int i) {
-      RegionOutput out = provider_->compute(i);
-      stats[static_cast<std::size_t>(i)] = out.comm;
-      const DominatingRegion region(out.cells, net_->domain());
-      NodeRound& r = rounds[static_cast<std::size_t>(i)];
-      if (region.empty()) return;  // no feasible region: hold position
-      const geom::Circle cheb = region.chebyshev();
-      if (!cheb.valid()) return;
-      r.target = cheb.center;
-      r.cheb_radius = cheb.radius;
-      r.hat_radius = region.max_dist_from(net_->position(i));
-      r.has_target = true;
-    });
+    obs::ScopedSpan s("region_fanout",
+                      static_cast<std::int64_t>(dirty.size()));
+    refresh(dirty, &stats);
   }
 
   {
     obs::ScopedSpan s("comm_gather");
-    for (int i = 0; i < n; ++i)
-      m.comm.merge(stats[static_cast<std::size_t>(i)]);
+    for (const wsn::CommStats& c : stats) m.comm.merge(c);
   }
 
   {
     obs::ScopedSpan s("targets");
     m.min_circumradius = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < n; ++i) {
-      const NodeRound& r = rounds[static_cast<std::size_t>(i)];
+    for (const NodeRound& r : cache_) {
       if (!r.has_target) continue;
       m.max_circumradius = std::max(m.max_circumradius, r.cheb_radius);
       m.min_circumradius = std::min(m.min_circumradius, r.cheb_radius);
@@ -148,8 +222,8 @@ RoundMetrics Engine::step() {
 
   // Synchronized position update (Algorithm 1 lines 4-6).
   obs::ScopedSpan move_span("movement");
-  for (int i = 0; i < n; ++i) {
-    const NodeRound& r = rounds[static_cast<std::size_t>(i)];
+  for (int i = 0; i < net_->size(); ++i) {
+    const NodeRound& r = cache_[static_cast<std::size_t>(i)];
     if (!r.has_target) continue;
     const Vec2 ui = net_->position(i);
     const Vec2 ci = r.target;
@@ -163,6 +237,7 @@ RoundMetrics Engine::step() {
     m.max_move = std::max(m.max_move, actual);
     if (actual > std::max(1e-6, 0.05 * cfg_.epsilon)) ++m.moved;
   }
+  release_unreusable_cache();
   return m;
 }
 
@@ -188,20 +263,27 @@ RunResult Engine::run() {
 }
 
 void Engine::finalize() {
-  snapshot_round();
-  const int n = net_->size();
-  // Same reduce-on-the-worker shape as step(): regions are distilled to one
-  // double each and discarded; the serial pass only writes the ranges back.
-  std::vector<double> ranges(static_cast<std::size_t>(n), 0.0);
-  common::parallel_for(pool_.get(), n, [&](int i) {
-    RegionOutput out = provider_->compute(i);
-    const DominatingRegion region(out.cells, net_->domain());
-    if (!region.empty())
-      ranges[static_cast<std::size_t>(i)] =
-          region.max_dist_from(net_->position(i));
-  });
-  for (int i = 0; i < n; ++i)
-    net_->set_sensing_range(i, ranges[static_cast<std::size_t>(i)]);
+  // The same pass as a round. After a converged round few nodes (often
+  // none) moved, so this mostly writes back the round's own circumradii.
+  obs::ScopedSpan span("finalize");
+  const std::vector<int> dirty = dirty_nodes();
+  span.set_arg(static_cast<std::int64_t>(dirty.size()));
+  // With nothing dirty no region is computed, so the snapshot is skipped.
+  // Every support is then finite, and such outputs cannot depend on the
+  // epoch; it is still consumed so later rounds see the epochs a full
+  // recompute would.
+  if (dirty.empty())
+    ++epoch_;
+  else
+    snapshot_round();
+  refresh(dirty, nullptr);
+  for (int i = 0; i < net_->size(); ++i)
+    net_->set_sensing_range(i, cache_[static_cast<std::size_t>(i)].hat_radius);
+  release_unreusable_cache();
+}
+
+void Engine::release_unreusable_cache() {
+  if (cache_pos_.empty()) std::vector<NodeRound>().swap(cache_);
 }
 
 DominatingRegion Engine::region_of(wsn::NodeId i) {

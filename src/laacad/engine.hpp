@@ -14,11 +14,27 @@
 // common::ThreadPool and reduces the results in fixed node order. Round
 // metrics and trajectories are bit-identical for every num_threads value.
 //
+// Incremental rounds. Converged nodes stop moving (Algorithm 1), and by
+// Lemma 1 a region depends only on the sites inside its certified gather
+// radius, which providers report as RegionOutput::support_radius. The
+// engine therefore recomputes only the dirty nodes: those that moved since
+// the last pass, those with infinite support, and those whose support disk
+// holds the old or new position of a moved node. Every other node reuses
+// its previous result bit for bit, so trajectories, metrics and ranges are
+// exactly those of a full recompute. finalize() runs the same pass and then
+// only writes the cached circumradii as sensing ranges, so it reuses the
+// last round wherever nothing moved. The dirty set is a serial function of
+// positions only, hence identical for every thread count. The cache is
+// dropped by begin_phase() and whenever the node count or the domain
+// changes; the localized provider (infinite support) recomputes everything.
+//
 // Memory is O(n), independent of round count and of region complexity: each
 // per-node region is reduced to a few doubles (target, radii) on the worker
-// that computed it and the polygon soup discarded, and per-round metrics
-// stream into constant-size accumulators (RunResult::series). The full
-// RoundMetrics history is opt-in via LaacadConfig::retain_history.
+// that computed it and the polygon soup discarded. That O(n) cache of
+// distilled results, support radii and the positions they were computed at
+// persists between rounds. Per-round metrics stream into constant-size
+// accumulators (RunResult::series); the full RoundMetrics history is opt-in
+// via LaacadConfig::retain_history.
 #pragma once
 
 #include <cstdint>
@@ -135,13 +151,14 @@ class Engine {
   /// engine to drive redeployment phases between disruptions.
   void begin_phase();
 
-  /// Recompute regions at the current positions and set each node's sensing
+  /// Bring every region up to date with the current positions (recomputing
+  /// only what changed since the last round) and set each node's sensing
   /// range to its region circumradius about its position.
   void finalize();
 
   /// Dominating region of node i at the current positions (for inspection,
   /// visualization, and tests). Computes node i's region only — not a
-  /// full-network pass.
+  /// full-network pass — and neither reads nor updates the round cache.
   DominatingRegion region_of(wsn::NodeId i);
 
   const LaacadConfig& config() const { return cfg_; }
@@ -151,9 +168,38 @@ class Engine {
   int rounds_executed() const { return round_; }
 
  private:
+  /// What the engine keeps of one node's dominating region: a few doubles,
+  /// not the polygon soup. Computed on the worker that built the region so
+  /// the cells can be freed immediately — this is what keeps a round's
+  /// footprint O(n) instead of O(n · region complexity).
+  struct NodeRound {
+    geom::Vec2 target{};       ///< Chebyshev center (valid iff has_target)
+    double cheb_radius = 0.0;
+    double hat_radius = 0.0;   ///< circumradius about u_i; 0 if region empty
+    double support = 0.0;      ///< RegionOutput::support_radius
+    bool has_target = false;   ///< region non-empty, Chebyshev circle valid
+  };
+
   /// Serial snapshot phase: hand the network (and the round pool) to the
   /// provider and advance the epoch.
   void snapshot_round();
+
+  /// Ascending ids of the nodes whose cached result may be stale (every
+  /// node when the cache is invalid). Serial, positions only.
+  std::vector<int> dirty_nodes() const;
+
+  /// Recompute the `dirty` nodes' regions against the current snapshot and
+  /// store them in the cache — the pass step() and finalize() share.
+  /// step() passes `comm`, which receives one CommStats per recomputed
+  /// node in `dirty` order. finalize() passes null: it reads only the hat
+  /// radii, so nodes with infinite support (never reused) skip their
+  /// Chebyshev center there.
+  void refresh(const std::vector<int>& dirty,
+               std::vector<wsn::CommStats>* comm);
+
+  /// With no finite support nothing can be reused, so the cache is freed
+  /// after each pass instead of held until the next one.
+  void release_unreusable_cache();
 
   wsn::Network* net_;
   LaacadConfig cfg_;
@@ -161,6 +207,14 @@ class Engine {
   std::unique_ptr<common::ThreadPool> pool_;  ///< null when serial
   std::uint64_t epoch_ = 0;  ///< counts provider snapshots, not rounds
   int round_ = 0;
+
+  // Round cache, one slot per node, valid for cache_domain_ and the node
+  // count it was sized for. cache_pos_ holds the positions it was computed
+  // at; it is empty when the cache is invalid or holds nothing reusable
+  // (no finite support radius), and then every node is dirty.
+  std::vector<NodeRound> cache_;
+  std::vector<geom::Vec2> cache_pos_;
+  const wsn::Domain* cache_domain_ = nullptr;
 };
 
 }  // namespace laacad::core

@@ -54,6 +54,7 @@ RegionOutput GlobalRegionProvider::compute(wsn::NodeId i) const {
   auto res =
       vor::compute_dominating_region(sites_, grid_, i, k_, bbox_, cfg_);
   out.cells = std::move(res.cells);
+  out.support_radius = res.rho + kSeparationSlack;
   return out;
 }
 
@@ -75,7 +76,11 @@ void LocalizedRegionProvider::begin_round(const wsn::Network& net,
     obs::ScopedSpan span("grid_rebuild", net.size());
     net.warm_grid(pool);
   }
-  boundaries_ = wsn::detect_all_boundaries(net, cfg_.boundary);
+  {
+    obs::ScopedSpan span("boundaries");
+    boundaries_ = wsn::detect_all_boundaries(net, cfg_.boundary);
+  }
+  obs::ScopedSpan span("comm_build");
   comm_.emplace(net);
 }
 
@@ -86,6 +91,8 @@ RegionOutput LocalizedRegionProvider::compute(wsn::NodeId i) const {
                               boundaries_[static_cast<std::size_t>(i)], cfg_,
                               &out.comm, rng);
   out.cells = std::move(res.cells);
+  // support_radius stays infinite: the noise is drawn per (epoch, node), so
+  // no output is ever reusable in a later round.
   return out;
 }
 

@@ -30,9 +30,21 @@
 //                             impossible by construction; the kernel's
 //                             per-thread scratch index (storage reused
 //                             across nodes on a worker) covers it instead.
+//
+// Support radius. Every RegionOutput names the disk around the node's
+// position (as the network stores it) whose sites fully determine that
+// output, given k and the domain: while no site enters, leaves or moves
+// inside that disk and the node itself stays put, compute(i) would return
+// the same result bit for bit. The engine uses it to recompute only the
+// regions a move can reach (see engine.hpp). The default, +infinity, means
+// "depends on everything" and opts the node out of reuse — the right
+// answer for any output that also depends on the epoch (the localized
+// provider's per-(epoch, node) noise) and the safe one for custom
+// providers.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -40,6 +52,7 @@
 
 #include "laacad/localized.hpp"
 #include "voronoi/adaptive.hpp"
+#include "voronoi/sites.hpp"
 #include "wsn/boundary.hpp"
 #include "wsn/comm.hpp"
 #include "wsn/network.hpp"
@@ -47,10 +60,12 @@
 namespace laacad::core {
 
 /// What one per-node computation yields: the convex pieces of V^k_{n_i}
-/// (generator ids are global node ids) plus the messages it cost.
+/// (generator ids are global node ids), the messages it cost, and the
+/// radius of the disk whose sites determine it (see the header comment).
 struct RegionOutput {
   std::vector<vor::OrderKCell> cells;
   wsn::CommStats comm;  ///< zeros for providers that do not message
+  double support_radius = std::numeric_limits<double>::infinity();
 };
 
 class RegionProvider {
@@ -87,6 +102,18 @@ class GlobalRegionProvider final : public RegionProvider {
   /// begin_round() refuses with a named error directing callers to the
   /// localized provider rather than degrading into a multi-hour round.
   static constexpr int kMaxSites = 200000;
+
+  /// Added to the Lemma-1 gather radius rho to form support_radius. The
+  /// gather ran over degeneracy-separated sites (vor::separate_sites), and
+  /// both the node and each site may sit up to max_separation_shift(n)
+  /// from the positions the engine compares, so the slack must exceed twice
+  /// that bound for the largest accepted network: 2 * 4 passes * (2e5 - 1)
+  /// partners * 0.6 * 1e-7 m = 0.096 m. Separation only ever couples sites
+  /// closer than 1e-7 m to each other — the co-located k-groups of the
+  /// equilibrium — so a moved site outside the slack cannot reach a
+  /// gathered site through it.
+  static constexpr double kSeparationSlack = 0.1;
+  static_assert(kSeparationSlack > 2.0 * vor::max_separation_shift(kMaxSites));
 
   explicit GlobalRegionProvider(vor::AdaptiveConfig cfg = {});
 

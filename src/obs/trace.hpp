@@ -70,6 +70,13 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  /// Set the argument after the fact, for labels only known once the work
+  /// inside the span has been counted (regions recomputed by a finalize).
+  void set_arg(std::int64_t arg) {
+    arg_ = arg;
+    has_arg_ = true;
+  }
+
  private:
   ScopedSpan(const char* name, std::int64_t arg, bool has_arg) {
     if (!enabled()) return;

@@ -49,6 +49,7 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   // Tune sensing ranges for the current positions, then verify what this
   // phase actually delivers: k-coverage, load balance, connectivity.
   world_.engine->finalize();
+  obs::ScopedSpan verify_span("verify");
   rec.nodes = world_.net->size();
   rec.load = wsn::load_report(*world_.net);
   rec.final_max_range = rec.load.max_range;

@@ -18,6 +18,7 @@
 
 #include "common/flatjson.hpp"
 #include "common/json_writer.hpp"
+#include "serve/server.hpp"
 
 namespace laacad::serve {
 
@@ -71,23 +72,6 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-bool read_line(int fd, std::string* buffer, std::string* line) {
-  for (;;) {
-    const auto nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 /// A response is a protocol success if it says so — except `health`, whose
 /// response *is* a heartbeat line (`{"hb":...}`) rather than an ok object.
 bool response_ok(int op_idx, const std::string& response) {
@@ -131,9 +115,10 @@ void run_open_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
   std::deque<Pending> inflight;
 
   std::thread receiver([&] {
-    std::string buffer, line;
+    LineReader reader(fd);
+    std::string line;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!read_line(fd, &buffer, &line)) {
+      if (reader.next(&line) != LineReader::Status::kLine) {
         stats->transport_errors += reqs.size() - i;
         return;
       }
@@ -183,7 +168,8 @@ void run_open_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
 /// in, so scheduled == actual and latency == service time by construction.
 void run_closed_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
                      ConnStats* stats) {
-  std::string buffer, line;
+  LineReader reader(fd);
+  std::string line;
   bool first = true;
   for (const ScheduledRequest* req : reqs) {
     const Clock::time_point sent = Clock::now();
@@ -191,7 +177,8 @@ void run_closed_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
       stats->first_send = sent;
       first = false;
     }
-    if (!write_all(fd, req->line + "\n") || !read_line(fd, &buffer, &line)) {
+    if (!write_all(fd, req->line + "\n") ||
+        reader.next(&line) != LineReader::Status::kLine) {
       ++stats->transport_errors;
       return;
     }
@@ -299,19 +286,19 @@ BenchResult run_bench(const WorkloadSpec& spec, double side,
   // Control epilogue on a fresh connection: make sure every churn event is
   // applied, then capture the server-side breakdown.
   const int ctl = connect_to(host, port);
-  std::string buffer, line;
-  if (write_all(ctl, "{\"op\":\"drain\"}\n") &&
-      read_line(ctl, &buffer, &line) &&
-      write_all(ctl, "{\"op\":\"stats\"}\n") &&
-      read_line(ctl, &buffer, &line)) {
+  LineReader reader(ctl);
+  std::string line;
+  const auto answered = [&] {
+    return reader.next(&line) == LineReader::Status::kLine;
+  };
+  if (write_all(ctl, "{\"op\":\"drain\"}\n") && answered() &&
+      write_all(ctl, "{\"op\":\"stats\"}\n") && answered()) {
     r.final_stats = line;
   } else {
     ++r.transport_errors;
   }
-  if (shutdown_after) {
-    if (write_all(ctl, "{\"op\":\"shutdown\"}\n"))
-      read_line(ctl, &buffer, &line);
-  }
+  if (shutdown_after && write_all(ctl, "{\"op\":\"shutdown\"}\n"))
+    (void)answered();
   ::close(ctl);
   return r;
 }

@@ -69,38 +69,31 @@ TcpServer::~TcpServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-namespace {
+LineReader::LineReader(int fd, std::size_t max_line)
+    : fd_(fd),
+      max_line_(max_line),
+      arrival_(std::chrono::steady_clock::now()) {}
 
-enum class ReadStatus { kLine, kClosed, kOverlong };
-
-/// Connection-scoped line reader over a raw fd. `arrival` is stamped after
-/// every successful read(), so when a pipelined client leaves several
-/// requests in one TCP segment, each extracted line keeps the timestamp of
-/// the read that delivered its bytes — that is what makes the protocol
-/// layer's queue-wait phase measure real head-of-line blocking instead of
-/// always reading zero. Interrupted reads (EINTR) are retried. A line
-/// longer than kMaxRequestLineBytes is kOverlong, whether or not its
-/// newline has arrived yet: the buffer never grows much past the cap.
-ReadStatus read_line(int fd, std::string* buffer, std::string* line,
-                     std::chrono::steady_clock::time_point* arrival) {
+LineReader::Status LineReader::next(std::string* line) {
   for (;;) {
-    const auto nl = buffer->find('\n');
-    if (std::min(nl, buffer->size()) > kMaxRequestLineBytes)
-      return ReadStatus::kOverlong;
+    const std::size_t nl = buf_.find('\n');
+    if (std::min(nl, buf_.size()) > max_line_) return Status::kOverlong;
     if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
+      line->assign(buf_, 0, nl);
+      buf_.erase(0, nl + 1);
       if (!line->empty() && line->back() == '\r') line->pop_back();
-      return ReadStatus::kLine;
+      return Status::kLine;
     }
     char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return ReadStatus::kClosed;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-    *arrival = std::chrono::steady_clock::now();
+    if (n <= 0) return Status::kClosed;
+    buf_.append(chunk, static_cast<std::size_t>(n));
+    arrival_ = std::chrono::steady_clock::now();
   }
 }
+
+namespace {
 
 /// Loop until every byte is written: short writes (large stats/coverage
 /// responses against a small socket buffer) and EINTR are both resumed.
@@ -145,18 +138,18 @@ int TcpServer::serve() {
       // load generator measures).
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      std::string buffer, line;
-      auto arrival = std::chrono::steady_clock::now();
+      LineReader reader(fd, kMaxRequestLineBytes);
+      std::string line;
       for (;;) {
-        const ReadStatus status = read_line(fd, &buffer, &line, &arrival);
-        if (status == ReadStatus::kOverlong)
+        const LineReader::Status status = reader.next(&line);
+        if (status == LineReader::Status::kOverlong)
           write_all(fd, error_response("request line exceeds " +
                                        std::to_string(kMaxRequestLineBytes) +
                                        " bytes; closing connection") +
                             "\n");
-        if (status != ReadStatus::kLine) break;
+        if (status != LineReader::Status::kLine) break;
         if (line.empty()) continue;
-        const HandleResult result = handle_line(svc_, line, arrival);
+        const HandleResult result = handle_line(svc_, line, reader.arrival());
         handled.fetch_add(1);
         if (!write_all(fd, result.response + "\n")) break;
         if (result.action == HandleAction::kShutdown) {

@@ -4,8 +4,10 @@
 // the shutdown op (or EOF on stdio) stops the service gracefully.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <iosfwd>
+#include <string>
 
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -22,6 +24,36 @@ int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out);
 /// closed, so a peer that never sends '\n' cannot grow daemon memory
 /// without bound. Real requests are a few hundred bytes.
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
+/// Newline-delimited reader over a raw socket fd, shared by the daemon's
+/// connections and serve_bench's clients. It reads only when no complete
+/// line is buffered, so the buffer holds at most one partial line plus one
+/// read's chunk, and erasing a consumed line moves at most that much.
+class LineReader {
+ public:
+  enum class Status { kLine, kClosed, kOverlong };
+
+  /// `max_line` caps a line's length in bytes without its newline.
+  explicit LineReader(int fd, std::size_t max_line = std::string::npos);
+
+  /// The next line without its '\n' (or trailing "\r\n"). kClosed on EOF
+  /// or a read error. kOverlong once the pending line exceeds max_line,
+  /// whether or not its newline has arrived: the buffer never grows much
+  /// past the cap. Interrupted reads (EINTR) are retried.
+  Status next(std::string* line);
+
+  /// When the read() that delivered the latest bytes returned. A pipelined
+  /// client that leaves several requests in one TCP segment gets the same
+  /// stamp for each of them — which is what lets the protocol layer's
+  /// queue phase measure real head-of-line blocking.
+  std::chrono::steady_clock::time_point arrival() const { return arrival_; }
+
+ private:
+  int fd_;
+  std::size_t max_line_;
+  std::string buf_;
+  std::chrono::steady_clock::time_point arrival_;
+};
 
 class TcpServer {
  public:

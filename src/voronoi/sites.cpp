@@ -74,7 +74,7 @@ std::vector<Vec2> separate_sites(std::vector<Vec2> positions, double min_sep) {
   // O(n^2) in the worst case but the inner work only triggers for
   // near-coincident pairs; region computations call this on small local
   // lists, and full-network calls are once per round.
-  for (std::size_t pass = 0; pass < 4; ++pass) {
+  for (std::size_t pass = 0; pass < std::size_t{kSeparationPasses}; ++pass) {
     bool moved = false;
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a + 1; b < n; ++b) {
@@ -84,8 +84,8 @@ std::vector<Vec2> separate_sites(std::vector<Vec2> positions, double min_sep) {
         const double ang =
             2.39996322972865332 * static_cast<double>(a * 31 + b * 7 + pass);
         const Vec2 dir{std::cos(ang), std::sin(ang)};
-        positions[a] -= dir * (0.6 * min_sep);
-        positions[b] += dir * (0.6 * min_sep);
+        positions[a] -= dir * (kSeparationStep * min_sep);
+        positions[b] += dir * (kSeparationStep * min_sep);
         moved = true;
       }
     }

@@ -19,6 +19,20 @@ namespace laacad::vor {
 /// construction.
 inline constexpr double kMinSiteSeparation = 1e-7;
 
+/// separate_sites() runs at most this many passes over all pairs...
+inline constexpr int kSeparationPasses = 4;
+/// ...and in each pass pushes both sites of every too-close pair apart by
+/// this fraction of min_sep.
+inline constexpr double kSeparationStep = 0.6;
+
+/// Upper bound on how far separate_sites() can move any one of `n` sites:
+/// every pass pushes a site at most once per partner, and it has at most
+/// n - 1 partners.
+constexpr double max_separation_shift(int n,
+                                      double min_sep = kMinSiteSeparation) {
+  return kSeparationPasses * (n - 1) * kSeparationStep * min_sep;
+}
+
 /// Returns a copy of `positions` where near-coincident points have been
 /// pushed apart deterministically (by index-dependent directions), leaving
 /// all other points untouched.

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
@@ -342,6 +348,253 @@ TEST(Engine, StubProviderDrivesNodesToItsChebyshevCenter) {
     EXPECT_NEAR(net.position(i).x, 60.0, cfg.epsilon + 1e-9) << "node " << i;
     EXPECT_NEAR(net.position(i).y, 60.0, cfg.epsilon + 1e-9) << "node " << i;
   }
+}
+
+// ------------------------------------------------------- incremental rounds
+
+// The reference the incremental engine must match bit for bit: Algorithm 1
+// with every region of every node recomputed on every pass, over its own
+// fresh GlobalRegionProvider — the engine's step()/finalize() bodies from
+// before rounds reused anything.
+class FullRecompute {
+ public:
+  FullRecompute(wsn::Network& net, const LaacadConfig& cfg)
+      : net_(net), cfg_(cfg), provider_(cfg.adaptive) {}
+
+  RoundMetrics step() {
+    RoundMetrics m;
+    m.round = ++round_;
+    provider_.begin_round(net_, cfg_.k, 0);
+    struct Distilled {
+      Vec2 target;
+      double cheb_radius = 0.0, hat_radius = 0.0;
+      bool has_target = false;
+    };
+    const int n = net_.size();
+    std::vector<Distilled> rounds(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      RegionOutput out = provider_.compute(i);
+      m.comm.merge(out.comm);
+      const DominatingRegion region(out.cells, net_.domain());
+      if (region.empty()) continue;
+      const geom::Circle cheb = region.chebyshev();
+      if (!cheb.valid()) continue;
+      rounds[static_cast<std::size_t>(i)] = {
+          cheb.center, cheb.radius, region.max_dist_from(net_.position(i)),
+          true};
+    }
+    m.min_circumradius = std::numeric_limits<double>::infinity();
+    for (const Distilled& r : rounds) {
+      if (!r.has_target) continue;
+      m.max_circumradius = std::max(m.max_circumradius, r.cheb_radius);
+      m.min_circumradius = std::min(m.min_circumradius, r.cheb_radius);
+      m.max_hat_radius = std::max(m.max_hat_radius, r.hat_radius);
+    }
+    if (m.min_circumradius == std::numeric_limits<double>::infinity())
+      m.min_circumradius = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const Distilled& r = rounds[static_cast<std::size_t>(i)];
+      if (!r.has_target) continue;
+      const Vec2 ui = net_.position(i);
+      if (geom::dist(ui, r.target) <= cfg_.epsilon) continue;
+      net_.set_position(i, ui + (r.target - ui) * cfg_.alpha);
+      const double actual = geom::dist(ui, net_.position(i));
+      m.max_move = std::max(m.max_move, actual);
+      if (actual > std::max(1e-6, 0.05 * cfg_.epsilon)) ++m.moved;
+    }
+    return m;
+  }
+
+  void finalize() {
+    provider_.begin_round(net_, cfg_.k, 0);
+    for (int i = 0; i < net_.size(); ++i) {
+      RegionOutput out = provider_.compute(i);
+      const DominatingRegion region(out.cells, net_.domain());
+      net_.set_sensing_range(
+          i, region.empty() ? 0.0 : region.max_dist_from(net_.position(i)));
+    }
+  }
+
+ private:
+  wsn::Network& net_;
+  LaacadConfig cfg_;
+  GlobalRegionProvider provider_;
+  int round_ = 0;
+};
+
+// Forwards to another provider and counts compute() calls.
+class CountingProvider final : public RegionProvider {
+ public:
+  explicit CountingProvider(std::shared_ptr<RegionProvider> inner)
+      : inner_(std::move(inner)) {}
+
+  void begin_round(const wsn::Network& net, int k, std::uint64_t epoch,
+                   common::ThreadPool* pool) override {
+    inner_->begin_round(net, k, epoch, pool);
+  }
+  RegionOutput compute(wsn::NodeId i) const override {
+    calls_.fetch_add(1);
+    return inner_->compute(i);
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+  long calls() const { return calls_.load(); }
+
+ private:
+  std::shared_ptr<RegionProvider> inner_;
+  mutable std::atomic<long> calls_{0};
+};
+
+void expect_same_bits(const wsn::Network& a, const wsn::Network& b,
+                      const std::string& when) {
+  ASSERT_EQ(a.size(), b.size()) << when;
+  for (int i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.position(i).x, b.position(i).x) << when << " node " << i;
+    EXPECT_EQ(a.position(i).y, b.position(i).y) << when << " node " << i;
+    EXPECT_EQ(a.sensing_range(i), b.sensing_range(i))
+        << when << " node " << i;
+  }
+}
+
+void expect_same_metrics(const RoundMetrics& a, const RoundMetrics& b) {
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.max_circumradius, b.max_circumradius) << "round " << a.round;
+  EXPECT_EQ(a.min_circumradius, b.min_circumradius) << "round " << a.round;
+  EXPECT_EQ(a.max_hat_radius, b.max_hat_radius) << "round " << a.round;
+  EXPECT_EQ(a.max_move, b.max_move) << "round " << a.round;
+  EXPECT_EQ(a.moved, b.moved) << "round " << a.round;
+  EXPECT_EQ(a.comm.gather_requests, b.comm.gather_requests);
+  EXPECT_EQ(a.comm.node_reports, b.comm.node_reports);
+  EXPECT_EQ(a.comm.max_hops_used, b.comm.max_hops_used);
+}
+
+struct IncrementalCase {
+  int k;
+  double alpha;
+  bool obstacle;  ///< central hole: targets inside it get projected out
+  bool stacked;   ///< co-located pairs, so site separation is active
+};
+
+class IncrementalRounds : public ::testing::TestWithParam<IncrementalCase> {};
+
+// Steps the incremental engine and the full-recompute reference side by
+// side, disturbing both networks between passes the way the scenario and
+// serving layers do — without begin_phase() — and requires identical bits
+// after every pass.
+TEST_P(IncrementalRounds, MatchFullRecomputeBitForBit) {
+  const IncrementalCase c = GetParam();
+  const wsn::Domain square = wsn::Domain::rectangle(200, 200);
+  const wsn::Domain holed = square.with_rect_hole({70, 70}, {130, 130});
+  const wsn::Domain& start = c.obstacle ? holed : square;
+  // Growing the domain moves no node, yet changes every region on its rim.
+  const wsn::Domain wide = wsn::Domain::rectangle(230, 200);
+  const wsn::Domain grown =
+      c.obstacle ? wide.with_rect_hole({70, 70}, {130, 130}) : wide;
+  Rng rng(static_cast<std::uint64_t>(100 * c.k + 10 * c.alpha + c.obstacle));
+  std::vector<Vec2> initial = wsn::deploy_uniform(start, 48, rng);
+  if (c.stacked) {
+    initial.resize(24);
+    for (std::size_t i = 0; i < 24; ++i) initial.push_back(initial[i]);
+  }
+  wsn::Network inc(&start, initial, 60.0);
+  wsn::Network ref(&start, initial, 60.0);
+
+  LaacadConfig cfg = quick_config(c.k, c.alpha);
+  cfg.epsilon = 1.0;
+  auto counting =
+      std::make_shared<CountingProvider>(make_global_provider(cfg.adaptive));
+  cfg.provider = counting;
+  Engine engine(inc, cfg);
+  FullRecompute reference(ref, cfg);
+
+  // Each disturbance waits for a round that moved nothing, so it lands on
+  // a fully reusable cache and a missed invalidation would show.
+  const std::vector<std::function<void()>> disturbances = {
+      [&] {  // external moves, as an event or a client would make
+        for (const int i : {1, 17, 40}) {
+          const Vec2 to = inc.position(i) + Vec2{7.5, -4.0};
+          inc.set_position(i, to);
+          ref.set_position(i, to);
+        }
+      },
+      [&] {  // a jump across the domain: only the node's old position tells
+             // its former neighbours that their regions changed
+        const Vec2 far =
+            inc.position(5).x < 100.0 ? Vec2{195, 195} : Vec2{5, 5};
+        inc.set_position(5, far);
+        ref.set_position(5, far);
+      },
+      [&] { (void)engine.region_of(3); },  // must not touch the cache
+      [&] {  // no node moves, yet every region on the rim changes
+        inc.rebind_domain(&grown);
+        ref.rebind_domain(&grown);
+      },
+      [&] {  // a finalize between rounds, then keep stepping
+        engine.finalize();
+        reference.finalize();
+        expect_same_bits(inc, ref, "mid-run finalize");
+      },
+  };
+  long passes = 0;
+  std::size_t applied = 0;
+  for (int pass = 1; pass <= 400; ++pass) {
+    const RoundMetrics a = engine.step();
+    const RoundMetrics b = reference.step();
+    ++passes;
+    expect_same_metrics(a, b);
+    expect_same_bits(inc, ref, "pass " + std::to_string(pass));
+    if (a.moved != 0) continue;
+    if (applied == disturbances.size()) break;
+    disturbances[applied++]();
+  }
+  ASSERT_EQ(applied, disturbances.size()) << "never came to rest";
+  engine.finalize();
+  reference.finalize();
+  ++passes;
+  expect_same_bits(inc, ref, "final");
+
+  // Not vacuous: converging rounds and the final pass reused results.
+  EXPECT_LT(counting->calls(), passes * inc.size());
+  if (c.obstacle) {
+    // Nodes whose targets lie inside the hole end up pinned to its rim.
+    bool on_rim = false;
+    for (int i = 0; i < inc.size(); ++i)
+      on_rim |= geom::dist_to_boundary(grown.holes()[0], inc.position(i)) <
+                1e-3;
+    EXPECT_TRUE(on_rim);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, IncrementalRounds,
+    ::testing::Values(IncrementalCase{1, 1.0, false, false},
+                      IncrementalCase{1, 0.5, false, false},
+                      IncrementalCase{2, 1.0, false, false},
+                      IncrementalCase{2, 0.5, false, false},
+                      IncrementalCase{3, 1.0, false, false},
+                      IncrementalCase{3, 0.5, false, false},
+                      IncrementalCase{2, 1.0, true, false},
+                      IncrementalCase{2, 1.0, false, true}),
+    [](const ::testing::TestParamInfo<IncrementalCase>& p) {
+      const IncrementalCase& c = p.param;
+      return "k" + std::to_string(c.k) +
+             (c.alpha == 1.0 ? "_alpha1" : "_alpha05") +
+             (c.obstacle ? "_obstacle" : "") + (c.stacked ? "_stacked" : "");
+    });
+
+// A provider that reports no support radius (the default) opts out of
+// reuse: it is asked for every node on every pass.
+TEST(Engine, InfiniteSupportProviderIsAskedForEveryNodeEveryPass) {
+  wsn::Domain d = wsn::Domain::rectangle(200, 200);
+  wsn::Network net(&d, {{10, 10}, {190, 10}, {100, 190}, {60, 60}}, 60.0);
+  LaacadConfig cfg = quick_config(1);
+  auto counting = std::make_shared<CountingProvider>(
+      std::make_shared<StubSquareProvider>(geom::BBox{{40, 40}, {80, 80}}));
+  cfg.provider = counting;
+  Engine engine(net, cfg);
+  const RunResult res = engine.run();
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(counting->calls(), static_cast<long>(res.rounds + 1) * net.size());
 }
 
 }  // namespace

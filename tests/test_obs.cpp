@@ -22,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/scheduler.hpp"
@@ -31,6 +32,8 @@
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/spec.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::obs {
@@ -257,6 +260,17 @@ TEST(Trace, EmitsValidJsonWithAllRoundStages) {
 
   start_trace(path);
   run_small_engine(2, initial, d);
+  // One localized scenario phase adds the provider's snapshot stages and
+  // the runner's verification.
+  scenario::ScenarioRunner(scenario::parse_scenario_string(R"(
+name trace_stages
+domain square
+side 200
+nodes 16
+seed 3
+backend localized
+max_rounds 3
+)")).run();
   const TraceReport report = stop_trace();
   EXPECT_GT(report.spans, 0u);
   EXPECT_GE(report.threads, 1u);
@@ -266,11 +280,20 @@ TEST(Trace, EmitsValidJsonWithAllRoundStages) {
   const auto spans = complete_events(trace);
   std::set<std::string> names;
   for (const Span& s : spans) names.insert(s.name);
-  // The five engine round stages of the acceptance contract, plus the
-  // per-round container.
-  for (const char* stage : {"round", "grid_rebuild", "region_fanout",
-                            "comm_gather", "targets", "movement"})
+  // The engine round stages of the acceptance contract plus the per-round
+  // container, the finalize pass, the localized provider's snapshot
+  // stages, and the scenario runner's verification.
+  for (const char* stage :
+       {"round", "grid_rebuild", "dirty_scan", "region_fanout", "comm_gather",
+        "targets", "movement", "finalize", "boundaries", "comm_build",
+        "verify"})
     EXPECT_TRUE(names.count(stage)) << "missing stage span: " << stage;
+  // Recompute counts label the fan-out and finalize spans.
+  for (const Span& s : spans) {
+    if (s.name == "region_fanout" || s.name == "finalize") {
+      EXPECT_TRUE(s.has_n) << s.name << " carries its recompute count";
+    }
+  }
   // Parallel fan-out ran on a pool, so chunk spans must exist too.
   EXPECT_TRUE(names.count("pool_chunk"));
   std::remove(path.c_str());
@@ -287,24 +310,34 @@ TEST(Trace, SpanNestingMatchesRoundHierarchy) {
   stop_trace();
 
   const auto spans = complete_events(parse_file(path));
-  int rounds_seen = 0, nested_rebuilds = 0;
+  // Spans are emitted as they close, so a nested grid_rebuild is followed
+  // by its depth-0 parent: a round, or the finalize pass.
+  int rounds_seen = 0, nested_rebuilds = 0, finalize_rebuilds = 0;
+  int unparented_rebuilds = 0;
   for (const Span& s : spans) {
     if (s.name == "round") {
       ++rounds_seen;
       EXPECT_EQ(s.depth, 0) << "round spans are top-level in an engine run";
       EXPECT_TRUE(s.has_n);
       EXPECT_EQ(s.n, rounds_seen) << "round arg is the 1-based round number";
+      nested_rebuilds += std::exchange(unparented_rebuilds, 0);
+    } else if (s.name == "finalize") {
+      EXPECT_EQ(s.depth, 0) << "finalize is top-level in an engine run";
+      finalize_rebuilds += std::exchange(unparented_rebuilds, 0);
     } else if (s.name == "region_fanout" || s.name == "comm_gather" ||
-               s.name == "targets" || s.name == "movement") {
-      EXPECT_EQ(s.depth, 1) << s.name << " nests directly under round";
+               s.name == "targets" || s.name == "movement" ||
+               s.name == "dirty_scan") {
+      EXPECT_EQ(s.depth, 1) << s.name << " nests directly under its pass";
     } else if (s.name == "grid_rebuild") {
-      // Depth 1 inside a round's snapshot; depth 0 for the snapshots the
-      // engine takes outside the round loop (initial/final state).
+      // Depth 1 inside a round's or finalize's snapshot; depth 0 for the
+      // snapshots taken outside both (initial state).
       EXPECT_LE(s.depth, 1);
-      if (s.depth == 1) ++nested_rebuilds;
+      if (s.depth == 1) ++unparented_rebuilds;
     }
   }
+  EXPECT_EQ(unparented_rebuilds, 0);
   EXPECT_GT(rounds_seen, 0);
+  EXPECT_LE(finalize_rebuilds, 1) << "finalize snapshots at most once";
   EXPECT_EQ(nested_rebuilds, rounds_seen) << "one in-round rebuild per round";
   std::remove(path.c_str());
 }

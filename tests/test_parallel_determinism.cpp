@@ -136,5 +136,42 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoIdentical) {
   expect_bit_identical(reference, parallel, 0);
 }
 
+// The incremental round cache picks what to recompute serially, from
+// positions alone, so which results are reused cannot depend on the thread
+// count — also across the disturbances the scenario and serving layers
+// apply between rounds without begin_phase(): external moves, a domain
+// swap, an interleaved region_of() and a mid-run finalize().
+RunRecord run_disturbed(int threads) {
+  const wsn::Domain square = wsn::Domain::rectangle(240, 240);
+  const wsn::Domain holed = wsn::Domain::rectangle(220, 240).with_rect_hole(
+      {90, 90}, {140, 140});
+  Rng rng(45);
+  wsn::Network net(&square, wsn::deploy_uniform(square, 50, rng), 70.0);
+  LaacadConfig cfg;
+  cfg.k = 2;
+  cfg.epsilon = 1.0;
+  cfg.num_threads = threads;
+  Engine engine(net, cfg);
+  RunRecord rec;
+  for (int pass = 1; pass <= 40; ++pass) {
+    if (pass == 3)
+      for (const int i : {0, 21, 49})
+        net.set_position(i, net.position(i) + Vec2{-6.0, 9.0});
+    if (pass == 5) (void)engine.region_of(7);
+    if (pass == 7) net.rebind_domain(&holed);
+    if (pass == 9) engine.finalize();
+    rec.history.push_back(engine.step());
+  }
+  engine.finalize();
+  rec.final_positions = net.positions();
+  rec.final_ranges = net.sensing_ranges();
+  return rec;
+}
+
+TEST(ParallelDeterminism, IncrementalRoundsIdenticalAcrossThreadCounts) {
+  const RunRecord serial = run_disturbed(1);
+  expect_bit_identical(serial, run_disturbed(4), 4);
+}
+
 }  // namespace
 }  // namespace laacad::core

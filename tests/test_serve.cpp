@@ -428,12 +428,17 @@ bool tcp_session(int port, const std::string& request, std::string* response) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   bool ok =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  for (std::size_t off = 0; ok && off < request.size();) {
-    const ssize_t n =
-        ::send(fd, request.data() + off, request.size() - off, 0);
-    ok = n > 0;
-    if (ok) off += static_cast<std::size_t>(n);
-  }
+  // Send while receiving: a burst whose answers outgrow the socket buffers
+  // would otherwise deadlock against a server blocked on its writes.
+  bool sent = ok;
+  std::thread sender([&] {
+    for (std::size_t off = 0; sent && off < request.size();) {
+      const ssize_t n =
+          ::send(fd, request.data() + off, request.size() - off, 0);
+      sent = n > 0;
+      if (sent) off += static_cast<std::size_t>(n);
+    }
+  });
   char chunk[4096];
   while (ok) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -441,8 +446,12 @@ bool tcp_session(int port, const std::string& request, std::string* response) {
     ok = n > 0;
     if (ok) response->append(chunk, static_cast<std::size_t>(n));
   }
+  // A receive that failed (e.g. timed out) must not leave the sender
+  // blocked in send() forever: shutting the socket down makes it return.
+  if (!ok) ::shutdown(fd, SHUT_RDWR);
+  sender.join();
   ::close(fd);
-  return ok;
+  return ok && sent;
 }
 
 TEST(Protocol, TcpRoundTripOnEphemeralPort) {
@@ -515,6 +524,40 @@ TEST(Protocol, TcpOverlongLineGetsOneErrorThenEof) {
   EXPECT_EQ(lines[0].find("\"error\""), std::string::npos) << lines[0];
   bool flag = false;
   EXPECT_TRUE(flatjson::get_bool(lines[1], "stopping", &flag) && flag);
+}
+
+// A pipelined burst arrives in a few large reads; every request must be
+// answered, once, in order.
+TEST(Protocol, TcpPipelinedBurstAnsweredInOrder) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  TcpServer server(svc, /*port=*/0);
+  std::thread accept_thread([&] { server.serve(); });
+
+  constexpr int kRequests = 5000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i)
+    burst += "{\"op\":\"knn\",\"x\":50,\"y\":50,\"k\":" +
+             std::to_string(1 + i % 4) + "}\n";
+  burst += "{\"op\":\"shutdown\"}\n";
+  std::string response;
+  EXPECT_TRUE(tcp_session(server.port(), burst, &response));
+  accept_thread.join();
+
+  std::vector<std::string> lines;
+  std::istringstream split(response);
+  for (std::string l; std::getline(split, l);) lines.push_back(l);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests) + 1);
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string& got = lines[static_cast<std::size_t>(i)];
+    double k = 0.0;
+    ASSERT_TRUE(flatjson::get_number(got, "k", &k)) << i << ": " << got;
+    ASSERT_EQ(k, 1 + i % 4) << "response " << i << " out of order";
+  }
+  bool flag = false;
+  EXPECT_TRUE(flatjson::get_bool(lines.back(), "stopping", &flag) && flag);
 }
 
 // ---------------------------------------------------- concurrency (TSan) ----
