@@ -67,10 +67,9 @@ BBox bounding_box(const Ring& ring) {
 bool contains_point(const Ring& ring, Vec2 p, double eps) {
   const std::size_t n = ring.size();
   if (n < 3) return false;
-  // Boundary proximity counts as inside.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
-  }
+  // Crossing parity first, as it needs no sqrt; only a point it calls
+  // outside pays for the edge distances. Boundary proximity counts as
+  // inside.
   bool inside = false;
   for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
     const Vec2 a = ring[i], b = ring[j];
@@ -80,7 +79,11 @@ bool contains_point(const Ring& ring, Vec2 p, double eps) {
       if (p.x < xint) inside = !inside;
     }
   }
-  return inside;
+  if (inside) return true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
+  }
+  return false;
 }
 
 double dist_to_boundary(const Ring& ring, Vec2 p) {

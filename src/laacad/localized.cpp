@@ -92,10 +92,11 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
         }
         if (!inside_net) continue;
       }
+      // Only closer < k is read, so stop counting at k.
       int closer = 0;
       const double di = geom::dist(ui, v);
       for (int j : gathered) {
-        if (geom::dist(net.position(j), v) < di) ++closer;
+        if (geom::dist(net.position(j), v) < di && ++closer == k) break;
       }
       if (closer < k) {  // v still dominated by n_i: expand further
         enclosed = false;

@@ -71,25 +71,32 @@ void LocalizedRegionProvider::begin_round(const wsn::Network& net,
   epoch_ = epoch;
   // Warm the spatial index with the lent pool (bit-identical re-bin for any
   // thread count), then boundary verdicts (they query that index), then the
-  // connectivity snapshot the gathers run over.
+  // connectivity snapshot the gathers run over. All three run on the pool:
+  // each writes only its own slots, so every thread count yields the same
+  // snapshot.
   {
     obs::ScopedSpan span("grid_rebuild", net.size());
     net.warm_grid(pool);
   }
   {
     obs::ScopedSpan span("boundaries");
-    boundaries_ = wsn::detect_all_boundaries(net, cfg_.boundary);
+    boundaries_ = wsn::detect_all_boundaries(net, cfg_.boundary, pool);
   }
   obs::ScopedSpan span("comm_build");
-  comm_.emplace(net);
+  comm_.emplace(net, pool);
 }
 
 RegionOutput LocalizedRegionProvider::compute(wsn::NodeId i) const {
   RegionOutput out;
-  Rng rng(node_stream(seed_, epoch_, static_cast<std::uint64_t>(i)));
+  // Seeding fills a generator's 312-word state; without noise nothing draws
+  // from it, so hand over an idle per-thread one instead.
+  static thread_local Rng idle;
+  std::optional<Rng> noise;
+  if (cfg_.frame.range_noise > 0.0 || cfg_.frame.bearing_noise > 0.0)
+    noise.emplace(node_stream(seed_, epoch_, static_cast<std::uint64_t>(i)));
   auto res = localized_region(*comm_, i, k_,
                               boundaries_[static_cast<std::size_t>(i)], cfg_,
-                              &out.comm, rng);
+                              &out.comm, noise ? *noise : idle);
   out.cells = std::move(res.cells);
   // support_radius stays infinite: the noise is drawn per (epoch, node), so
   // no output is ever reusable in a later round.

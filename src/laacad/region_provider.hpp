@@ -2,12 +2,16 @@
 // ways a node can learn its dominating region V^k_{n_i}.
 //
 // A provider runs in two phases per round, mirroring the communication
-// structure of the paper: begin_round() is the serial "broadcast" phase
-// (snapshot positions, rebuild the connectivity model, refresh boundary
-// verdicts), compute(i) is the per-node phase — a pure function of the
-// snapshot, safe to call concurrently from any number of threads, which is
-// what lets the engine fan the N independent region computations across a
-// thread pool with bit-identical results for every thread count.
+// structure of the paper: begin_round() is the "broadcast" phase (snapshot
+// positions, rebuild the connectivity model, refresh boundary verdicts),
+// compute(i) is the per-node phase — a pure function of the snapshot, safe
+// to call concurrently from any number of threads, which is what lets the
+// engine fan the N independent region computations across a thread pool
+// with bit-identical results for every thread count. begin_round() itself
+// runs its data-parallel parts on the engine's lent pool: the grid re-bin
+// of both providers, and the localized provider's boundary verdicts and
+// comm-model adjacency (per-node pure functions, each writing its own
+// slot); what remains serial is the global provider's site separation.
 //
 // Implementations:
 //   GlobalRegionProvider    — the adaptive exact Lemma-1 solver over a
@@ -72,7 +76,7 @@ class RegionProvider {
  public:
   virtual ~RegionProvider() = default;
 
-  /// Serial per-round snapshot phase; reads the network, never mutates it.
+  /// Per-round snapshot phase; reads the network, never mutates it.
   /// `epoch` is a strictly increasing call counter supplied by the engine;
   /// providers that consume randomness must derive it from (seed, epoch,
   /// node) only, never from a stream shared across nodes, or parallel

@@ -51,22 +51,31 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   world_.engine->finalize();
   obs::ScopedSpan verify_span("verify");
   rec.nodes = world_.net->size();
-  rec.load = wsn::load_report(*world_.net);
+  {
+    obs::ScopedSpan span("load_report");
+    rec.load = wsn::load_report(*world_.net);
+  }
   rec.final_max_range = rec.load.max_range;
   rec.final_min_range = rec.load.min_range;
 
-  const auto coverage = cov::grid_coverage(
-      domain(), cov::sensing_disks(*world_.net), spec.grid_resolution,
-      std::max(8, spec.k));
-  rec.coverage_min_depth = coverage.min_depth;
-  rec.coverage_mean_depth = coverage.mean_depth;
-  rec.covered_fraction_k = coverage.fraction_at_least(spec.k);
+  {
+    obs::ScopedSpan span("grid_coverage");
+    const auto coverage = cov::grid_coverage(
+        domain(), cov::sensing_disks(*world_.net), spec.grid_resolution,
+        std::max(8, spec.k));
+    rec.coverage_min_depth = coverage.min_depth;
+    rec.coverage_mean_depth = coverage.mean_depth;
+    rec.covered_fraction_k = coverage.fraction_at_least(spec.k);
+  }
 
-  rec.components =
-      rec.final_max_range > 0.0
-          ? wsn::analyze_connectivity(*world_.net, 1.25 * rec.final_max_range)
-                .components
-                 : world_.net->size();
+  {
+    obs::ScopedSpan span("connectivity");
+    rec.components = rec.final_max_range > 0.0
+                         ? wsn::analyze_connectivity(
+                               *world_.net, 1.25 * rec.final_max_range)
+                               .components
+                         : world_.net->size();
+  }
 
   if (!world_.battery.empty()) {
     rec.battery_min =

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.hpp"
+
 namespace laacad::wsn {
 
 BoundaryInfo detect_boundary(const Network& net, NodeId i,
@@ -45,11 +47,12 @@ BoundaryInfo detect_boundary(const Network& net, NodeId i,
 }
 
 std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
-                                                const BoundaryConfig& cfg) {
-  std::vector<BoundaryInfo> out;
-  out.reserve(static_cast<std::size_t>(net.size()));
-  for (NodeId i = 0; i < net.size(); ++i)
-    out.push_back(detect_boundary(net, i, cfg));
+                                                const BoundaryConfig& cfg,
+                                                common::ThreadPool* pool) {
+  std::vector<BoundaryInfo> out(static_cast<std::size_t>(net.size()));
+  common::parallel_for(pool, net.size(), [&](int i) {
+    out[static_cast<std::size_t>(i)] = detect_boundary(net, i, cfg);
+  });
   return out;
 }
 

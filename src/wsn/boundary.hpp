@@ -12,6 +12,10 @@
 
 #include "wsn/network.hpp"
 
+namespace laacad::common {
+class ThreadPool;
+}
+
 namespace laacad::wsn {
 
 struct BoundaryConfig {
@@ -36,8 +40,11 @@ struct BoundaryInfo {
 BoundaryInfo detect_boundary(const Network& net, NodeId i,
                              const BoundaryConfig& cfg = {});
 
-/// Classify all nodes, in id order.
-std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
-                                                const BoundaryConfig& cfg = {});
+/// Classify all nodes, in id order. A non-null `pool` classifies them on
+/// its threads; each verdict depends on node i alone and lands in slot i, so
+/// the result is the same for every thread count.
+std::vector<BoundaryInfo> detect_all_boundaries(
+    const Network& net, const BoundaryConfig& cfg = {},
+    common::ThreadPool* pool = nullptr);
 
 }  // namespace laacad::wsn

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "common/thread_pool.hpp"
+
 namespace laacad::wsn {
 
 namespace {
@@ -31,12 +33,12 @@ void CommStats::merge(const CommStats& o) {
   max_hops_used = std::max(max_hops_used, o.max_hops_used);
 }
 
-CommModel::CommModel(const Network& net) : net_(&net) {
-  const int n = net.size();
-  adjacency_.resize(static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i) {
+CommModel::CommModel(const Network& net, common::ThreadPool* pool)
+    : net_(&net) {
+  adjacency_.resize(static_cast<std::size_t>(net.size()));
+  common::parallel_for(pool, net.size(), [&](int i) {
     adjacency_[static_cast<std::size_t>(i)] = net.one_hop_neighbors(i);
-  }
+  });
 }
 
 std::vector<int> CommModel::hop_distances(NodeId i, int max_hops) const {

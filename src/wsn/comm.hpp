@@ -9,6 +9,10 @@
 
 #include "wsn/network.hpp"
 
+namespace laacad::common {
+class ThreadPool;
+}
+
 namespace laacad::wsn {
 
 /// Message accounting for the localized algorithm; aggregated per run so the
@@ -24,8 +28,10 @@ struct CommStats {
 class CommModel {
  public:
   /// Snapshot of the network's connectivity at construction time. Rebuild
-  /// per round (positions move between rounds).
-  explicit CommModel(const Network& net);
+  /// per round (positions move between rounds). A non-null `pool` builds
+  /// the per-node neighbour lists on its threads; each list depends on its
+  /// node alone, so the snapshot is the same for every thread count.
+  explicit CommModel(const Network& net, common::ThreadPool* pool = nullptr);
 
   /// Hop distance from i to every node (-1 when unreachable), BFS over the
   /// disk graph, truncated at max_hops (<0 means unbounded).

@@ -11,18 +11,12 @@ ConnectivityReport analyze_connectivity(const Network& net,
   const int n = net.size();
   if (n == 0) return rep;
 
+  // One pass: the BFS dequeues every node exactly once, and that node's
+  // neighbour list yields both its degree and its BFS edges. Degrees are
+  // integers, so their double sum (and the mean) is exact in any order.
   std::vector<int> comp(static_cast<std::size_t>(n), -1);
   Summary degrees;
   rep.min_degree = n;
-  for (int i = 0; i < n; ++i) {
-    auto nb = net.nodes_within(net.position(i), radio_range);
-    std::erase(nb, i);
-    const int deg = static_cast<int>(nb.size());
-    degrees.add(deg);
-    rep.min_degree = std::min(rep.min_degree, deg);
-  }
-  rep.mean_degree = degrees.mean();
-
   for (int s = 0; s < n; ++s) {
     if (comp[static_cast<std::size_t>(s)] >= 0) continue;
     const int id = rep.components++;
@@ -35,6 +29,10 @@ ConnectivityReport analyze_connectivity(const Network& net,
       q.pop();
       ++size;
       auto nb = net.nodes_within(net.position(u), radio_range);
+      std::erase(nb, u);
+      const int deg = static_cast<int>(nb.size());
+      degrees.add(deg);
+      rep.min_degree = std::min(rep.min_degree, deg);
       for (int v : nb) {
         if (comp[static_cast<std::size_t>(v)] < 0) {
           comp[static_cast<std::size_t>(v)] = id;
@@ -44,6 +42,7 @@ ConnectivityReport analyze_connectivity(const Network& net,
     }
     rep.largest_component = std::max(rep.largest_component, size);
   }
+  rep.mean_degree = degrees.mean();
   return rep;
 }
 

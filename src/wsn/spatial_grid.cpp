@@ -176,8 +176,8 @@ void SpatialGrid::gather(Vec2 q, double radius, int exclude,
 }
 
 std::vector<int> SpatialGrid::within(Vec2 q, double radius) const {
-  // Index-only twin of gather(): the coverage checker and comm model call
-  // this per sample point / per node and never use the distances, so don't
+  // Index-only twin of gather(): the critical-point checker and comm model
+  // call this per point / per node and never use the distances, so don't
   // stage (dist2, index) pairs they would immediately discard.
   std::vector<int> out;
   if (n_ == 0 || radius < 0.0) return out;

@@ -4,6 +4,7 @@
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/spatial_grid.hpp"
 
 namespace laacad::cov {
 namespace {
@@ -53,6 +54,124 @@ TEST(GridCoverage, EmptyDisks) {
   GridReport rep = grid_coverage(d, {}, 1.0);
   EXPECT_EQ(rep.min_depth, 0);
   EXPECT_GT(rep.samples, 0u);
+}
+
+// grid_coverage as it read with one SpatialGrid::within query per sample:
+// the reference the bucketed sweep must reproduce field for field.
+GridReport grid_coverage_within_queries(const wsn::Domain& domain,
+                                        const std::vector<Circle>& disks,
+                                        double resolution, int max_k_tracked) {
+  GridReport rep;
+  rep.covered_fraction.assign(static_cast<std::size_t>(max_k_tracked), 0.0);
+  if (resolution <= 0.0) return rep;
+  double rmax = 0.0;
+  std::vector<Vec2> centers;
+  centers.reserve(disks.size());
+  for (const Circle& c : disks) {
+    rmax = std::max(rmax, c.radius);
+    centers.push_back(c.center);
+  }
+  const wsn::SpatialGrid grid(centers, std::max(rmax, resolution));
+  const geom::BBox bb = domain.bbox();
+  rep.min_depth = disks.empty() ? 0 : std::numeric_limits<int>::max();
+  double depth_sum = 0.0;
+  std::vector<std::size_t> at_least(static_cast<std::size_t>(max_k_tracked),
+                                    0);
+  for (double y = bb.lo.y + resolution / 2; y <= bb.hi.y; y += resolution) {
+    for (double x = bb.lo.x + resolution / 2; x <= bb.hi.x; x += resolution) {
+      const Vec2 p{x, y};
+      if (!domain.contains(p)) continue;
+      int d = 0;
+      for (int idx : grid.within(p, rmax + 1e-9)) {
+        if (disks[static_cast<std::size_t>(idx)].contains(p)) ++d;
+      }
+      ++rep.samples;
+      depth_sum += d;
+      if (d < rep.min_depth) {
+        rep.min_depth = d;
+        rep.worst_point = p;
+      }
+      for (int k = 1; k <= max_k_tracked && k <= d; ++k)
+        ++at_least[static_cast<std::size_t>(k) - 1];
+    }
+  }
+  if (rep.samples == 0) {
+    rep.min_depth = 0;
+    return rep;
+  }
+  rep.mean_depth = depth_sum / static_cast<double>(rep.samples);
+  for (int k = 0; k < max_k_tracked; ++k)
+    rep.covered_fraction[static_cast<std::size_t>(k)] =
+        static_cast<double>(at_least[static_cast<std::size_t>(k)]) /
+        static_cast<double>(rep.samples);
+  return rep;
+}
+
+void expect_same_report(const GridReport& got, const GridReport& want) {
+  EXPECT_EQ(got.min_depth, want.min_depth);
+  EXPECT_EQ(got.mean_depth, want.mean_depth);  // bitwise on purpose
+  EXPECT_EQ(got.worst_point.x, want.worst_point.x);
+  EXPECT_EQ(got.worst_point.y, want.worst_point.y);
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.covered_fraction, want.covered_fraction);
+}
+
+TEST(GridCoverage, BucketSweepMatchesWithinQueryReference) {
+  const wsn::Domain d =
+      wsn::Domain::lshape(120, 90).with_rect_hole({20, 15}, {35, 30});
+  const double rmax = 12.0;
+  for (const double res : {0.9, 1.7, 4.0}) {
+    // The in-domain samples, in sweep order (same float accumulation).
+    std::vector<Vec2> samples;
+    const geom::BBox bb = d.bbox();
+    for (double y = bb.lo.y + res / 2; y <= bb.hi.y; y += res)
+      for (double x = bb.lo.x + res / 2; x <= bb.hi.x; x += res)
+        if (d.contains({x, y})) samples.push_back({x, y});
+    ASSERT_GT(samples.size(), 100u);
+
+    Rng rng(static_cast<std::uint64_t>(res * 10));
+    const auto any_sample = [&] {
+      return samples[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(samples.size()) - 1))];
+    };
+    std::vector<Circle> disks;
+    for (int i = 0; i < 150; ++i)
+      disks.push_back({{rng.uniform(-15, 135), rng.uniform(-15, 105)},
+                       rng.uniform(2.0, rmax)});
+    // Zero-radius disks, some exactly on a sample.
+    for (int i = 0; i < 20; ++i) {
+      const Vec2 c = i % 2 ? any_sample()
+                           : Vec2{rng.uniform(0, 120), rng.uniform(0, 90)};
+      disks.push_back({c, 0.0});
+    }
+    // Max-radius disks whose centre sits just past the old query radius
+    // from a sample: Circle::contains accepts the sample there, but the
+    // rmax + 1e-9 filter does not, so the depth must not count it.
+    int band = 0;
+    for (int i = 0; i < 12; ++i) {
+      const Vec2 s = any_sample();
+      const double off = rmax + 1e-9 + rng.uniform(0.1, 0.9) * 1e-9 * rmax;
+      const Circle c{{s.x + off, s.y}, rmax};
+      disks.push_back(c);
+      const double reach = rmax + 1e-9;
+      if (geom::dist2(c.center, s) > reach * reach && c.contains(s)) ++band;
+    }
+    ASSERT_GE(band, 10) << "res " << res;
+
+    for (const int max_k : {3, 8}) {
+      SCOPED_TRACE(testing::Message() << "res " << res << " max_k " << max_k);
+      expect_same_report(grid_coverage(d, disks, res, max_k),
+                         grid_coverage_within_queries(d, disks, res, max_k));
+    }
+    // Only zero-radius disks (rmax = 0), and none at all.
+    std::vector<Circle> points;
+    for (const Circle& c : disks)
+      if (c.radius == 0.0) points.push_back(c);
+    expect_same_report(grid_coverage(d, points, res),
+                       grid_coverage_within_queries(d, points, res, 8));
+    expect_same_report(grid_coverage(d, {}, res),
+                       grid_coverage_within_queries(d, {}, res, 8));
+  }
 }
 
 TEST(DepthAt, ClosedDiskSemantics) {

@@ -282,11 +282,11 @@ max_rounds 3
   for (const Span& s : spans) names.insert(s.name);
   // The engine round stages of the acceptance contract plus the per-round
   // container, the finalize pass, the localized provider's snapshot
-  // stages, and the scenario runner's verification.
+  // stages, and the scenario runner's verification with its three checks.
   for (const char* stage :
        {"round", "grid_rebuild", "dirty_scan", "region_fanout", "comm_gather",
         "targets", "movement", "finalize", "boundaries", "comm_build",
-        "verify"})
+        "verify", "load_report", "grid_coverage", "connectivity"})
     EXPECT_TRUE(names.count(stage)) << "missing stage span: " << stage;
   // Recompute counts label the fan-out and finalize spans.
   for (const Span& s : spans) {

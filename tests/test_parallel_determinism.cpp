@@ -6,8 +6,11 @@
 
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "laacad/engine.hpp"
 #include "laacad/region_provider.hpp"
+#include "wsn/boundary.hpp"
+#include "wsn/comm.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::core {
@@ -171,6 +174,52 @@ RunRecord run_disturbed(int threads) {
 TEST(ParallelDeterminism, IncrementalRoundsIdenticalAcrossThreadCounts) {
   const RunRecord serial = run_disturbed(1);
   expect_bit_identical(serial, run_disturbed(4), 4);
+}
+
+// The localized snapshot (boundary verdicts, connectivity model) built on a
+// lent pool must equal the serial build for every thread count. Each pooled
+// build starts from a freshly moved network, so its workers also race to
+// the lazy grid re-bin.
+TEST(ParallelDeterminism, PooledLocalizedSnapshotMatchesSerial) {
+  const wsn::Domain d =
+      wsn::Domain::lshape(400, 400).with_rect_hole({60, 60}, {120, 140});
+  Rng rng(46);
+  wsn::Network net(&d, wsn::deploy_uniform(d, 500, rng), 28.0);
+  const auto serial_bounds = wsn::detect_all_boundaries(net);
+  const wsn::CommModel serial_comm(net);
+  int network_boundary = 0, area_boundary = 0;
+  for (const wsn::BoundaryInfo& b : serial_bounds) {
+    network_boundary += b.network_boundary;
+    area_boundary += b.area_boundary;
+  }
+  ASSERT_GT(network_boundary, 0);
+  ASSERT_LT(network_boundary, net.size());
+  ASSERT_GT(area_boundary, 0);
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    common::ThreadPool pool(threads);
+    net.set_position(0, net.position(0));  // dirty the lazy grid
+    const auto bounds = wsn::detect_all_boundaries(net, {}, &pool);
+    ASSERT_EQ(bounds.size(), serial_bounds.size());
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      EXPECT_EQ(bounds[i].network_boundary, serial_bounds[i].network_boundary)
+          << "node " << i;
+      EXPECT_EQ(bounds[i].area_boundary, serial_bounds[i].area_boundary)
+          << "node " << i;
+    }
+    net.set_position(0, net.position(0));
+    const wsn::CommModel comm(net, &pool);
+    EXPECT_EQ(comm.connected(), serial_comm.connected());
+    for (wsn::NodeId i = 0; i < net.size(); ++i) {
+      ASSERT_EQ(comm.hop_distances(i), serial_comm.hop_distances(i))
+          << "node " << i;
+      wsn::CommStats a, b;
+      EXPECT_EQ(comm.gather(i, 90.0, -1, &a),
+                serial_comm.gather(i, 90.0, -1, &b));
+      EXPECT_EQ(a.max_hops_used, b.max_hops_used);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/rng.hpp"
+#include "geometry/convex.hpp"
 #include "geometry/polygon.hpp"
 
 namespace laacad::geom {
@@ -68,6 +72,75 @@ TEST(Polygon, ContainsPointConcave) {
   EXPECT_TRUE(contains_point(l, {0.5, 1.5}));
   EXPECT_TRUE(contains_point(l, {1.5, 0.5}));
   EXPECT_FALSE(contains_point(l, {1.5, 1.5}));  // the notch
+}
+
+// contains_point as it read with the edge pass ahead of the crossing test:
+// the reference the crossing-first body must agree with for every eps.
+bool contains_point_edges_first(const Ring& ring, Vec2 p, double eps) {
+  const std::size_t n = ring.size();
+  if (n < 3) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
+  }
+  bool inside = false;
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    const Vec2 a = ring[i], b = ring[j];
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double t = (p.y - a.y) / (b.y - a.y);
+      const double xint = a.x + t * (b.x - a.x);
+      if (p.x < xint) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+TEST(Polygon, ContainsPointMatchesEdgesFirstReference) {
+  Rng rng(91);
+  int checked = 0, boundary_only = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Ring ring;
+    if (trial % 2 == 0) {
+      std::vector<Vec2> pts;
+      for (int i = 0; i < 12; ++i)
+        pts.push_back({rng.uniform(0, 10), rng.uniform(0, 10)});
+      ring = convex_hull(pts);
+    } else {
+      // Star-shaped with random radii: simple and, in general, concave.
+      const int n = 5 + trial % 9;
+      for (int i = 0; i < n; ++i) {
+        const double a = 2.0 * M_PI * i / n;
+        const double r = rng.uniform(1.0, 5.0);
+        ring.push_back({5 + r * std::cos(a), 5 + r * std::sin(a)});
+      }
+    }
+    std::vector<Vec2> probes;
+    for (int i = 0; i < 40; ++i)
+      probes.push_back({rng.uniform(-1, 11), rng.uniform(-1, 11)});
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const Vec2 a = ring[i], b = ring[(i + 1) % ring.size()];
+      const Vec2 out_normal = Vec2{(b - a).y, -(b - a).x}.normalized();
+      probes.push_back(a);                   // vertex
+      probes.push_back({a.x + 1.0, a.y});    // ray through a vertex
+      probes.push_back(lerp(a, b, 0.5));     // on the edge
+      probes.push_back(lerp(a, b, rng.uniform01()));
+      for (double off : {1e-12, 5e-10, 2e-9, 5e-4, 2e-3})
+        for (double side : {-1.0, 1.0})
+          probes.push_back(lerp(a, b, 0.3) + out_normal * (side * off));
+    }
+    for (double eps : {0.0, kEps, 1e-3}) {
+      for (Vec2 p : probes) {
+        const bool want = contains_point_edges_first(ring, p, eps);
+        ASSERT_EQ(contains_point(ring, p, eps), want)
+            << "trial " << trial << " eps " << eps << " p (" << p.x << ", "
+            << p.y << ")";
+        ++checked;
+        // A negative eps turns the edge pass off: parity alone.
+        if (want && !contains_point(ring, p, -1.0)) ++boundary_only;
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+  EXPECT_GT(boundary_only, 500);  // probes only the edge pass accepts
 }
 
 TEST(Polygon, DistToBoundaryAndProjection) {
