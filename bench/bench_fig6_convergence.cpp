@@ -16,13 +16,10 @@
 // the density-aware auto value instead of a fixed 150 m — the paper's
 // "initial max is nearly k-independent" claim now holds statistically
 // (corner clusters of equal size look alike) rather than by construction.
-#include <chrono>
 #include <fstream>
 
 #include "bench_common.hpp"
 #include "campaign/scheduler.hpp"
-#include "laacad/engine.hpp"
-#include "wsn/deployment.hpp"
 
 namespace {
 
@@ -110,78 +107,9 @@ void experiment() {
       "campaign aggregates: BENCH_campaign_fig6_convergence.json");
 }
 
-// Parallel scaling of the round loop: the per-node region computations are
-// independent, so the same 400-node, k = 2 scenario must produce
-// bit-identical per-round metrics for every thread count while the rounds
-// themselves get cheaper wall-clock. Thread counts: 1 (reference), 8, and
-// LAACAD_THREADS when set.
-void scaling_experiment() {
-  wsn::Domain domain = wsn::Domain::square_km();
-  Rng rng(7);
-  const auto initial = wsn::deploy_uniform(domain, 400, rng);
-  const int rounds = 20;
-
-  auto run_with = [&](int threads, double* seconds) {
-    wsn::Network net(&domain, initial, 120.0);
-    core::LaacadConfig cfg;
-    cfg.k = 2;
-    cfg.epsilon = 1.0;
-    cfg.max_rounds = rounds;
-    cfg.num_threads = threads;
-    core::Engine engine(net, cfg);
-    std::vector<core::RoundMetrics> history;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) history.push_back(engine.step());
-    const auto t1 = std::chrono::steady_clock::now();
-    *seconds = std::chrono::duration<double>(t1 - t0).count();
-    return history;
-  };
-
-  std::vector<int> thread_counts = {1, 8};
-  if (const int env = benchutil::num_threads();
-      env != 1 && env != 8) {
-    thread_counts.push_back(env);
-  }
-
-  TextTable table({"threads", "wall (s)", "speedup vs 1", "identical metrics"});
-  std::vector<core::RoundMetrics> reference;
-  double t_serial = 0.0;
-  for (int threads : thread_counts) {
-    double seconds = 0.0;
-    const auto history = run_with(threads, &seconds);
-    bool identical = true;
-    if (threads == thread_counts.front()) {
-      reference = history;
-      t_serial = seconds;
-    } else {
-      identical = history.size() == reference.size();
-      for (std::size_t r = 0; identical && r < history.size(); ++r) {
-        const auto& a = history[r];
-        const auto& b = reference[r];
-        identical = a.round == b.round &&
-                    a.max_circumradius == b.max_circumradius &&
-                    a.min_circumradius == b.min_circumradius &&
-                    a.max_hat_radius == b.max_hat_radius &&
-                    a.max_move == b.max_move && a.moved == b.moved;
-      }
-    }
-    table.add_row({std::to_string(threads), TextTable::num(seconds, 3),
-                   TextTable::num(seconds > 0.0 ? t_serial / seconds : 0.0, 2),
-                   identical ? "yes" : "NO — check!"});
-  }
-  benchutil::TableSink::instance().add(
-      "Round-loop scaling — 400 nodes, k = 2, 20 rounds (bit-identical "
-      "RoundMetrics required)",
-      std::move(table));
-  benchutil::TableSink::instance().note(
-      "Speedup tracks physical cores; on a single-core host all thread "
-      "counts cost the same but the metrics must still match exactly.");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchutil::register_experiment("fig6/convergence", experiment);
-  benchutil::register_experiment("fig6/parallel_scaling", scaling_experiment);
   return benchutil::run_main(argc, argv);
 }

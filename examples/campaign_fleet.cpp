@@ -28,8 +28,10 @@
 // infrastructure failure (bad spec, crashed-out shard, merge validation).
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "common/specparse.hpp"
 #include "dist/fleet.hpp"
 #include "obs/trace.hpp"
 
@@ -79,56 +81,53 @@ std::string sibling_runner(const char* argv0) {
   return dir + "campaign_runner";
 }
 
-int parse_nonneg(const char* what, const char* v) {
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 0) {
-    std::fprintf(stderr, "%s expects a non-negative integer\n", what);
-    std::exit(2);
-  }
-  return static_cast<int>(n);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using laacad::specparse::parse_int;
   laacad::dist::FleetOptions opt;
   std::string trace_path;
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    auto next_value = [&](const char* what) -> const char* {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", what);
-        std::exit(2);
-      }
-      return argv[++a];
-    };
-    if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
-    else if (flag == "--quiet") opt.quiet = true;
-    else if (flag == "--heartbeat") opt.heartbeat = true;
-    else if (flag == "--trace") trace_path = next_value("--trace");
-    else if (flag == "--resume") opt.resume = true;
-    else if (flag == "--merge-only") opt.merge_only = true;
-    else if (flag == "--shards")
-      opt.shards = parse_nonneg("--shards", next_value("--shards"));
-    else if (flag == "--workers")
-      opt.workers = parse_nonneg("--workers", next_value("--workers"));
-    else if (flag == "--max-restarts")
-      opt.max_restarts =
-          parse_nonneg("--max-restarts", next_value("--max-restarts"));
-    else if (flag == "--runner") opt.runner = next_value("--runner");
-    else if (flag == "--manifest-dir")
-      opt.manifest_dir = next_value("--manifest-dir");
-    else if (flag == "--json") opt.json_path = next_value("--json");
-    else if (flag == "--csv") opt.csv_path = next_value("--csv");
-    else if (flag == "--manifest")
-      opt.merged_manifest_path = next_value("--manifest");
-    else if (!flag.empty() && flag[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (opt.campaign_path.empty()) opt.campaign_path = flag;
-    else { usage(argv[0]); return 2; }
+  try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string flag = argv[a];
+      auto next_value = [&](const char* what) -> const char* {
+        if (a + 1 >= argc) {
+          std::fprintf(stderr, "%s expects a value\n", what);
+          std::exit(2);
+        }
+        return argv[++a];
+      };
+      if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
+      else if (flag == "--quiet") opt.quiet = true;
+      else if (flag == "--heartbeat") opt.heartbeat = true;
+      else if (flag == "--trace") trace_path = next_value("--trace");
+      else if (flag == "--resume") opt.resume = true;
+      else if (flag == "--merge-only") opt.merge_only = true;
+      else if (flag == "--shards")
+        opt.shards = parse_int(next_value("--shards"), 0, flag, 0);
+      else if (flag == "--workers")
+        opt.workers = parse_int(next_value("--workers"), 0, flag, 0);
+      else if (flag == "--max-restarts")
+        opt.max_restarts =
+            parse_int(next_value("--max-restarts"), 0, flag, 0);
+      else if (flag == "--runner") opt.runner = next_value("--runner");
+      else if (flag == "--manifest-dir")
+        opt.manifest_dir = next_value("--manifest-dir");
+      else if (flag == "--json") opt.json_path = next_value("--json");
+      else if (flag == "--csv") opt.csv_path = next_value("--csv");
+      else if (flag == "--manifest")
+        opt.merged_manifest_path = next_value("--manifest");
+      else if (!flag.empty() && flag[0] == '-') {
+        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+        usage(argv[0]);
+        return 2;
+      } else if (opt.campaign_path.empty()) opt.campaign_path = flag;
+      else { usage(argv[0]); return 2; }
+    }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "campaign_fleet: %s\n",
+                 laacad::specparse::without_line(e.what()).c_str());
+    return 2;
   }
   if (opt.campaign_path.empty()) { usage(argv[0]); return 2; }
   if (opt.runner.empty()) opt.runner = sibling_runner(argv[0]);

@@ -28,9 +28,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/scheduler.hpp"
+#include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
 #include "common/table.hpp"
 #include "dist/partition.hpp"
@@ -82,58 +84,51 @@ int main(int argc, char** argv) {
   campaign::CampaignOptions opt;
   bool dry_run = false, quiet = false, shard_given = false;
   bool heartbeat = false;
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    auto next_value = [&](const char* what) -> const char* {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", what);
-        std::exit(2);
+  try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string flag = argv[a];
+      auto next_value = [&](const char* what) -> const char* {
+        if (a + 1 >= argc) {
+          std::fprintf(stderr, "%s expects a value\n", what);
+          std::exit(2);
+        }
+        return argv[++a];
+      };
+      if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
+      else if (flag == "--quiet") quiet = true;
+      else if (flag == "--dry-run") dry_run = true;
+      else if (flag == "--resume") opt.resume = true;
+      else if (flag == "--workers")
+        opt.workers =
+            specparse::parse_int(next_value("--workers"), 0, flag, 0);
+      else if (flag == "--trial-threads")
+        opt.trial_threads =
+            specparse::parse_int(next_value("--trial-threads"), 0, flag, 0);
+      else if (flag == "--trace") trace_path = next_value("--trace");
+      else if (flag == "--heartbeat") heartbeat = true;
+      else if (flag == "--json") json_path = next_value("--json");
+      else if (flag == "--csv") csv_path = next_value("--csv");
+      else if (flag == "--manifest") manifest_path = next_value("--manifest");
+      else if (flag == "--shard") {
+        try {
+          opt.shard = dist::parse_shard(next_value("--shard"));
+          shard_given = true;
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "--shard: %s\n", e.what());
+          return 2;
+        }
       }
-      return argv[++a];
-    };
-    if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
-    else if (flag == "--quiet") quiet = true;
-    else if (flag == "--dry-run") dry_run = true;
-    else if (flag == "--resume") opt.resume = true;
-    else if (flag == "--workers") {
-      const char* v = next_value("--workers");
-      char* end = nullptr;
-      opt.workers = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || opt.workers < 0) {
-        std::fprintf(stderr, "--workers expects a non-negative integer\n");
+      else if (!flag.empty() && flag[0] == '-') {
+        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+        usage(argv[0]);
         return 2;
-      }
+      } else if (path.empty()) path = flag;
+      else { usage(argv[0]); return 2; }
     }
-    else if (flag == "--trial-threads") {
-      const char* v = next_value("--trial-threads");
-      char* end = nullptr;
-      opt.trial_threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || opt.trial_threads < 0) {
-        std::fprintf(stderr,
-                     "--trial-threads expects a non-negative integer\n");
-        return 2;
-      }
-    }
-    else if (flag == "--trace") trace_path = next_value("--trace");
-    else if (flag == "--heartbeat") heartbeat = true;
-    else if (flag == "--json") json_path = next_value("--json");
-    else if (flag == "--csv") csv_path = next_value("--csv");
-    else if (flag == "--manifest") manifest_path = next_value("--manifest");
-    else if (flag == "--shard") {
-      try {
-        opt.shard = dist::parse_shard(next_value("--shard"));
-        shard_given = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--shard: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (!flag.empty() && flag[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (path.empty()) path = flag;
-    else { usage(argv[0]); return 2; }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "campaign_runner: %s\n",
+                 specparse::without_line(e.what()).c_str());
+    return 2;
   }
   if (path.empty()) { usage(argv[0]); return 2; }
 

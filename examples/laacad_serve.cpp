@@ -30,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/specparse.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
@@ -161,35 +162,45 @@ int replay_main(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "laacad_serve: %s needs a value\n", arg.c_str());
-        std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "laacad_serve: %s needs a value\n",
+                       arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--scn") opt.scn_path = next();
+      else if (arg == "--replay") opt.replay_path = next();
+      else if (arg == "--log") opt.log_path = next();
+      else if (arg == "--state") opt.state_path = next();
+      else if (arg == "--trace") opt.trace_path = next();
+      else if (arg == "--stdio") opt.port = -1;
+      else if (arg == "--port")
+        opt.port = specparse::parse_int(next(), 0, arg, 0);
+      else if (arg == "--threads")
+        opt.threads = specparse::parse_int(next(), 0, arg, 0);
+      else if (arg == "--publish-every")
+        opt.publish_every = specparse::parse_int(next(), 0, arg, 0);
+      else if (arg == "--heartbeat") opt.heartbeat = true;
+      else if (arg == "--quiet") opt.quiet = true;
+      else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else {
+        std::fprintf(stderr, "laacad_serve: unknown argument %s\n",
+                     arg.c_str());
+        usage(argv[0]);
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--scn") opt.scn_path = next();
-    else if (arg == "--replay") opt.replay_path = next();
-    else if (arg == "--log") opt.log_path = next();
-    else if (arg == "--state") opt.state_path = next();
-    else if (arg == "--trace") opt.trace_path = next();
-    else if (arg == "--stdio") opt.port = -1;
-    else if (arg == "--port") opt.port = std::atoi(next());
-    else if (arg == "--threads") opt.threads = std::atoi(next());
-    else if (arg == "--publish-every") opt.publish_every = std::atoi(next());
-    else if (arg == "--heartbeat") opt.heartbeat = true;
-    else if (arg == "--quiet") opt.quiet = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "laacad_serve: unknown argument %s\n",
-                   arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "laacad_serve: %s\n",
+                 specparse::without_line(e.what()).c_str());
+    return 2;
   }
 
   try {

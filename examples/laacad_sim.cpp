@@ -6,21 +6,25 @@
 // Usage:
 //   laacad_sim [--k N] [--nodes N] [--seed S] [--alpha A] [--epsilon E]
 //              [--rounds R] [--gamma G] [--domain square|lshape|cross]
-//              [--side METRES] [--hole] [--deploy uniform|corner|gaussian]
-//              [--backend global|localized] [--max-hops H] [--noise SIGMA]
-//              [--threads T] [--svg PREFIX] [--csv FILE] [--trace FILE]
-//              [--heartbeat] [--quiet]
+//              [--side METRES] [--hole]
+//              [--deploy uniform|corner|gaussian|stacked]
+//              [--backend global|localized|auto] [--max-hops H]
+//              [--noise SIGMA] [--threads T] [--svg PREFIX] [--csv FILE]
+//              [--trace FILE] [--heartbeat] [--quiet]
 //
 // Every flag that names a scenario setting (--k, --nodes, --rounds, ...,
 // --seed, --threads) is parsed by the .scn grammar (scenario::set_key /
-// specparse) and the result checked by scenario::validate, so a malformed
-// or out-of-range value exits 2 with a message naming the flag.
+// specparse), and the world is built by scenario::build_world (which runs
+// scenario::validate), so a malformed or out-of-range value exits 2 with a
+// message naming the flag, and every backend and deployment a .scn file
+// accepts runs here too.
 #include <cstdio>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/specparse.hpp"
@@ -30,10 +34,10 @@
 #include "laacad/engine.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/trace.hpp"
-#include "scenario/spec.hpp"
+#include "scenario/apply.hpp"
 #include "viz/render.hpp"
 #include "wsn/connectivity.hpp"
-#include "wsn/deployment.hpp"
+#include "wsn/energy.hpp"
 
 namespace {
 
@@ -52,19 +56,12 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s [--k N] [--nodes N] [--seed S] [--alpha A] [--epsilon E]\n"
       "          [--rounds R] [--gamma G] [--domain square|lshape|cross]\n"
-      "          [--side M] [--hole] [--deploy uniform|corner|gaussian]\n"
-      "          [--backend global|localized] [--max-hops H] [--noise S]\n"
+      "          [--side M] [--hole]\n"
+      "          [--deploy uniform|corner|gaussian|stacked]\n"
+      "          [--backend global|localized|auto] [--max-hops H] [--noise S]\n"
       "          [--threads T] [--svg PREFIX] [--csv FILE] [--trace FILE]\n"
       "          [--heartbeat] [--quiet]\n",
       argv0);
-}
-
-/// specparse errors read "line N: ..."; a command-line flag has no line.
-std::string without_line(const std::string& what) {
-  const auto colon = what.find(": ");
-  return what.rfind("line ", 0) == 0 && colon != std::string::npos
-             ? what.substr(colon + 2)
-             : what;
 }
 
 /// Applies one valued flag. Throws std::runtime_error on an unknown flag or
@@ -113,7 +110,8 @@ bool parse(int argc, char** argv, ScenarioSpec& spec, Options& opt) {
         if (a + 1 >= argc) throw std::runtime_error("needs a value");
         set_flag(spec, opt, flag, argv[++a]);
       } catch (const std::runtime_error& e) {
-        throw std::runtime_error(flag + ": " + without_line(e.what()));
+        throw std::runtime_error(flag + ": " +
+                                 laacad::specparse::without_line(e.what()));
       }
     }
   }
@@ -129,67 +127,42 @@ int main(int argc, char** argv) {
   spec.nodes = 60;
   spec.side = 500.0;
   Options opt;
+  // Domain, deployment, gamma and backend come from the scenario engine's
+  // setup path, so every spec the grammar accepts runs here too.
+  scenario::World world;
   try {
     if (!parse(argc, argv, spec, opt)) {
       usage(argv[0]);
       return 2;
     }
-    scenario::validate(spec);
-  } catch (const std::runtime_error& e) {
+    world = scenario::build_world(spec);
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "laacad_sim: %s\n", e.what());
     return 2;
   }
-
-  // -- Domain and initial deployment (shared with the scenario engine) -----
-  wsn::Domain domain;
-  std::vector<geom::Vec2> init;
-  Rng rng(spec.seed);
-  try {
-    domain = wsn::make_named_domain(spec.domain, spec.side, spec.hole);
-    init = wsn::deploy_named(domain, spec.deploy, spec.nodes, spec.side, rng);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-
-  const double gamma =
-      spec.gamma > 0.0 ? spec.gamma
-                       : wsn::auto_comm_range(domain, spec.nodes, spec.side);
-  wsn::Network net(&domain, init, gamma);
+  wsn::Network& net = *world.net;
+  core::Engine& engine = *world.engine;
   if (!opt.svg_prefix.empty())
     viz::render_deployment(opt.svg_prefix + "_initial.svg", net);
 
   // -- Run -----------------------------------------------------------------
-  core::LaacadConfig cfg;
-  cfg.k = spec.k;
-  cfg.alpha = spec.alpha;
-  cfg.epsilon = spec.epsilon;
-  cfg.max_rounds = spec.max_rounds;
-  cfg.seed = spec.seed;
-  cfg.num_threads = spec.num_threads;
-  cfg.retain_history = true;  // the CSV dump below walks every round
-  if (spec.backend == "localized") {
-    cfg.localized.max_hops = spec.max_hops;
-    cfg.localized.frame.range_noise = spec.noise;
-    cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
-  } else if (spec.backend != "global") {
-    std::fprintf(stderr, "unknown backend '%s'\n", spec.backend.c_str());
-    return 2;
-  }
   // --heartbeat streams one {"hb":"engine",...} line per round to stderr:
   // done = rounds executed, total = the round cap, ok = 1 once movement
   // stopped. Same schema campaign_fleet already consumes.
   std::unique_ptr<obs::HeartbeatEmitter> heartbeat;
-  if (opt.heartbeat) {
+  if (opt.heartbeat)
     heartbeat = std::make_unique<obs::HeartbeatEmitter>(
         stderr, "engine", "laacad_sim", /*shard=*/"", spec.max_rounds);
-    cfg.on_round = [&heartbeat](const core::RoundMetrics& m) {
-      heartbeat->tick(m.round, m.moved == 0 ? 1 : 0);
-    };
-  }
   if (!opt.trace_path.empty()) obs::start_trace(opt.trace_path);
-  core::Engine engine(net, cfg);
-  const core::RunResult result = engine.run();
+  std::vector<core::RoundMetrics> history;  // the CSV dump walks every round
+  bool converged = false;
+  while (!converged && engine.rounds_executed() < spec.max_rounds) {
+    const core::RoundMetrics& m = history.emplace_back(engine.step());
+    converged = (m.moved == 0);
+    if (heartbeat) heartbeat->tick(m.round, converged ? 1 : 0);
+  }
+  engine.finalize();
+  const wsn::LoadReport load = wsn::load_report(net);
   if (!opt.trace_path.empty()) {
     const obs::TraceReport report = obs::stop_trace();
     if (!opt.quiet)
@@ -199,20 +172,19 @@ int main(int argc, char** argv) {
 
   // -- Report --------------------------------------------------------------
   const auto exact =
-      cov::critical_point_coverage(domain, cov::sensing_disks(net));
-  const auto conn =
-      wsn::analyze_connectivity(net, 1.25 * result.final_max_range);
+      cov::critical_point_coverage(world.domain(), cov::sensing_disks(net));
+  const auto conn = wsn::analyze_connectivity(net, 1.25 * load.max_range);
   if (!opt.quiet) {
     TextTable table({"metric", "value"});
-    table.add_row({"nodes", std::to_string(spec.nodes)});
+    table.add_row({"nodes", std::to_string(net.size())});
     table.add_row({"k", std::to_string(spec.k)});
     table.add_row({"backend", spec.backend});
     table.add_row({"threads", std::to_string(spec.num_threads)});
-    table.add_row({"converged", result.converged ? "yes" : "no"});
-    table.add_row({"rounds", std::to_string(result.rounds)});
-    table.add_row({"R* max range (m)", TextTable::num(result.final_max_range, 3)});
-    table.add_row({"min range (m)", TextTable::num(result.final_min_range, 3)});
-    table.add_row({"load fairness (Jain)", TextTable::num(result.load.fairness, 4)});
+    table.add_row({"converged", converged ? "yes" : "no"});
+    table.add_row({"rounds", std::to_string(engine.rounds_executed())});
+    table.add_row({"R* max range (m)", TextTable::num(load.max_range, 3)});
+    table.add_row({"min range (m)", TextTable::num(load.min_range, 3)});
+    table.add_row({"load fairness (Jain)", TextTable::num(load.fairness, 4)});
     table.add_row({"verified coverage depth", std::to_string(exact.min_depth)});
     table.add_row({"connected @ 1.25 R*", conn.connected() ? "yes" : "no"});
     table.print(std::cout);
@@ -222,7 +194,7 @@ int main(int argc, char** argv) {
     CsvWriter csv(opt.csv_path,
                   {"round", "max_circumradius", "min_circumradius",
                    "max_move", "moved"});
-    for (const auto& m : result.history) {
+    for (const auto& m : history) {
       csv.add_row({std::to_string(m.round),
                    TextTable::num(m.max_circumradius, 4),
                    TextTable::num(m.min_circumradius, 4),

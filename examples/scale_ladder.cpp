@@ -35,11 +35,13 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/scheduler.hpp"
 #include "common/perf_counters.hpp"
+#include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
@@ -179,31 +181,39 @@ int main(int argc, char** argv) {
   bool heartbeat = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "scale_ladder: " << arg << " needs a value\n";
-        std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::cerr << "scale_ladder: " << arg << " needs a value\n";
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--campaign") campaign_path = next();
+      else if (arg == "--max-nodes")
+        max_nodes = specparse::parse_int(next(), 0, arg, 0);
+      else if (arg == "--budget") budget_path = next();
+      else if (arg == "--json") json_path = next();
+      else if (arg == "--trial-threads")
+        trial_threads = specparse::parse_int(next(), 0, arg, 0);
+      else if (arg == "--trace") trace_path = next();
+      else if (arg == "--heartbeat") heartbeat = true;
+      else if (arg == "--quiet") quiet = true;
+      else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else {
+        std::cerr << "scale_ladder: unknown argument " << arg << "\n";
+        usage(argv[0]);
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--campaign") campaign_path = next();
-    else if (arg == "--max-nodes") max_nodes = std::atoll(next());
-    else if (arg == "--budget") budget_path = next();
-    else if (arg == "--json") json_path = next();
-    else if (arg == "--trial-threads") trial_threads = std::atoi(next());
-    else if (arg == "--trace") trace_path = next();
-    else if (arg == "--heartbeat") heartbeat = true;
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << "scale_ladder: unknown argument " << arg << "\n";
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const std::runtime_error& e) {
+    std::cerr << "scale_ladder: " << specparse::without_line(e.what())
+              << "\n";
+    return 2;
   }
 
   try {

@@ -13,9 +13,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/json_writer.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
 #include "scenario/runner.hpp"
@@ -115,10 +117,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads expects a value\n");
         return 2;
       }
-      char* end = nullptr;
-      threads = static_cast<int>(std::strtol(argv[++a], &end, 10));
-      if (end == argv[a] || *end != '\0' || threads < 0) {
-        std::fprintf(stderr, "--threads expects a non-negative integer\n");
+      try {
+        threads = specparse::parse_int(argv[++a], 0, flag, 0);
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "scenario_runner: %s\n",
+                     specparse::without_line(e.what()).c_str());
         return 2;
       }
     }

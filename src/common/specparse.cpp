@@ -31,15 +31,20 @@ double parse_double(const std::string& s, int line, const std::string& key) {
   }
 }
 
-int parse_int(const std::string& s, int line, const std::string& key) {
+int parse_int(const std::string& s, int line, const std::string& key,
+              int min) {
+  int v = 0;
   try {
     std::size_t used = 0;
-    const int v = std::stoi(s, &used);
+    v = std::stoi(s, &used);
     if (used != s.size()) throw std::invalid_argument(s);
-    return v;
   } catch (const std::exception&) {
     fail(line, "'" + key + "' expects an integer, got '" + s + "'");
   }
+  if (v < min)
+    fail(line, "'" + key + "' expects an integer >= " + std::to_string(min) +
+                   ", got '" + s + "'");
+  return v;
 }
 
 std::uint64_t parse_uint64(const std::string& s, int line,
@@ -62,6 +67,13 @@ bool parse_bool(const std::string& s, int line, const std::string& key) {
   if (s == "1" || s == "true" || s == "yes") return true;
   if (s == "0" || s == "false" || s == "no") return false;
   fail(line, "'" + key + "' expects a boolean, got '" + s + "'");
+}
+
+std::string without_line(const std::string& what) {
+  const auto colon = what.find(": ");
+  return what.rfind("line ", 0) == 0 && colon != std::string::npos
+             ? what.substr(colon + 2)
+             : what;
 }
 
 }  // namespace laacad::specparse

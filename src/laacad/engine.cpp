@@ -63,7 +63,7 @@ Engine::Engine(wsn::Network& net, LaacadConfig cfg)
     // localized Algorithm 2, whose per-round cost is O(n · neighborhood).
     provider_ = make_localized_provider(cfg_.localized, cfg_.seed);
   } else {
-    provider_ = make_global_provider(cfg_.adaptive);
+    provider_ = make_global_provider();
   }
   if (cfg_.num_threads != 1)
     pool_ = std::make_unique<common::ThreadPool>(cfg_.num_threads);
@@ -247,7 +247,6 @@ RunResult Engine::run() {
     RoundMetrics m = step();
     const bool done = (m.moved == 0);
     result.series.add(m);
-    if (cfg_.on_round) cfg_.on_round(m);
     if (cfg_.retain_history) result.history.push_back(std::move(m));
     if (done) {
       result.converged = true;

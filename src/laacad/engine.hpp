@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,20 +46,21 @@
 #include "laacad/localized.hpp"
 #include "laacad/region.hpp"
 #include "laacad/region_provider.hpp"
-#include "voronoi/adaptive.hpp"
 #include "wsn/energy.hpp"
 #include "wsn/network.hpp"
 
 namespace laacad::core {
 
-struct RoundMetrics;
-
+/// Algorithm 1's parameters (k, alpha, epsilon, the round cap), the backend
+/// and the localized backend's spec keys, and execution details (threads,
+/// seed, history, the auto-backend threshold). The solvers' fixed geometry
+/// (Lemma-1 window, ring growth, arc sampling, boundary thresholds) is named
+/// constants in their own sources, not configuration.
 struct LaacadConfig {
   int k = 1;               ///< coverage degree
   double alpha = 1.0;      ///< motion step size, (0, 1]
   double epsilon = 0.5;    ///< stopping tolerance (metres)
   int max_rounds = 400;
-  double tau_ms = 100.0;   ///< nominal round period (reporting only)
   /// Threads for the per-round region fan-out: 1 = serial (default),
   /// 0 = hardware concurrency, N = exactly N. Results are identical for
   /// every value.
@@ -69,7 +69,7 @@ struct LaacadConfig {
   /// up to provider_auto_threshold nodes, the localized Algorithm 2 above it
   /// (the global snapshot path is the wrong tool at that scale — see
   /// GlobalRegionProvider::kMaxSites). To force a backend set
-  ///   cfg.provider = make_global_provider(cfg.adaptive);       // or
+  ///   cfg.provider = make_global_provider();                   // or
   ///   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
   std::shared_ptr<RegionProvider> provider;
   /// Network size above which a null `provider` selects the localized
@@ -80,13 +80,8 @@ struct LaacadConfig {
   /// O(n + rounds) for data most callers never read — the streaming
   /// RunResult::series carries the per-round aggregates either way.
   bool retain_history = false;
-  vor::AdaptiveConfig adaptive;   ///< global-provider tuning
-  LocalizedConfig localized;      ///< localized-provider tuning
+  LocalizedConfig localized;      ///< localized-provider spec keys
   std::uint64_t seed = 1;         ///< feeds localization noise simulation
-  /// Observability hook: invoked by run() after every round with that
-  /// round's metrics (heartbeat emitters, progress bars). Must not mutate
-  /// the network; never affects results or serialized output.
-  std::function<void(const RoundMetrics&)> on_round;
 };
 
 /// Per-round aggregates; mirrors the series plotted in Fig. 6.

@@ -3,27 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
-#include "geometry/convex.hpp"
+#include "voronoi/adaptive.hpp"
 #include "voronoi/sites.hpp"
+#include "wsn/localization.hpp"
 
 namespace laacad::core {
 
-using geom::Ring;
 using geom::Vec2;
 
 namespace {
 
-Ring ring_window(Vec2 center, double radius, const geom::BBox& bbox,
-                 int sides) {
-  Ring win = geom::circumscribed_ngon(center, radius, sides);
-  std::vector<geom::HalfPlane> walls = {
-      {{bbox.hi.x, 0}, {1, 0}},
-      {{bbox.lo.x, 0}, {-1, 0}},
-      {{0, bbox.hi.y}, {0, 1}},
-      {{0, bbox.lo.y}, {0, -1}},
-  };
-  return geom::intersect_halfplanes(std::move(win), walls);
-}
+constexpr int kArcSamples = 72;  ///< sample density of the rho/2-circle check
+/// TTL slack of hop-realistic flooding: ceil(rho/gamma) + kHopSlack hops.
+constexpr int kHopSlack = 2;
+/// A circle sample counts as "inside the network" when within this many
+/// transmission ranges of a gathered node (coverage proxy for the
+/// boundary-node arc restriction).
+constexpr double kNetworkReachFactor = 1.25;
 
 }  // namespace
 
@@ -36,14 +32,14 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
   const wsn::Domain& domain = net.domain();
   const Vec2 ui = net.position(i);
   const double gamma = net.gamma();
-  const double reach = cfg.network_reach_factor * gamma;
+  const double reach = kNetworkReachFactor * gamma;
 
   // Compute the region from the currently gathered set, clipped to the
   // searching ring and the area bounding box.
-  const geom::BBox bbox = domain.bbox().inflated(1.0);
+  const geom::BBox area_bbox = domain.bbox();
   std::vector<int> gathered;
   auto compute_cells = [&](double rho) {
-    const auto rel = wsn::local_frame(net, i, gathered, cfg.frame, rng);
+    const auto rel = wsn::local_frame(net, i, gathered, cfg.range_noise, rng);
     std::vector<Vec2> sites;
     sites.reserve(gathered.size() + 1);
     sites.push_back(ui);
@@ -52,9 +48,8 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
     // Fewer than k sites in reach: every reachable point is dominated, so
     // the region is the whole window (|S| <= k-1 trivially).
     const int k_eff = std::min<int>(k, static_cast<int>(sites.size()));
-    const Ring window =
-        ring_window(ui, rho / 2.0, bbox, cfg.disk_ngon_sides);
-    return vor::dominating_region_cells(sites, 0, k_eff, window);
+    return vor::dominating_region_cells(
+        sites, 0, k_eff, vor::lemma1_window(ui, rho / 2.0, area_bbox));
   };
 
   double rho = 0.0;
@@ -74,13 +69,13 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
       break;
     }
     gathered = comm.gather(
-        i, rho, cfg.ideal_gather ? -1 : hops + cfg.hop_slack, stats);
+        i, rho, cfg.ideal_gather ? -1 : hops + kHopSlack, stats);
 
     // Line 5-8 of Algorithm 2: is any point of the rho/2-circle still
     // dominated by n_i?
     bool enclosed = true;
-    for (int s = 0; s < cfg.arc_samples; ++s) {
-      const double ang = 2.0 * M_PI * s / cfg.arc_samples;
+    for (int s = 0; s < kArcSamples; ++s) {
+      const double ang = 2.0 * M_PI * s / kArcSamples;
       const Vec2 v = ui + Vec2{std::cos(ang), std::sin(ang)} * (rho / 2.0);
       if (!domain.contains(v)) continue;  // A's boundary: natural boundary
       if (boundary.network_boundary) {
@@ -111,10 +106,7 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
     // ring is still too tight — expand once more (same Lemma-1 touch test
     // as the global adaptive solver).
     cells = compute_cells(rho);
-    double maxd = 0.0;
-    for (const auto& c : cells)
-      for (Vec2 v : c.poly) maxd = std::max(maxd, geom::dist(ui, v));
-    if (maxd < 0.5 * rho * (1.0 - 1e-9)) break;
+    if (!vor::region_touches_ring(cells, ui, rho)) break;
   }
   out.rho = rho;
   out.hops = hops;

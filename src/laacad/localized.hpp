@@ -16,27 +16,21 @@
 #include "voronoi/orderk.hpp"
 #include "wsn/boundary.hpp"
 #include "wsn/comm.hpp"
-#include "wsn/localization.hpp"
 
 namespace laacad::core {
 
+/// The localized backend's settings — exactly its three spec keys.
 struct LocalizedConfig {
-  int max_hops = 10;       ///< hard cap on ring expansion (hops)
-  int arc_samples = 72;    ///< sample density of the rho/2-circle check
-  int disk_ngon_sides = 48;
+  int max_hops = 10;  ///< hard cap on ring expansion (spec key `max_hops`)
   /// Algorithm 2 assumes every node within Euclidean distance rho is in
   /// N(n_i, rho). With ideal_gather (default, the paper's semantics) the
   /// flooding TTL is unbounded, so Euclidean-close nodes are found even
   /// when the radio path detours. Disable to study hop-realistic flooding
-  /// with ceil(rho/gamma) + hop_slack TTL.
+  /// with a ceil(rho/gamma) + 2 hop TTL (spec key `flooding`).
   bool ideal_gather = true;
-  int hop_slack = 2;
-  /// A circle sample counts as "inside the network" when within this many
-  /// transmission ranges of a gathered node (coverage proxy for the
-  /// boundary-node arc restriction).
-  double network_reach_factor = 1.25;
-  wsn::BoundaryConfig boundary;
-  wsn::LocalFrameConfig frame;  ///< localization noise knobs
+  /// Std-dev of the multiplicative ranging error of each node's local
+  /// frame (spec key `noise`; 0 = perfect ranging).
+  double range_noise = 0.0;
 };
 
 struct LocalizedRegion {

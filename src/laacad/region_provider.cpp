@@ -27,9 +27,6 @@ std::uint64_t node_stream(std::uint64_t seed, std::uint64_t epoch,
 
 // ------------------------------------------------------------------ global
 
-GlobalRegionProvider::GlobalRegionProvider(vor::AdaptiveConfig cfg)
-    : cfg_(cfg) {}
-
 void GlobalRegionProvider::begin_round(const wsn::Network& net, int k,
                                        std::uint64_t /*epoch*/,
                                        common::ThreadPool* pool) {
@@ -51,8 +48,7 @@ void GlobalRegionProvider::begin_round(const wsn::Network& net, int k,
 
 RegionOutput GlobalRegionProvider::compute(wsn::NodeId i) const {
   RegionOutput out;
-  auto res =
-      vor::compute_dominating_region(sites_, grid_, i, k_, bbox_, cfg_);
+  auto res = vor::compute_dominating_region(sites_, grid_, i, k_, bbox_);
   out.cells = std::move(res.cells);
   out.support_radius = res.rho + kSeparationSlack;
   return out;
@@ -80,7 +76,7 @@ void LocalizedRegionProvider::begin_round(const wsn::Network& net,
   }
   {
     obs::ScopedSpan span("boundaries");
-    boundaries_ = wsn::detect_all_boundaries(net, cfg_.boundary, pool);
+    boundaries_ = wsn::detect_all_boundaries(net, pool);
   }
   obs::ScopedSpan span("comm_build");
   comm_.emplace(net, pool);
@@ -92,7 +88,7 @@ RegionOutput LocalizedRegionProvider::compute(wsn::NodeId i) const {
   // from it, so hand over an idle per-thread one instead.
   static thread_local Rng idle;
   std::optional<Rng> noise;
-  if (cfg_.frame.range_noise > 0.0 || cfg_.frame.bearing_noise > 0.0)
+  if (cfg_.range_noise > 0.0)
     noise.emplace(node_stream(seed_, epoch_, static_cast<std::uint64_t>(i)));
   auto res = localized_region(*comm_, i, k_,
                               boundaries_[static_cast<std::size_t>(i)], cfg_,
@@ -105,8 +101,8 @@ RegionOutput LocalizedRegionProvider::compute(wsn::NodeId i) const {
 
 // ---------------------------------------------------------------- factories
 
-std::shared_ptr<RegionProvider> make_global_provider(vor::AdaptiveConfig cfg) {
-  return std::make_shared<GlobalRegionProvider>(cfg);
+std::shared_ptr<RegionProvider> make_global_provider() {
+  return std::make_shared<GlobalRegionProvider>();
 }
 
 std::shared_ptr<RegionProvider> make_localized_provider(LocalizedConfig cfg,

@@ -119,15 +119,12 @@ class GlobalRegionProvider final : public RegionProvider {
   static constexpr double kSeparationSlack = 0.1;
   static_assert(kSeparationSlack > 2.0 * vor::max_separation_shift(kMaxSites));
 
-  explicit GlobalRegionProvider(vor::AdaptiveConfig cfg = {});
-
   void begin_round(const wsn::Network& net, int k, std::uint64_t epoch,
                    common::ThreadPool* pool = nullptr) override;
   RegionOutput compute(wsn::NodeId i) const override;
   std::string_view name() const override { return "global"; }
 
  private:
-  vor::AdaptiveConfig cfg_;
   int k_ = 1;
   std::vector<geom::Vec2> sites_;  ///< degeneracy-separated snapshot
   wsn::SpatialGrid grid_;          ///< provider-owned, re-binned per round
@@ -156,11 +153,11 @@ class LocalizedRegionProvider final : public RegionProvider {
 
 /// Factory helpers — the usual way call sites select a backend:
 ///   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
-/// A null LaacadConfig::provider means make_global_provider(cfg.adaptive).
+/// A null LaacadConfig::provider selects by network size (see
+/// LaacadConfig::provider_auto_threshold).
 /// A provider instance carries per-round state; share one across engines
 /// only if the engines never run concurrently.
-std::shared_ptr<RegionProvider> make_global_provider(
-    vor::AdaptiveConfig cfg = {});
+std::shared_ptr<RegionProvider> make_global_provider();
 std::shared_ptr<RegionProvider> make_localized_provider(
     LocalizedConfig cfg = {}, std::uint64_t seed = 1);
 

@@ -173,12 +173,12 @@ World build_world(ScenarioSpec spec) {
   cfg.seed = w.spec.seed;
   cfg.num_threads = w.spec.num_threads;
   cfg.localized.max_hops = w.spec.max_hops;
-  cfg.localized.frame.range_noise = w.spec.noise;
+  cfg.localized.range_noise = w.spec.noise;
   cfg.localized.ideal_gather = (w.spec.flooding == "ideal");
   if (w.spec.backend == "localized")
     cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
   else if (w.spec.backend == "global")
-    cfg.provider = core::make_global_provider(cfg.adaptive);
+    cfg.provider = core::make_global_provider();
   // backend "auto": provider stays null and the engine selects by network
   // size (global below provider_auto_threshold, localized above).
   w.engine = std::make_unique<core::Engine>(*w.net, cfg);

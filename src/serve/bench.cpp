@@ -38,20 +38,17 @@ int op_index(const std::string& op) {
   return -1;
 }
 
-int connect_to(const std::string& host, int port) {
+int connect_to(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("bench: socket() failed");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("bench: bad host address: " + host);
-  }
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
       0) {
     ::close(fd);
-    throw std::runtime_error("bench: cannot connect to " + host + ":" +
+    throw std::runtime_error("bench: cannot connect to 127.0.0.1:" +
                              std::to_string(port));
   }
   // Same reasoning as the server side: request/response turnarounds must
@@ -213,8 +210,7 @@ void write_percentile_pair(JsonWriter& w, const BenchVerbStats& v) {
 
 }  // namespace
 
-BenchResult run_bench(const WorkloadSpec& spec, double side,
-                      const std::string& host, int port, bool shutdown_after) {
+BenchResult run_bench(const WorkloadSpec& spec, double side, int port) {
   BenchResult r;
   r.spec = spec;
   r.side = side;
@@ -231,7 +227,7 @@ BenchResult run_bench(const WorkloadSpec& spec, double side,
   std::vector<std::vector<const ScheduledRequest*>> assigned(conns);
   std::vector<std::vector<Clock::time_point>> times(conns);
   std::vector<int> fds(conns, -1);
-  for (std::size_t c = 0; c < conns; ++c) fds[c] = connect_to(host, port);
+  for (std::size_t c = 0; c < conns; ++c) fds[c] = connect_to(port);
 
   // Schedule origin slightly in the future so every sender thread is
   // already parked in sleep_until when request 0 comes due.
@@ -285,7 +281,7 @@ BenchResult run_bench(const WorkloadSpec& spec, double side,
 
   // Control epilogue on a fresh connection: make sure every churn event is
   // applied, then capture the server-side breakdown.
-  const int ctl = connect_to(host, port);
+  const int ctl = connect_to(port);
   LineReader reader(ctl);
   std::string line;
   const auto answered = [&] {
@@ -297,8 +293,7 @@ BenchResult run_bench(const WorkloadSpec& spec, double side,
   } else {
     ++r.transport_errors;
   }
-  if (shutdown_after && write_all(ctl, "{\"op\":\"shutdown\"}\n"))
-    (void)answered();
+  if (write_all(ctl, "{\"op\":\"shutdown\"}\n")) (void)answered();
   ::close(ctl);
   return r;
 }

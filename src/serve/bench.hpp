@@ -53,14 +53,12 @@ struct BenchResult {
   std::string final_stats;
 };
 
-/// Replay `spec` against a daemon listening on host:port over real TCP.
-/// After the workload completes the driver drains the event queue and
-/// captures a final `stats` response; with `shutdown_after` it then sends
-/// `shutdown` (use when this process owns the server and its serve() loop
-/// must unblock). Throws on connect failure; transport errors mid-run are
-/// tallied, not thrown.
-BenchResult run_bench(const WorkloadSpec& spec, double side,
-                      const std::string& host, int port, bool shutdown_after);
+/// Replay `spec` against a daemon listening on 127.0.0.1:port over real
+/// TCP. After the workload completes the driver drains the event queue,
+/// captures a final `stats` response, then sends `shutdown` so the
+/// server's serve() loop unblocks. Throws on connect failure; transport
+/// errors mid-run are tallied, not thrown.
+BenchResult run_bench(const WorkloadSpec& spec, double side, int port);
 
 /// Write the BENCH_serve_latency.json document for `r` (indent 2).
 void write_bench_report(const BenchResult& r, std::ostream& out);

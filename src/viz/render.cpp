@@ -27,34 +27,25 @@ void draw_domain(SvgCanvas& canvas, const wsn::Domain& domain) {
 
 }  // namespace
 
-bool render_deployment(const std::string& path, const wsn::Network& net,
-                       const RenderOptions& opts) {
-  SvgCanvas canvas(net.domain().bbox().inflated(10.0), opts.canvas_pixels);
+bool render_deployment(const std::string& path, const wsn::Network& net) {
+  SvgCanvas canvas(net.domain().bbox().inflated(10.0));
   draw_domain(canvas, net.domain());
-  if (opts.sensing_disks) {
-    Style disk;
-    disk.fill = "#9ecae1";
-    disk.stroke = "#6baed6";
-    disk.stroke_width = 0.5;
-    disk.opacity = 0.3;
-    for (wsn::NodeId i = 0; i < net.size(); ++i) {
-      const double r = net.sensing_range(i);
-      if (r > 0.0) canvas.circle(net.position(i), r, disk);
-    }
-  }
+  Style disk;
+  disk.fill = "#9ecae1";
+  disk.stroke = "#6baed6";
+  disk.stroke_width = 0.5;
+  disk.opacity = 0.3;
   for (wsn::NodeId i = 0; i < net.size(); ++i) {
-    canvas.dot(net.position(i), 2.5, "#d62728");
-    if (opts.node_ids) {
-      canvas.text(net.position(i) + Vec2{1.0, 1.0}, std::to_string(i), 9.0);
-    }
+    const double r = net.sensing_range(i);
+    if (r > 0.0) canvas.circle(net.position(i), r, disk);
   }
+  for (const Vec2 p : net.positions()) canvas.dot(p, 2.5, "#d62728");
   return canvas.save(path);
 }
 
 bool render_order_k_partition(const std::string& path,
-                              const wsn::Network& net, int k,
-                              const RenderOptions& opts) {
-  SvgCanvas canvas(net.domain().bbox().inflated(10.0), opts.canvas_pixels);
+                              const wsn::Network& net, int k) {
+  SvgCanvas canvas(net.domain().bbox().inflated(10.0));
   const auto sites = vor::separate_sites(net.positions());
   const auto cells = vor::enumerate_order_k_cells(
       sites, k, geom::box_ring(net.domain().bbox()));
@@ -73,9 +64,8 @@ bool render_order_k_partition(const std::string& path,
 }
 
 bool render_dominating_region(const std::string& path,
-                              const wsn::Network& net, wsn::NodeId i, int k,
-                              const RenderOptions& opts) {
-  SvgCanvas canvas(net.domain().bbox().inflated(10.0), opts.canvas_pixels);
+                              const wsn::Network& net, wsn::NodeId i, int k) {
+  SvgCanvas canvas(net.domain().bbox().inflated(10.0));
   draw_domain(canvas, net.domain());
   const auto sites = vor::separate_sites(net.positions());
   const auto cells = vor::dominating_region_cells(

@@ -1,5 +1,6 @@
 // Scene renderers reproducing the paper's pictures: deployments with
 // sensing disks (Figs. 5 and 8) and k-order Voronoi partitions (Fig. 1).
+// Every picture is an 800 px canvas over the domain bbox plus 10 m.
 #pragma once
 
 #include <string>
@@ -10,25 +11,16 @@
 
 namespace laacad::viz {
 
-struct RenderOptions {
-  bool sensing_disks = true;   ///< translucent sensing disks at the backdrop
-  bool node_ids = false;
-  double canvas_pixels = 800.0;
-};
-
-/// Domain outline + holes + nodes (+ sensing disks).
-bool render_deployment(const std::string& path, const wsn::Network& net,
-                       const RenderOptions& opts = {});
+/// Domain outline + holes + translucent sensing disks + nodes.
+bool render_deployment(const std::string& path, const wsn::Network& net);
 
 /// Order-k Voronoi partition of the current node positions (Fig. 1 style).
 bool render_order_k_partition(const std::string& path,
-                              const wsn::Network& net, int k,
-                              const RenderOptions& opts = {});
+                              const wsn::Network& net, int k);
 
 /// One node's dominating region (Fig. 2 style): region pieces highlighted,
 /// other nodes dimmed.
 bool render_dominating_region(const std::string& path,
-                              const wsn::Network& net, wsn::NodeId i, int k,
-                              const RenderOptions& opts = {});
+                              const wsn::Network& net, wsn::NodeId i, int k);
 
 }  // namespace laacad::viz

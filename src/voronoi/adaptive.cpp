@@ -12,12 +12,15 @@ using geom::Vec2;
 
 namespace {
 
-// Window = circumscribed n-gon of disk(center, radius) ∩ bbox. The n-gon is
-// circumscribed so its apothem equals `radius`: any window-clipped vertex is
-// at distance >= radius, which is exactly the expansion trigger.
-Ring disk_bbox_window(Vec2 center, double radius, const geom::BBox& bbox,
-                      int sides) {
-  Ring win = geom::circumscribed_ngon(center, radius, sides);
+constexpr double kGrowth = 1.8;       ///< rho multiplier per expansion
+constexpr int kDiskNgonSides = 48;    ///< window approximation of the disk
+constexpr double kBBoxMargin = 1.0;   ///< metres of slack around the bbox
+
+}  // namespace
+
+Ring lemma1_window(Vec2 center, double radius, const geom::BBox& area_bbox) {
+  const geom::BBox bbox = area_bbox.inflated(kBBoxMargin);
+  Ring win = geom::circumscribed_ngon(center, radius, kDiskNgonSides);
   std::vector<geom::HalfPlane> walls = {
       {{bbox.hi.x, 0}, {1, 0}},   // x <= hi.x
       {{bbox.lo.x, 0}, {-1, 0}},  // x >= lo.x
@@ -27,24 +30,21 @@ Ring disk_bbox_window(Vec2 center, double radius, const geom::BBox& bbox,
   return geom::intersect_halfplanes(std::move(win), walls);
 }
 
-double max_region_vertex_dist(const std::vector<OrderKCell>& cells, Vec2 ref) {
-  double m = 0.0;
+bool region_touches_ring(const std::vector<OrderKCell>& cells, Vec2 center,
+                         double rho) {
+  double maxd = 0.0;
   for (const OrderKCell& c : cells)
-    for (Vec2 v : c.poly) m = std::max(m, geom::dist(ref, v));
-  return m;
+    for (Vec2 v : c.poly) maxd = std::max(maxd, geom::dist(center, v));
+  return !(maxd < 0.5 * rho * (1.0 - 1e-9));
 }
-
-}  // namespace
 
 RegionResult compute_dominating_region(const std::vector<Vec2>& sites,
                                        const wsn::SpatialGrid& grid, int i,
-                                       int k, const geom::BBox& area_bbox,
-                                       const AdaptiveConfig& cfg) {
+                                       int k, const geom::BBox& area_bbox) {
   RegionResult result;
   const int n = static_cast<int>(sites.size());
   if (i < 0 || i >= n || k <= 0 || k > n) return result;
   const Vec2 ui = sites[static_cast<size_t>(i)];
-  const geom::BBox bbox = area_bbox.inflated(cfg.bbox_margin);
 
   // Initial gather radius: reach comfortably past the k nearest sites.
   double rho = 1.0;
@@ -76,18 +76,15 @@ RegionResult compute_dominating_region(const std::vector<Vec2>& sites,
     lpos = separate_sites(std::move(lpos));
 
     const Ring window =
-        all_sites ? geom::box_ring(bbox)
-                  : disk_bbox_window(ui, rho / 2.0, bbox,
-                                     cfg.disk_ngon_sides);
+        all_sites ? geom::box_ring(area_bbox.inflated(kBBoxMargin))
+                  : lemma1_window(ui, rho / 2.0, area_bbox);
     // The kernel re-indexes the gathered subset internally (thread-local
     // scratch grid above a small site count) — `grid` bounds the gather, the
     // kernel bounds the per-cell candidate lists. Results are bit-identical
     // to the exhaustive kernel either way.
     auto cells = dominating_region_cells(lpos, li, k, window);
 
-    const bool fits =
-        all_sites ||
-        max_region_vertex_dist(cells, ui) < 0.5 * rho * (1.0 - 1e-9);
+    const bool fits = all_sites || !region_touches_ring(cells, ui, rho);
     if (fits && (!cells.empty() || all_sites)) {
       // Remap generator ids to global indices.
       for (OrderKCell& c : cells) {
@@ -99,7 +96,7 @@ RegionResult compute_dominating_region(const std::vector<Vec2>& sites,
       result.used_all_sites = all_sites;
       return result;
     }
-    rho *= cfg.growth;
+    rho *= kGrowth;
     ++result.expansions;
   }
 }

@@ -34,18 +34,25 @@ struct RegionResult {
   bool empty() const { return cells.empty(); }
 };
 
-struct AdaptiveConfig {
-  double growth = 1.8;       ///< rho multiplier per expansion
-  int disk_ngon_sides = 48;  ///< window approximation of the rho/2 disk
-  double bbox_margin = 1.0;  ///< metres of slack around the area bbox
-};
+/// The Lemma-1 window both region solvers clip to: the circumscribed
+/// 48-gon of disk(center, radius), intersected with `area_bbox` inflated by
+/// 1 m. The n-gon is circumscribed so its apothem equals `radius`: any
+/// window-clipped vertex lies at distance >= radius, which is exactly what
+/// region_touches_ring detects.
+geom::Ring lemma1_window(geom::Vec2 center, double radius,
+                         const geom::BBox& area_bbox);
+
+/// The Lemma-1 expansion trigger: true when some vertex of `cells` reaches
+/// the rho/2 ring around `center`, so a wider gather may still change the
+/// region.
+bool region_touches_ring(const std::vector<OrderKCell>& cells,
+                         geom::Vec2 center, double rho);
 
 /// Exact V^k_i ∩ bbox(A) for site i. `sites` are global positions (already
 /// degeneracy-separated); `grid` indexes the same positions. Generator ids
 /// in the result refer to indices in `sites`.
 RegionResult compute_dominating_region(const std::vector<geom::Vec2>& sites,
                                        const wsn::SpatialGrid& grid, int i,
-                                       int k, const geom::BBox& area_bbox,
-                                       const AdaptiveConfig& cfg = {});
+                                       int k, const geom::BBox& area_bbox);
 
 }  // namespace laacad::vor

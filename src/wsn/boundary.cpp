@@ -7,14 +7,18 @@
 
 namespace laacad::wsn {
 
-BoundaryInfo detect_boundary(const Network& net, NodeId i,
-                             const BoundaryConfig& cfg) {
+namespace {
+
+constexpr double kGapThreshold = M_PI / 2.0;  ///< radians
+
+}  // namespace
+
+BoundaryInfo detect_boundary(const Network& net, NodeId i) {
   BoundaryInfo info;
-  const double radius = cfg.radius > 0.0 ? cfg.radius : net.gamma();
-  const double margin = cfg.area_margin > 0.0 ? cfg.area_margin : net.gamma();
+  const double radius = net.gamma();
 
   const geom::Vec2 ui = net.position(i);
-  if (net.domain().dist_to_boundary(ui) <= margin) info.area_boundary = true;
+  if (net.domain().dist_to_boundary(ui) <= radius) info.area_boundary = true;
 
   auto ids = net.nodes_within(ui, radius);
   std::erase(ids, static_cast<int>(i));
@@ -42,16 +46,15 @@ BoundaryInfo detect_boundary(const Network& net, NodeId i,
   const geom::Vec2 probe =
       ui + geom::Vec2{std::cos(gap_mid), std::sin(gap_mid)} * radius;
   info.network_boundary =
-      max_gap > cfg.gap_threshold && net.domain().contains(probe);
+      max_gap > kGapThreshold && net.domain().contains(probe);
   return info;
 }
 
 std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
-                                                const BoundaryConfig& cfg,
                                                 common::ThreadPool* pool) {
   std::vector<BoundaryInfo> out(static_cast<std::size_t>(net.size()));
   common::parallel_for(pool, net.size(), [&](int i) {
-    out[static_cast<std::size_t>(i)] = detect_boundary(net, i, cfg);
+    out[static_cast<std::size_t>(i)] = detect_boundary(net, i);
   });
   return out;
 }

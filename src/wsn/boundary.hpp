@@ -6,6 +6,12 @@
 // region currently occupied by the network. A node also counts as a boundary
 // node when it is close to the boundary of the target area A itself
 // (Sec. IV-B1: "A's boundary serves as a natural boundary").
+//
+// Both scales are the transmission range gamma: the angular scan looks at
+// neighbours within gamma, and a node within gamma of A's boundary is an
+// area-boundary node. A node is a network-boundary node when the largest
+// angular gap between directions to its neighbours exceeds pi/2 and points
+// into A.
 #pragma once
 
 #include <vector>
@@ -18,18 +24,6 @@ class ThreadPool;
 
 namespace laacad::wsn {
 
-struct BoundaryConfig {
-  /// Neighbour radius for the angular scan (defaults to the transmission
-  /// range when <= 0).
-  double radius = -1.0;
-  /// A node is a network-boundary node when the largest angular gap between
-  /// directions to its neighbours exceeds this (radians).
-  double gap_threshold = M_PI / 2.0;
-  /// Distance to the area boundary below which a node counts as an
-  /// area-boundary node (defaults to gamma when <= 0).
-  double area_margin = -1.0;
-};
-
 struct BoundaryInfo {
   bool network_boundary = false;
   bool area_boundary = false;
@@ -37,14 +31,12 @@ struct BoundaryInfo {
 };
 
 /// Classify one node.
-BoundaryInfo detect_boundary(const Network& net, NodeId i,
-                             const BoundaryConfig& cfg = {});
+BoundaryInfo detect_boundary(const Network& net, NodeId i);
 
 /// Classify all nodes, in id order. A non-null `pool` classifies them on
 /// its threads; each verdict depends on node i alone and lands in slot i, so
 /// the result is the same for every thread count.
 std::vector<BoundaryInfo> detect_all_boundaries(
-    const Network& net, const BoundaryConfig& cfg = {},
-    common::ThreadPool* pool = nullptr);
+    const Network& net, common::ThreadPool* pool = nullptr);
 
 }  // namespace laacad::wsn

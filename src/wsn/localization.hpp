@@ -16,17 +16,11 @@
 
 namespace laacad::wsn {
 
-struct LocalFrameConfig {
-  /// Std-dev of multiplicative range error (0 = perfect ranging).
-  double range_noise = 0.0;
-  /// Std-dev of bearing error in radians (0 = perfect bearings).
-  double bearing_noise = 0.0;
-};
-
 /// Positions of `ids` relative to node i's own location (node i maps to the
-/// origin of its local frame), with simulated ranging/bearing noise.
+/// origin of its local frame). Each range is scaled by 1 + N(0, range_noise)
+/// drawn from `rng`; range_noise = 0 is perfect ranging and draws nothing.
 std::vector<geom::Vec2> local_frame(const Network& net, NodeId i,
                                     const std::vector<int>& ids,
-                                    const LocalFrameConfig& cfg, Rng& rng);
+                                    double range_noise, Rng& rng);
 
 }  // namespace laacad::wsn

@@ -298,7 +298,7 @@ TEST(Engine, ExplicitGlobalProviderMatchesDefault) {
 
   wsn::Network b(&d, initial, 60.0);
   LaacadConfig cfg = quick_config(2);
-  cfg.provider = make_global_provider(cfg.adaptive);
+  cfg.provider = make_global_provider();
   RunResult rb = Engine(b, cfg).run();
 
   ASSERT_EQ(ra.history.size(), rb.history.size());
@@ -359,7 +359,7 @@ TEST(Engine, StubProviderDrivesNodesToItsChebyshevCenter) {
 class FullRecompute {
  public:
   FullRecompute(wsn::Network& net, const LaacadConfig& cfg)
-      : net_(net), cfg_(cfg), provider_(cfg.adaptive) {}
+      : net_(net), cfg_(cfg) {}
 
   RoundMetrics step() {
     RoundMetrics m;
@@ -502,7 +502,7 @@ TEST_P(IncrementalRounds, MatchFullRecomputeBitForBit) {
   LaacadConfig cfg = quick_config(c.k, c.alpha);
   cfg.epsilon = 1.0;
   auto counting =
-      std::make_shared<CountingProvider>(make_global_provider(cfg.adaptive));
+      std::make_shared<CountingProvider>(make_global_provider());
   cfg.provider = counting;
   Engine engine(inc, cfg);
   FullRecompute reference(ref, cfg);

@@ -157,7 +157,7 @@ TEST(Localized, RobustToMildRangingNoise) {
   cfg.k = 1;
   cfg.epsilon = 1.0;
   cfg.max_rounds = 200;
-  cfg.localized.frame.range_noise = 0.02;  // 2% ranging error
+  cfg.localized.range_noise = 0.02;  // 2% ranging error
   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
   Engine engine(net, cfg);
   RunResult res = engine.run();

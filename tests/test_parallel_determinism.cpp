@@ -101,7 +101,7 @@ TEST(ParallelDeterminism, LocalizedProviderIdenticalAcrossThreadCounts) {
   base.localized.max_hops = 8;
   // Noise on: exercises the per-(epoch, node) RNG streams, the part of the
   // localized provider that would break first under a shared generator.
-  base.localized.frame.range_noise = 0.01;
+  base.localized.range_noise = 0.01;
 
   LaacadConfig serial = base;
   serial.num_threads = 1;
@@ -200,7 +200,7 @@ TEST(ParallelDeterminism, PooledLocalizedSnapshotMatchesSerial) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     common::ThreadPool pool(threads);
     net.set_position(0, net.position(0));  // dirty the lazy grid
-    const auto bounds = wsn::detect_all_boundaries(net, {}, &pool);
+    const auto bounds = wsn::detect_all_boundaries(net, &pool);
     ASSERT_EQ(bounds.size(), serial_bounds.size());
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       EXPECT_EQ(bounds[i].network_boundary, serial_bounds[i].network_boundary)

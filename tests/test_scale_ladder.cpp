@@ -210,7 +210,7 @@ TEST(ProviderPolicy, AutoSelectsLocalizedAboveThreshold) {
     if (std::string(backend) == "localized")
       cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
     else if (std::string(backend) == "global")
-      cfg.provider = core::make_global_provider(cfg.adaptive);
+      cfg.provider = core::make_global_provider();
     core::Engine engine(net, cfg);
     const auto res = engine.run();
     Outcome out;
@@ -248,7 +248,7 @@ TEST(ProviderPolicy, GlobalProviderRefusesBeyondSiteCap) {
     positions.push_back({static_cast<double>(i % 1000),
                          static_cast<double>(i / 1000) * 2.0});
   wsn::Network net(&domain, std::move(positions), 30.0);
-  auto provider = core::make_global_provider({});
+  auto provider = core::make_global_provider();
   try {
     provider->begin_round(net, 2, 0);
     FAIL() << "expected std::invalid_argument beyond kMaxSites";

@@ -148,8 +148,7 @@ std::string run_report(int num_threads) {
   std::thread server_thread([&] { server.serve(); });
 
   const WorkloadSpec wl = parse_workload_string(kTestWorkload);
-  const BenchResult result =
-      run_bench(wl, side, "127.0.0.1", server.port(), /*shutdown_after=*/true);
+  const BenchResult result = run_bench(wl, side, server.port());
   server_thread.join();
 
   // A healthy closed-loop run answers everything, correctly.

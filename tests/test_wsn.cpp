@@ -413,10 +413,7 @@ TEST(Boundary, ClusterEdgeDetected) {
     for (int x = 0; x < 5; ++x)
       pts.push_back({500.0 + x * 10.0, 500.0 + y * 10.0});
   Network net(&d, pts, 16.0);
-  BoundaryConfig cfg;
-  cfg.gap_threshold = M_PI / 2.0;
-  cfg.area_margin = 1.0;  // far from the area boundary here
-  auto info = detect_all_boundaries(net, cfg);
+  auto info = detect_all_boundaries(net);
   // Corner node of the block: definitely boundary.
   EXPECT_TRUE(info[0].network_boundary);
   // Center node (index 12): surrounded on all sides.
@@ -424,12 +421,13 @@ TEST(Boundary, ClusterEdgeDetected) {
 }
 
 TEST(Boundary, AreaBoundaryByProximity) {
+  // The area margin is gamma = 10 m: pinned at 0.9 gamma and 1.1 gamma.
   Domain d = Domain::rectangle(100, 100);
-  Network net(&d, {{2, 50}, {50, 50}}, 10.0);
-  BoundaryConfig cfg;
-  cfg.area_margin = 5.0;
-  EXPECT_TRUE(detect_boundary(net, 0, cfg).area_boundary);
-  EXPECT_FALSE(detect_boundary(net, 1, cfg).area_boundary);
+  Network net(&d, {{2, 50}, {50, 50}, {9, 50}, {11, 50}}, 10.0);
+  EXPECT_TRUE(detect_boundary(net, 0).area_boundary);
+  EXPECT_FALSE(detect_boundary(net, 1).area_boundary);
+  EXPECT_TRUE(detect_boundary(net, 2).area_boundary);
+  EXPECT_FALSE(detect_boundary(net, 3).area_boundary);
 }
 
 TEST(Boundary, IsolatedNodeIsBoundary) {
@@ -444,7 +442,7 @@ TEST(Localization, PerfectFrameMatchesRelativePositions) {
   Domain d = Domain::rectangle(100, 100);
   Network net(&d, {{10, 10}, {20, 10}, {10, 30}}, 50.0);
   Rng rng(7);
-  auto rel = local_frame(net, 0, {1, 2}, {}, rng);
+  auto rel = local_frame(net, 0, {1, 2}, 0.0, rng);
   ASSERT_EQ(rel.size(), 2u);
   EXPECT_NEAR(rel[0].x, 10.0, 1e-12);
   EXPECT_NEAR(rel[0].y, 0.0, 1e-12);
@@ -456,11 +454,9 @@ TEST(Localization, NoisePerturbsButPreservesScale) {
   Domain d = Domain::rectangle(100, 100);
   Network net(&d, {{10, 10}, {60, 10}}, 100.0);
   Rng rng(8);
-  LocalFrameConfig cfg;
-  cfg.range_noise = 0.05;
   Summary err;
   for (int i = 0; i < 200; ++i) {
-    auto rel = local_frame(net, 0, {1}, cfg, rng);
+    auto rel = local_frame(net, 0, {1}, 0.05, rng);
     err.add(rel[0].norm());
   }
   EXPECT_NEAR(err.mean(), 50.0, 2.0);
