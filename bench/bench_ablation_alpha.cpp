@@ -3,13 +3,13 @@
 // convergence but smoother motion trace" — while the converged quality is
 // essentially alpha-independent (Prop. 4 holds for all alpha in (0,1]).
 //
-// The sweep runs through the campaign engine (the same grid ships as
-// campaigns/alpha_ablation.cmp): five seeds per alpha instead of the old
-// single hand-rolled run, trials sharded across LAACAD_THREADS workers,
-// every column a group aggregate (mean ± CI from the campaign machinery)
-// rather than a one-seed point estimate. The travel column is the real
-// per-trial sum of max displacements (the campaign's `travel` metric), not
-// a history walk.
+// The sweep runs through the campaign engine, loaded from the shipped
+// campaigns/alpha_ablation.cmp so the two cannot drift: five seeds per
+// alpha instead of the old single hand-rolled run, trials sharded across
+// LAACAD_THREADS workers, every column a group aggregate (mean ± CI from
+// the campaign machinery) rather than a one-seed point estimate. The
+// travel column is the real per-trial sum of max displacements (the
+// campaign's `travel` metric), not a history walk.
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -19,28 +19,14 @@ namespace {
 
 using namespace laacad;
 
-// Mirror of campaigns/alpha_ablation.cmp so the binary is self-contained.
-constexpr const char* kCampaignSpec = R"(
-name      alpha_ablation
-trials    5
-seed      31
-domain    square
-side      500
-deploy    uniform
-nodes     60
-k         2
-epsilon   0.5
-max_rounds 500
-grid_resolution 10
-sweep alpha 0.2 0.4 0.6 0.8 1.0
-)";
-
 struct Row {};  // all columns come from the campaign aggregates
 
 void experiment() {
   std::vector<Row> rows;
   auto result = benchutil::run_campaign_with_probe(
-      campaign::parse_campaign_string(kCampaignSpec), rows,
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/alpha_ablation.cmp"),
+      rows,
       [](const campaign::TrialPoint&, const scenario::ScenarioRunner&,
          const scenario::ScenarioResult&) {});
 

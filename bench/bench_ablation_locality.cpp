@@ -3,8 +3,8 @@
 // hop-realistic (TTL-limited) flooding versus the paper's idealized
 // N(n_i, rho) gather.
 //
-// The grid runs through the campaign engine (the same spec ships as
-// campaigns/locality_ablation.cmp): max_hops x flooding as declarative
+// The grid runs through the campaign engine, loaded from the shipped
+// campaigns/locality_ablation.cmp: max_hops x flooding as declarative
 // sweep axes (the `flooding` spec key maps to LocalizedConfig::ideal_gather)
 // with three seeds per cell, plus an embedded global-reference campaign for
 // the comparison row. Quality columns (rounds, R*, verified depth) are
@@ -21,26 +21,6 @@
 namespace {
 
 using namespace laacad;
-
-// Mirror of campaigns/locality_ablation.cmp so the binary is
-// self-contained.
-constexpr const char* kLocalizedSpec = R"(
-name      locality_ablation
-trials    3
-seed      55
-domain    square
-side      600
-deploy    uniform
-nodes     80
-k         2
-epsilon   1.0
-max_rounds 300
-gamma     120
-grid_resolution 10
-backend   localized
-sweep max_hops 3 6 10
-sweep flooding ideal ttl
-)";
 
 // The exact-solver reference: the same physics, no locality axes.
 constexpr const char* kGlobalSpec = R"(
@@ -67,10 +47,10 @@ struct Row {
   std::uint64_t deepest_hop = 0;
 };
 
-campaign::CampaignResult run_grid(const char* spec_text,
+campaign::CampaignResult run_grid(campaign::CampaignSpec spec,
                                   std::vector<Row>& rows) {
   return benchutil::run_campaign_with_probe(
-      campaign::parse_campaign_string(spec_text), rows,
+      std::move(spec), rows,
       [&rows](const campaign::TrialPoint& pt, const scenario::ScenarioRunner&,
               const scenario::ScenarioResult& result) {
         wsn::CommStats comm;
@@ -132,11 +112,15 @@ void experiment() {
                    "gathers/round", "reports/round", "deepest hop"});
 
   std::vector<Row> global_rows;
-  const auto global = run_grid(kGlobalSpec, global_rows);
+  const auto global =
+      run_grid(campaign::parse_campaign_string(kGlobalSpec), global_rows);
   add_rows(table, global, global_rows, "global (exact)");
 
   std::vector<Row> local_rows;
-  const auto localized = run_grid(kLocalizedSpec, local_rows);
+  const auto localized = run_grid(
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/locality_ablation.cmp"),
+      local_rows);
   add_rows(table, localized, local_rows, "localized");
 
   benchutil::TableSink::instance().add(

@@ -8,8 +8,8 @@
 // R* values correspond to a ~100 m x 100 m area; we run a true 1 km^2, so
 // our radii are ~10x — the N* column and the ratio are scale-free.)
 //
-// The N sweep runs through the campaign engine (the same spec ships as
-// campaigns/table1_minnode2.cmp): one declarative grid, trials sharded
+// The N sweep runs through the campaign engine, loaded from the shipped
+// campaigns/table1_minnode2.cmp: one declarative grid, trials sharded
 // across LAACAD_THREADS workers, each trial's final network observed by a
 // probe for the median-range column. One methodology change rides along:
 // per-trial seeds are campaign-derived (Rng::derive over the grid point)
@@ -30,21 +30,6 @@ namespace {
 
 using namespace laacad;
 
-constexpr const char* kCampaignSpec = R"(
-name      table1_minnode2
-trials    1
-seed      500
-domain    square
-side      1000
-deploy    uniform
-k         2
-epsilon   0.2
-max_rounds 400
-gamma     60
-grid_resolution 20
-sweep nodes 1000 1200 1400 1600
-)";
-
 struct Row {
   double median_range = 0.0;
 };
@@ -52,7 +37,9 @@ struct Row {
 void experiment() {
   std::vector<Row> rows;
   auto result = benchutil::run_campaign_with_probe(
-      campaign::parse_campaign_string(kCampaignSpec), rows,
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/table1_minnode2.cmp"),
+      rows,
       [&rows](const campaign::TrialPoint& pt,
               const scenario::ScenarioRunner& runner,
               const scenario::ScenarioResult&) {

@@ -9,8 +9,8 @@
 // the paper) and much larger than the 180 nodes LAACAD uses — LAACAD
 // k-covers the same area with ~44% fewer nodes.
 //
-// The k sweep runs through the campaign engine (the same spec ships as
-// campaigns/table2_ammari.cmp). Per-trial seeds are campaign-derived, so
+// The k sweep runs through the campaign engine, loaded from the shipped
+// campaigns/table2_ammari.cmp. Per-trial seeds are campaign-derived, so
 // deployments differ from the old hand-rolled derived_seed(700, k) loop —
 // the table is a shape reproduction, robust to the seed stream.
 #include <cmath>
@@ -24,26 +24,13 @@ namespace {
 
 using namespace laacad;
 
-constexpr const char* kCampaignSpec = R"(
-name      table2_ammari
-trials    1
-seed      700
-domain    square
-side      1000
-deploy    uniform
-nodes     180
-epsilon   1.0
-max_rounds 250
-gamma     200
-grid_resolution 20
-sweep k 3 4 5 6 7 8
-)";
-
 void experiment() {
   campaign::CampaignOptions opt;
   opt.workers = benchutil::num_threads();
   campaign::CampaignScheduler scheduler(
-      campaign::parse_campaign_string(kCampaignSpec), std::move(opt));
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/table2_ammari.cmp"),
+      std::move(opt));
   const campaign::CampaignResult result = scheduler.run();
 
   const double area = 1000.0 * 1000.0;

@@ -37,7 +37,6 @@
 #include "scenario/apply.hpp"
 #include "viz/render.hpp"
 #include "wsn/connectivity.hpp"
-#include "wsn/energy.hpp"
 
 namespace {
 
@@ -126,6 +125,7 @@ int main(int argc, char** argv) {
   ScenarioSpec spec;
   spec.nodes = 60;
   spec.side = 500.0;
+  spec.history = true;  // the --csv dump walks every round
   Options opt;
   // Domain, deployment, gamma and backend come from the scenario engine's
   // setup path, so every spec the grammar accepts runs here too.
@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   wsn::Network& net = *world.net;
-  core::Engine& engine = *world.engine;
   if (!opt.svg_prefix.empty())
     viz::render_deployment(opt.svg_prefix + "_initial.svg", net);
 
@@ -154,15 +153,11 @@ int main(int argc, char** argv) {
     heartbeat = std::make_unique<obs::HeartbeatEmitter>(
         stderr, "engine", "laacad_sim", /*shard=*/"", spec.max_rounds);
   if (!opt.trace_path.empty()) obs::start_trace(opt.trace_path);
-  std::vector<core::RoundMetrics> history;  // the CSV dump walks every round
-  bool converged = false;
-  while (!converged && engine.rounds_executed() < spec.max_rounds) {
-    const core::RoundMetrics& m = history.emplace_back(engine.step());
-    converged = (m.moved == 0);
-    if (heartbeat) heartbeat->tick(m.round, converged ? 1 : 0);
-  }
-  engine.finalize();
-  const wsn::LoadReport load = wsn::load_report(net);
+  const core::RunResult run =
+      world.engine->run({}, [&heartbeat](const core::RoundMetrics& m) {
+        if (heartbeat) heartbeat->tick(m.round, m.moved == 0 ? 1 : 0);
+      });
+  const wsn::LoadReport& load = run.load;
   if (!opt.trace_path.empty()) {
     const obs::TraceReport report = obs::stop_trace();
     if (!opt.quiet)
@@ -180,8 +175,8 @@ int main(int argc, char** argv) {
     table.add_row({"k", std::to_string(spec.k)});
     table.add_row({"backend", spec.backend});
     table.add_row({"threads", std::to_string(spec.num_threads)});
-    table.add_row({"converged", converged ? "yes" : "no"});
-    table.add_row({"rounds", std::to_string(engine.rounds_executed())});
+    table.add_row({"converged", run.converged ? "yes" : "no"});
+    table.add_row({"rounds", std::to_string(run.rounds)});
     table.add_row({"R* max range (m)", TextTable::num(load.max_range, 3)});
     table.add_row({"min range (m)", TextTable::num(load.min_range, 3)});
     table.add_row({"load fairness (Jain)", TextTable::num(load.fairness, 4)});
@@ -194,7 +189,7 @@ int main(int argc, char** argv) {
     CsvWriter csv(opt.csv_path,
                   {"round", "max_circumradius", "min_circumradius",
                    "max_move", "moved"});
-    for (const auto& m : history) {
+    for (const auto& m : run.history) {
       csv.add_row({std::to_string(m.round),
                    TextTable::num(m.max_circumradius, 4),
                    TextTable::num(m.min_circumradius, 4),

@@ -34,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -123,24 +122,33 @@ std::string rung_trace_path(const std::string& base, long long n) {
   return base.substr(0, dot) + suffix + base.substr(dot);
 }
 
+/// Rows of `nodes dist2_per_node wall_ms rss_mib`, parsed strictly: a
+/// malformed value or a wrong field count throws "<path>: line N: ...".
 std::vector<RungBudget> load_budget(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open budget file: " + path);
   std::vector<RungBudget> out;
   std::string line;
   int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream row(line);
-    RungBudget b;
-    if (!(row >> b.nodes)) continue;  // blank / comment-only line
-    if (!(row >> b.dist2_per_node >> b.wall_ms >> b.rss_mib))
-      throw std::runtime_error(path + ": line " + std::to_string(lineno) +
-                               ": expected 'nodes dist2_per_node wall_ms "
-                               "rss_mib'");
-    out.push_back(b);
+  try {
+    while (std::getline(in, line)) {
+      ++lineno;
+      const std::vector<std::string> tok = specparse::tokenize(line);
+      if (tok.empty()) continue;  // blank / comment-only line
+      if (tok.size() != 4)
+        specparse::fail(lineno,
+                        "expected 'nodes dist2_per_node wall_ms rss_mib', "
+                        "got " + std::to_string(tok.size()) + " fields");
+      RungBudget b;
+      b.nodes = specparse::parse_int(tok[0], lineno, "nodes", 1);
+      b.dist2_per_node =
+          specparse::parse_double(tok[1], lineno, "dist2_per_node");
+      b.wall_ms = specparse::parse_double(tok[2], lineno, "wall_ms");
+      b.rss_mib = specparse::parse_double(tok[3], lineno, "rss_mib");
+      out.push_back(b);
+    }
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
   }
   return out;
 }
@@ -271,7 +279,6 @@ int main(int argc, char** argv) {
       // workers == 1 keeps the trial on this thread, and the engine pool
       // folds its worker chunks' counter deltas back here — so this scope
       // reads exact global totals for any --trial-threads.
-      obs::Registry::instance().clear();
       const obs::CounterScope counters;
       if (!trace_path.empty())
         obs::start_trace(rung_trace_path(trace_path, n));
@@ -293,9 +300,6 @@ int main(int argc, char** argv) {
       const perf::KernelCounters rung_counters = counters.delta();
       row.dist2_evals = rung_counters.dist2_evals;
       row.grid_queries = rung_counters.grid_queries;
-      obs::Registry::instance().set_gauge(
-          "scale_ladder.peak_rss_mib",
-          static_cast<double>(row.peak_rss) / (1024.0 * 1024.0));
       const campaign::TrialResult& trial = result.trials.at(0);
       row.ok = trial.ok;
       row.error = trial.error;

@@ -13,7 +13,6 @@
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace laacad::campaign {
@@ -299,13 +298,6 @@ CampaignResult CampaignScheduler::run() {
         std::lock_guard<std::mutex> g(lock);
         results[static_cast<std::size_t>(pt.trial)] = std::move(r);
         ++done;
-        // Gauge, not counter: the last write wins, which is exactly the
-        // "how deep is the queue right now" question the value answers.
-        if (obs::enabled())
-          obs::Registry::instance().set_gauge(
-              "campaign.queue_depth",
-              static_cast<double>(pending.size() -
-                                  std::min(next.load(), pending.size())));
         if (opt_.on_trial)
           opt_.on_trial(pt, results[static_cast<std::size_t>(pt.trial)],
                         done, shard_total);

@@ -241,12 +241,16 @@ RoundMetrics Engine::step() {
   return m;
 }
 
-RunResult Engine::run() {
+RunResult Engine::run(
+    const std::function<bool()>& interrupted,
+    const std::function<void(const RoundMetrics&)>& on_round) {
   RunResult result;
   while (round_ < cfg_.max_rounds) {
+    if (interrupted && interrupted()) break;
     RoundMetrics m = step();
     const bool done = (m.moved == 0);
     result.series.add(m);
+    if (on_round) on_round(m);
     if (cfg_.retain_history) result.history.push_back(std::move(m));
     if (done) {
       result.converged = true;
@@ -255,7 +259,10 @@ RunResult Engine::run() {
   }
   result.rounds = round_;
   finalize();
-  result.load = wsn::load_report(*net_);
+  {
+    obs::ScopedSpan span("load_report");
+    result.load = wsn::load_report(*net_);
+  }
   result.final_max_range = result.load.max_range;
   result.final_min_range = result.load.min_range;
   return result;

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -134,8 +135,14 @@ class Engine {
   RoundMetrics step();
 
   /// Rounds until no node moves more than epsilon, or max_rounds. Assigns
-  /// final sensing ranges and returns the full record.
-  RunResult run();
+  /// final sensing ranges and returns the full record. This is the one
+  /// convergence loop: every driver (batch scenarios, the serving daemon,
+  /// the CLI) runs its phases through it. `interrupted`, when set, is
+  /// polled before every round including the first; once it returns true
+  /// the phase ends unconverged and is still finalized. `on_round`, when
+  /// set, sees each round's metrics as soon as the round completes.
+  RunResult run(const std::function<bool()>& interrupted = {},
+                const std::function<void(const RoundMetrics&)>& on_round = {});
 
   /// Re-arm the convergence loop after an external network change (node
   /// failures/arrivals, a domain swap): resets the round counter so run()

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/json_writer.hpp"
+#include "coverage/grid_checker.hpp"
 #include "obs/trace.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/energy.hpp"
@@ -172,6 +173,7 @@ World build_world(ScenarioSpec spec) {
   cfg.max_rounds = w.spec.max_rounds;
   cfg.seed = w.spec.seed;
   cfg.num_threads = w.spec.num_threads;
+  cfg.retain_history = w.spec.history;
   cfg.localized.max_hops = w.spec.max_hops;
   cfg.localized.range_noise = w.spec.noise;
   cfg.localized.ideal_gather = (w.spec.flooding == "ideal");
@@ -183,6 +185,20 @@ World build_world(ScenarioSpec spec) {
   // size (global below provider_auto_threshold, localized above).
   w.engine = std::make_unique<core::Engine>(*w.net, cfg);
   return w;
+}
+
+std::string below_k_reason(const World& w) {
+  if (w.net->size() >= w.spec.k) return {};
+  return "network dropped below k nodes (k=" + std::to_string(w.spec.k) +
+         ", nodes=" + std::to_string(w.net->size()) + ")";
+}
+
+CoverageCheck check_coverage(const wsn::Network& net, int k,
+                             double grid_resolution) {
+  const cov::GridReport grid =
+      cov::grid_coverage(net.domain(), cov::sensing_disks(net),
+                         grid_resolution, std::max(8, k));
+  return {grid.min_depth, grid.mean_depth, grid.fraction_at_least(k)};
 }
 
 EventRecord apply_event(World& w, const Event& ev, int index,

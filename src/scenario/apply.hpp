@@ -59,6 +59,21 @@ struct World {
 /// engine with the spec's backend. Throws std::runtime_error on a bad spec.
 World build_world(ScenarioSpec spec);
 
+/// Why the timeline must stop after an event: the network dropped below k
+/// nodes. Empty while the network still has at least k. The batch runner
+/// and the daemon both record this text as their (serialized) abort reason.
+std::string below_k_reason(const World& w);
+
+/// A phase's grid coverage check: the depth the network's sensing disks
+/// reach on a lattice of `grid_resolution` spacing (m) over its domain.
+struct CoverageCheck {
+  int min_depth = 0;
+  double mean_depth = 0.0;
+  double fraction_at_k = 0.0;  ///< area fraction with depth >= k
+};
+CoverageCheck check_coverage(const wsn::Network& net, int k,
+                             double grid_resolution);
+
 /// Apply one disruption to the world. `index` is the event's position in
 /// the timeline (traced as the "event" span id); `global_round` stamps the
 /// record. Throws std::runtime_error — *before* touching the world or its

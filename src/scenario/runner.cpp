@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/json_writer.hpp"
-#include "coverage/grid_checker.hpp"
 #include "obs/trace.hpp"
 #include "wsn/connectivity.hpp"
 
@@ -29,43 +28,33 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
       next_event < static_cast<int>(spec.events.size())
           ? &spec.events[static_cast<std::size_t>(next_event)]
           : nullptr;
-  while (world_.engine->rounds_executed() < spec.max_rounds) {
-    // A round-scheduled disruption interrupts the phase, converged or not.
-    if (pending && pending->trigger == Trigger::kAtRound &&
-        global_round_ >= pending->round)
-      break;
-    core::RoundMetrics m = world_.engine->step();
-    ++global_round_;
-    const bool done = (m.moved == 0);
-    rec.series.add(m);
-    if (spec.history) rec.history.push_back(std::move(m));
-    if (done) {
-      rec.converged = true;
-      break;
-    }
-  }
-  rec.rounds = rec.series.rounds;
+  // A round-scheduled disruption interrupts the phase, converged or not.
+  // Engine::run finalizes either way: it tunes the sensing ranges for the
+  // current positions and reports their load balance.
+  core::RunResult run = world_.engine->run([&] {
+    return pending && pending->trigger == Trigger::kAtRound &&
+           rec.start_round + world_.engine->rounds_executed() >=
+               pending->round;
+  });
+  global_round_ += run.rounds;
+  rec.rounds = run.rounds;
+  rec.converged = run.converged;
+  rec.final_max_range = run.final_max_range;
+  rec.final_min_range = run.final_min_range;
+  rec.load = run.load;
+  rec.series = run.series;
+  rec.history = std::move(run.history);
 
-  // Tune sensing ranges for the current positions, then verify what this
-  // phase actually delivers: k-coverage, load balance, connectivity.
-  world_.engine->finalize();
+  // Verify what this phase actually delivers: k-coverage, connectivity.
   obs::ScopedSpan verify_span("verify");
   rec.nodes = world_.net->size();
   {
-    obs::ScopedSpan span("load_report");
-    rec.load = wsn::load_report(*world_.net);
-  }
-  rec.final_max_range = rec.load.max_range;
-  rec.final_min_range = rec.load.min_range;
-
-  {
     obs::ScopedSpan span("grid_coverage");
-    const auto coverage = cov::grid_coverage(
-        domain(), cov::sensing_disks(*world_.net), spec.grid_resolution,
-        std::max(8, spec.k));
+    const CoverageCheck coverage =
+        check_coverage(*world_.net, spec.k, spec.grid_resolution);
     rec.coverage_min_depth = coverage.min_depth;
     rec.coverage_mean_depth = coverage.mean_depth;
-    rec.covered_fraction_k = coverage.fraction_at_least(spec.k);
+    rec.covered_fraction_k = coverage.fraction_at_k;
   }
 
   {
@@ -115,11 +104,9 @@ ScenarioResult ScenarioRunner::run() {
     result.events.push_back(std::move(erec));
     ++next_event;
 
-    if (world_.net->size() < spec.k) {
+    if (std::string reason = below_k_reason(world_); !reason.empty()) {
       result.aborted = true;
-      result.abort_reason =
-          "network dropped below k nodes (k=" + std::to_string(spec.k) +
-          ", nodes=" + std::to_string(world_.net->size()) + ")";
+      result.abort_reason = std::move(reason);
       break;
     }
     world_.engine->begin_phase();

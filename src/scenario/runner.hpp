@@ -5,10 +5,11 @@
 // the live network (failures, drain, arrivals, a new domain) and the engine
 // is re-armed (Engine::begin_phase) so the survivors autonomously
 // re-balance k-coverage — the dynamic behaviour the paper claims but a
-// single static run cannot exhibit. After every phase the runner verifies
-// coverage with cov::grid_coverage, records load balance and connectivity,
-// and the whole record serializes to a BENCH_*.json metrics file through
-// common/json_writer.
+// single static run cannot exhibit. Each phase is one Engine::run, cut
+// short when a `round=N` event falls due. After every phase the runner
+// verifies coverage (scenario::check_coverage), records load balance and
+// connectivity, and the whole record serializes to a BENCH_*.json metrics
+// file through common/json_writer.
 //
 // Determinism: event randomness comes from one seeded Rng consumed in spec
 // order, the engine is bit-identical for every num_threads, and JSON

@@ -1,11 +1,9 @@
 #include "serve/event_log.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/json_writer.hpp"
-#include "coverage/grid_checker.hpp"
 #include "scenario/runner.hpp"
 #include "wsn/energy.hpp"
 
@@ -58,13 +56,12 @@ void write_network_state(std::ostream& out, const wsn::Network& net,
   w.kv("fairness", load.fairness);
   w.end_object();
 
-  const auto coverage =
-      cov::grid_coverage(net.domain(), cov::sensing_disks(net),
-                         info.grid_resolution, std::max(8, info.k));
+  const scenario::CoverageCheck coverage =
+      scenario::check_coverage(net, info.k, info.grid_resolution);
   w.key("coverage").begin_object();
   w.kv("min_depth", coverage.min_depth);
   w.kv("mean_depth", coverage.mean_depth);
-  w.kv("fraction_at_k", coverage.fraction_at_least(info.k));
+  w.kv("fraction_at_k", coverage.fraction_at_k);
   w.end_object();
 
   w.key("positions").begin_array();

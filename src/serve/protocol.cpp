@@ -6,7 +6,6 @@
 
 #include "common/flatjson.hpp"
 #include "common/json_writer.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace laacad::serve {
@@ -182,14 +181,6 @@ std::string handle_stats(CoverageService& svc, PhaseDurations* d) {
   // Per-verb request latency, split queue/query/serialize.
   w.key("latency");
   svc.request_latency().write_stats_json(w);
-  // The gauge registry is the /stats extension point: anything the process
-  // publishes (peak RSS, ...) rides along, in deterministic name order.
-  const auto gauges = obs::Registry::instance().gauges();
-  if (!gauges.empty()) {
-    w.key("gauges").begin_object();
-    for (const auto& [name, value] : gauges) w.kv(name, value);
-    w.end_object();
-  }
   w.end_object();
   return out.str();
 }

@@ -5,7 +5,7 @@
 //   {"op":"knn","x":150,"y":150,"k":3}     k nearest nodes to (x, y)
 //   {"op":"coverage","x":150,"y":150}      sensing-coverage depth at (x, y)
 //   {"op":"load"}                          load report of the snapshot
-//   {"op":"stats"}                         service counters + obs gauges
+//   {"op":"stats"}                         service counters + latencies
 //   {"op":"health"}                        heartbeat-schema health object
 //   {"op":"event","spec":"fail_nodes count=3 pick=random"}
 //                                          submit a churn event (the spec

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace laacad::serve {
@@ -156,7 +155,6 @@ bool CoverageService::queue_nonempty() const {
 
 void CoverageService::publish(bool finalized, bool converged) {
   Snapshot::Meta meta;
-  std::size_t queue_depth = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     meta.epoch = ++epoch_;
@@ -166,7 +164,6 @@ void CoverageService::publish(bool finalized, bool converged) {
     meta.converged = converged;
     meta.aborted = aborted_;
     meta.finalized = finalized;
-    queue_depth = queue_.size();
   }
   obs::ScopedSpan publish_span("publish",
                                static_cast<std::int64_t>(meta.epoch));
@@ -183,12 +180,6 @@ void CoverageService::publish(bool finalized, bool converged) {
           std::chrono::steady_clock::now() - t0)
           .count());
   publish_hist_.record(publish_ns);
-  // Wall-clock/machine gauges ride the registry into the `stats` verb and
-  // heartbeats — never into BENCH artifacts or the replayable state.
-  auto& reg = obs::Registry::instance();
-  reg.set_gauge("serve.publish_last_us",
-                static_cast<double>(publish_ns) / 1000.0);
-  reg.set_gauge("serve.queue_depth", static_cast<double>(queue_depth));
 }
 
 double CoverageService::snapshot_age_s() const {
@@ -214,36 +205,31 @@ void CoverageService::emit_heartbeat() {
 
 void CoverageService::run_one_phase() {
   obs::ScopedSpan phase_span("phase", phases_);
-  bool converged = false;
-  int rounds_in_phase = 0;
-  while (world_.engine->rounds_executed() < world_.spec.max_rounds) {
-    // A queued event interrupts the phase exactly where the batch runner's
-    // round=N trigger would — the stamp below makes replay take the same
-    // branch.
-    if (queue_nonempty()) break;
-    const core::RoundMetrics m = world_.engine->step();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++global_round_;
-    }
-    ++rounds_in_phase;
-    converged = (m.moved == 0);
-    if (converged) break;
-    if (publish_every_ > 0 && rounds_in_phase % publish_every_ == 0)
-      publish(/*finalized=*/false, /*converged=*/false);
-    // Per-round beat: a supervisor watches a daemon the way it watches
-    // campaign shards — rounds done, events applied, epoch, queue depth.
-    if (heartbeat_) emit_heartbeat();
-  }
-  // One finalize per phase, always — finalize advances the provider epoch,
-  // so replay must hit the same finalize points to stay bit-identical.
-  world_.engine->finalize();
+  // A queued event interrupts the phase exactly where the batch runner's
+  // round=N trigger would — run_loop's stamp makes replay take the same
+  // branch. Engine::run finalizes once per phase, always: finalize advances
+  // the provider epoch, so replay must hit the same finalize points to stay
+  // bit-identical.
+  const core::RunResult run = world_.engine->run(
+      [this] { return queue_nonempty(); },
+      [this](const core::RoundMetrics& m) {
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          ++global_round_;
+        }
+        if (m.moved == 0) return;  // converged: the phase-end publish follows
+        if (publish_every_ > 0 && m.round % publish_every_ == 0)
+          publish(/*finalized=*/false, /*converged=*/false);
+        // Per-round beat: a supervisor watches a daemon the way it watches
+        // campaign shards — rounds done, events applied, epoch, queue depth.
+        if (heartbeat_) emit_heartbeat();
+      });
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++phases_;
-    last_phase_converged_ = converged;
+    last_phase_converged_ = run.converged;
   }
-  publish(/*finalized=*/true, converged);
+  publish(/*finalized=*/true, run.converged);
   if (heartbeat_) emit_heartbeat();
 }
 
@@ -303,15 +289,13 @@ void CoverageService::run_loop() {
       ++events_applied_;
     }
 
-    if (world_.net->size() < world_.spec.k) {
+    if (std::string reason = scenario::below_k_reason(world_);
+        !reason.empty()) {
       // Mirror the batch runner's abort: no further phase, no finalize.
       {
         std::lock_guard<std::mutex> lk(mu_);
         aborted_ = true;
-        abort_reason_ =
-            "network dropped below k nodes (k=" +
-            std::to_string(world_.spec.k) +
-            ", nodes=" + std::to_string(world_.net->size()) + ")";
+        abort_reason_ = std::move(reason);
         events_rejected_ += queue_.size();
         queue_.clear();
       }

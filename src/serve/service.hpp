@@ -9,13 +9,14 @@
 //   stamp event with the current global round → append to event log →
 //   scenario::apply_event → begin_phase → next phase
 //
-// Because phases break for queued events exactly where the batch runner
-// breaks for `round=N` triggers, stamping each accepted event with the
-// global round at acceptance makes the event log a faithful `.scn`
-// timeline: replaying it through ScenarioRunner re-executes the same
-// rounds, the same finalize points (each finalize advances the provider
-// epoch, so this matters), and the same RNG draws — reproducing served
-// state bit-for-bit. Rejected events (invalid against the current domain,
+// Both drivers run each phase through the one Engine::run loop, which
+// polls their interruption predicate before every round: a queued event
+// here, a due `round=N` trigger in the batch runner. Stamping each accepted
+// event with the global round at acceptance therefore makes the event log
+// a faithful `.scn` timeline: replaying it through ScenarioRunner
+// re-executes the same rounds, the same finalize points (each finalize
+// advances the provider epoch, so this matters), and the same RNG draws —
+// reproducing served state bit-for-bit. Rejected events (invalid against the current domain,
 // or arriving after stop/abort) consume no RNG and are never logged.
 //
 // Reads are wait-free with respect to the round loop: they run against the

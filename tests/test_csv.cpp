@@ -16,10 +16,15 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+// One file per case: ctest runs each case as its own process, so a shared
+// path let one case's TearDown delete another's file under `ctest -j`.
 class CsvFile : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "csv_writer_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "csv_writer_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvFile, PlainFieldsPassThrough) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
@@ -284,6 +285,51 @@ TEST(Engine, HistoryRecordsRounds) {
   EXPECT_EQ(res.history.back().round, res.rounds);
   // Last round has no movement (that is the convergence signal).
   EXPECT_EQ(res.history.back().moved, 0);
+}
+
+TEST(Engine, RunInterruptedBeforeFirstRoundStillFinalizes) {
+  wsn::Domain d = wsn::Domain::rectangle(200, 200);
+  Rng rng(14);
+  wsn::Network net(&d, wsn::deploy_uniform(d, 12, rng), 60.0);
+  Engine engine(net, quick_config(2));
+  int polls = 0;
+  RunResult res = engine.run([&polls] {
+    ++polls;
+    return true;
+  });
+  EXPECT_EQ(polls, 1);
+  EXPECT_EQ(res.rounds, 0);
+  EXPECT_EQ(engine.rounds_executed(), 0);
+  EXPECT_FALSE(res.converged);
+  EXPECT_TRUE(res.history.empty());
+  EXPECT_GT(res.final_max_range, 0.0);
+  EXPECT_EQ(res.final_max_range, res.load.max_range);
+  for (int i = 0; i < net.size(); ++i)
+    EXPECT_GT(net.sensing_range(i), 0.0) << "node " << i;
+  // Finalized ranges over unmoved positions still k-cover the domain.
+  const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
+  EXPECT_GE(exact.min_depth, 2);
+}
+
+TEST(Engine, RunObserverSeesEveryRound) {
+  wsn::Domain d = wsn::Domain::rectangle(200, 200);
+  Rng rng(14);
+  wsn::Network net(&d, wsn::deploy_uniform(d, 12, rng), 60.0);
+  Engine engine(net, quick_config(1));
+  std::vector<RoundMetrics> seen;
+  RunResult res = engine.run(
+      {}, [&seen](const RoundMetrics& m) { seen.push_back(m); });
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(seen.size(), res.history.size());
+  EXPECT_EQ(static_cast<int>(seen.size()), res.rounds);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].round, res.history[i].round);
+    EXPECT_EQ(seen[i].max_circumradius, res.history[i].max_circumradius);
+    EXPECT_EQ(seen[i].min_circumradius, res.history[i].min_circumradius);
+    EXPECT_EQ(seen[i].max_hat_radius, res.history[i].max_hat_radius);
+    EXPECT_EQ(seen[i].max_move, res.history[i].max_move);
+    EXPECT_EQ(seen[i].moved, res.history[i].moved);
+  }
 }
 
 // ---------------------------------------------------------- providers ----

@@ -281,8 +281,9 @@ max_rounds 3
   std::set<std::string> names;
   for (const Span& s : spans) names.insert(s.name);
   // The engine round stages of the acceptance contract plus the per-round
-  // container, the finalize pass, the localized provider's snapshot
-  // stages, and the scenario runner's verification with its three checks.
+  // container, the finalize pass and load report, the localized provider's
+  // snapshot stages, and the scenario runner's verification with its two
+  // checks.
   for (const char* stage :
        {"round", "grid_rebuild", "dirty_scan", "region_fanout", "comm_gather",
         "targets", "movement", "finalize", "boundaries", "comm_build",
@@ -450,24 +451,6 @@ TEST(CounterScopeTest, DeltaAndResetBracketRegions) {
   EXPECT_EQ(d.grid_queries, 2u);
   scope.reset();
   EXPECT_EQ(scope.delta().dist2_evals, 0u);
-}
-
-// --------------------------------------------------------------- gauges ----
-
-TEST(RegistryTest, GaugesSetGetClearAndSortedListing) {
-  Registry& reg = Registry::instance();
-  reg.clear();
-  EXPECT_TRUE(std::isnan(reg.gauge("missing")));
-  reg.set_gauge("b.depth", 3.0);
-  reg.set_gauge("a.rss", 12.5);
-  reg.set_gauge("b.depth", 4.0);  // last write wins
-  EXPECT_EQ(reg.gauge("b.depth"), 4.0);
-  const auto all = reg.gauges();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, "a.rss");
-  EXPECT_EQ(all[1].first, "b.depth");
-  reg.clear();
-  EXPECT_TRUE(reg.gauges().empty());
 }
 
 // ----------------------------------------------------------- heartbeats ----
