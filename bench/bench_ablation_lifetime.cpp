@@ -58,11 +58,13 @@ void experiment() {
   }
   {  // Lloyd / centroid rule
     wsn::Network net(&domain, init, 100.0);
-    base::MovementConfig cfg;
+    core::LaacadConfig cfg;
     cfg.k = k;
     cfg.epsilon = 0.5;
     cfg.max_rounds = 300;
-    const auto res = run_target_rule(net, base::TargetRule::kCentroid, cfg);
+    cfg.target = base::centroid_target;
+    core::Engine engine(net, cfg);
+    const auto res = engine.run();
     report("centroid (Lloyd)", net, res.final_max_range);
   }
   {  // LAACAD

@@ -20,34 +20,35 @@ void experiment() {
     for (int seed : {41, 42, 43}) {
       Rng rng(static_cast<std::uint64_t>(seed));
       const auto initial = wsn::deploy_uniform(domain, 45, rng);
-      base::MovementConfig cfg;
+      core::LaacadConfig cfg;
       cfg.k = k;
       cfg.epsilon = 0.5;
       cfg.max_rounds = 300;
-      cfg.vor_range = 60.0;
+      auto final_max_range = [&](const core::LaacadConfig& c) {
+        wsn::Network net(&domain, initial, 100.0);
+        return core::Engine(net, c).run().final_max_range;
+      };
 
-      wsn::Network a(&domain, initial, 100.0);
-      const auto cheb = run_target_rule(a, base::TargetRule::kChebyshev, cfg);
-      wsn::Network b(&domain, initial, 100.0);
-      const auto cent = run_target_rule(b, base::TargetRule::kCentroid, cfg);
+      const double cheb = final_max_range(cfg);
+      core::LaacadConfig lloyd = cfg;
+      lloyd.target = base::centroid_target;
+      const double cent = final_max_range(lloyd);
 
       std::string vor_cell = "-";
       double vor_r = std::numeric_limits<double>::infinity();
       if (k == 1) {  // VOR is a 1-coverage heuristic
-        wsn::Network c(&domain, initial, 100.0);
-        const auto vor = run_target_rule(c, base::TargetRule::kVor, cfg);
-        vor_r = vor.final_max_range;
+        core::LaacadConfig vor = cfg;
+        vor.target = base::vor_target(60.0);
+        vor_r = final_max_range(vor);
         vor_cell = TextTable::num(vor_r, 2);
       }
-      const double best =
-          std::min({cheb.final_max_range, cent.final_max_range, vor_r});
-      std::string winner = best == cheb.final_max_range ? "Chebyshev"
-                           : best == cent.final_max_range ? "Centroid"
-                                                          : "VOR";
+      const double best = std::min({cheb, cent, vor_r});
+      std::string winner = best == cheb   ? "Chebyshev"
+                           : best == cent ? "Centroid"
+                                          : "VOR";
       table.add_row({std::to_string(k), std::to_string(seed),
-                     TextTable::num(cheb.final_max_range, 2),
-                     TextTable::num(cent.final_max_range, 2), vor_cell,
-                     winner});
+                     TextTable::num(cheb, 2), TextTable::num(cent, 2),
+                     vor_cell, winner});
     }
   }
   benchutil::TableSink::instance().add(

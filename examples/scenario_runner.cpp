@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/json_writer.hpp"
 #include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
@@ -39,39 +38,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-/// Human-readable one-liner for a parsed event (the arguments that matter
-/// for its type, in spec terms).
-std::string describe(const laacad::scenario::Event& ev) {
-  using laacad::scenario::EventType;
-  auto num = [](double v) { return laacad::JsonWriter::number_to_string(v); };
-  std::string out;
-  switch (ev.type) {
-    case EventType::kFailNodes:
-      out = "count=" + std::to_string(ev.count) + " pick=" + ev.pick;
-      if (ev.pick == "region")
-        out += " rect=(" + num(ev.lo.x) + "," + num(ev.lo.y) + ")-(" +
-               num(ev.hi.x) + "," + num(ev.hi.y) + ")";
-      break;
-    case EventType::kDrainBattery:
-      out = "epochs=" + num(ev.epochs) + " fraction=" + num(ev.fraction);
-      break;
-    case EventType::kAddNodes:
-      out = "count=" + std::to_string(ev.count) + " deploy=" + ev.deploy;
-      if (ev.deploy == "gaussian")
-        out += " at=(" + num(ev.at.x) + "," + num(ev.at.y) +
-               ") sigma=" + num(ev.sigma);
-      break;
-    case EventType::kResizeBoundary:
-      out = "scale=" + num(ev.scale);
-      break;
-    case EventType::kJamRegion:
-      out = "rect=(" + num(ev.lo.x) + "," + num(ev.lo.y) + ")-(" +
-            num(ev.hi.x) + "," + num(ev.hi.y) + ")";
-      break;
-  }
-  return out;
-}
-
 /// --dry-run: the spec parsed and validated; show what would execute.
 void print_timeline(const laacad::scenario::ScenarioSpec& spec) {
   std::printf(
@@ -87,15 +53,11 @@ void print_timeline(const laacad::scenario::ScenarioSpec& spec) {
   std::printf("timeline: %d events, %d redeployment phases\n",
               static_cast<int>(spec.events.size()),
               static_cast<int>(spec.events.size()) + 1);
-  using laacad::scenario::Trigger;
+  // Each event prints as the spec line that re-parses to it.
   for (std::size_t i = 0; i < spec.events.size(); ++i) {
     const auto& ev = spec.events[i];
-    const std::string trig = ev.trigger == Trigger::kOnConvergence
-                                 ? "converged"
-                                 : "round=" + std::to_string(ev.round);
-    std::printf("  event %zu (line %d): %-11s %-15s %s\n", i, ev.line,
-                trig.c_str(), laacad::scenario::to_string(ev.type),
-                describe(ev).c_str());
+    std::printf("%s  # event %zu, line %d\n",
+                laacad::scenario::format_event(ev).c_str(), i, ev.line);
   }
 }
 

@@ -1,111 +1,27 @@
 #include "baselines/movement.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "voronoi/sites.hpp"
-#include "wsn/spatial_grid.hpp"
-
 namespace laacad::base {
 
-using core::DominatingRegion;
 using geom::Vec2;
 
-namespace {
-
-std::vector<DominatingRegion> regions_now(wsn::Network& net, int k) {
-  auto sites = vor::separate_sites(net.positions());
-  const wsn::SpatialGrid grid(sites, std::max(net.gamma(), 1.0));
-  const geom::BBox bbox = net.domain().bbox();
-  std::vector<DominatingRegion> out;
-  out.reserve(static_cast<std::size_t>(net.size()));
-  for (int i = 0; i < net.size(); ++i) {
-    auto res = vor::compute_dominating_region(sites, grid, i, k, bbox);
-    out.emplace_back(res.cells, net.domain());
-  }
-  return out;
+Vec2 centroid_target(const core::DominatingRegion& region, Vec2 /*position*/) {
+  return region.centroid();
 }
 
-}  // namespace
-
-MovementResult run_target_rule(wsn::Network& net, TargetRule rule,
-                               const MovementConfig& cfg) {
-  MovementResult result;
-  const int k = rule == TargetRule::kVor ? 1 : cfg.k;
-
-  for (int round = 0; round < cfg.max_rounds; ++round) {
-    auto regions = regions_now(net, k);
-    int moved = 0;
-    std::vector<Vec2> targets(static_cast<std::size_t>(net.size()));
-    std::vector<bool> want(static_cast<std::size_t>(net.size()), false);
-    for (int i = 0; i < net.size(); ++i) {
-      const DominatingRegion& region = regions[static_cast<std::size_t>(i)];
-      if (region.empty()) continue;
-      const Vec2 ui = net.position(i);
-      Vec2 target = ui;
-      switch (rule) {
-        case TargetRule::kChebyshev: {
-          const geom::Circle c = region.chebyshev();
-          if (c.valid()) target = c.center;
-          break;
-        }
-        case TargetRule::kCentroid:
-          target = region.centroid();
-          break;
-        case TargetRule::kVor: {
-          // Move toward the farthest cell vertex until it is in range.
-          double far_d = 0.0;
-          Vec2 far_v = ui;
-          for (Vec2 v : region.vertices()) {
-            const double d = geom::dist(ui, v);
-            if (d > far_d) {
-              far_d = d;
-              far_v = v;
-            }
-          }
-          if (far_d > cfg.vor_range) {
-            const Vec2 dir = (far_v - ui).normalized();
-            target = ui + dir * (far_d - cfg.vor_range);
-          }
-          break;
-        }
+core::TargetFn vor_target(double sensing_range) {
+  return [sensing_range](const core::DominatingRegion& region, Vec2 ui) {
+    double far_d = 0.0;
+    Vec2 far_v = ui;
+    for (const Vec2 v : region.vertices()) {
+      const double d = geom::dist(ui, v);
+      if (d > far_d) {
+        far_d = d;
+        far_v = v;
       }
-      targets[static_cast<std::size_t>(i)] = target;
-      want[static_cast<std::size_t>(i)] = true;
     }
-    for (int i = 0; i < net.size(); ++i) {
-      if (!want[static_cast<std::size_t>(i)]) continue;
-      const Vec2 ui = net.position(i);
-      const Vec2 t = targets[static_cast<std::size_t>(i)];
-      if (geom::dist(ui, t) <= cfg.epsilon) continue;
-      net.set_position(i, ui + (t - ui) * cfg.alpha);
-      if (geom::dist(ui, net.position(i)) > std::max(1e-6, 0.05 * cfg.epsilon))
-        ++moved;
-    }
-    result.rounds = round + 1;
-    if (moved == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Final range assignment: region circumradius about the final position
-  // (the k-CSDP objective all rules are scored on).
-  auto regions = regions_now(net, k);
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < net.size(); ++i) {
-    const double r = regions[static_cast<std::size_t>(i)].empty()
-                         ? 0.0
-                         : regions[static_cast<std::size_t>(i)].max_dist_from(
-                               net.position(i));
-    net.set_sensing_range(i, r);
-    rmax = std::max(rmax, r);
-    rmin = std::min(rmin, r);
-  }
-  result.final_max_range = rmax;
-  result.final_min_range =
-      rmin == std::numeric_limits<double>::infinity() ? 0.0 : rmin;
-  return result;
+    if (far_d <= sensing_range) return ui;
+    return ui + (far_v - ui).normalized() * (far_d - sensing_range);
+  };
 }
 
 }  // namespace laacad::base

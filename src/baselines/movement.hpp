@@ -1,48 +1,32 @@
-// Movement-control baselines:
+// Movement-control baselines, as target rules for core::Engine
+// (LaacadConfig::target):
 //
-// * Wang, Cao & La Porta [9] VOR heuristic (1-coverage, fixed range):
-//   a node whose order-1 Voronoi cell contains a point farther than its
-//   sensing range moves toward the farthest cell vertex, stopping at
-//   range-distance from it.
 // * Lloyd / centroid rule: move to the area centroid of the dominating
 //   region instead of its Chebyshev center — the classic CVT iteration,
 //   used here as an ablation of LAACAD's target rule (Sec. IV-C argues the
 //   Chebyshev center is the optimal choice for the min-max objective).
+// * Wang, Cao & La Porta [9] VOR heuristic (1-coverage, fixed range):
+//   a node whose order-1 Voronoi cell contains a point farther than its
+//   sensing range moves toward the farthest cell vertex, stopping at
+//   range-distance from it.
 //
-// Both reuse LAACAD's exact region machinery so the comparison isolates the
-// *target rule*, not the substrate.
+// Both run on Algorithm 1's own round loop and region machinery, so the
+// comparison isolates the *target rule*, not the substrate.
 #pragma once
 
 #include "laacad/engine.hpp"
 
 namespace laacad::base {
 
-enum class TargetRule {
-  kChebyshev,  ///< LAACAD (Proposition 3)
-  kCentroid,   ///< Lloyd / CVT generalization
-  kVor,        ///< Wang et al. [9] farthest-vertex pursuit (k = 1 semantics)
-};
+/// Lloyd / CVT rule: the area centroid of the dominating region.
+geom::Vec2 centroid_target(const core::DominatingRegion& region,
+                           geom::Vec2 position);
 
-struct MovementConfig {
-  int k = 1;
-  double alpha = 1.0;
-  double epsilon = 0.5;
-  int max_rounds = 300;
-  /// Fixed sensing range for the VOR rule (its movement stops once the
-  /// farthest cell vertex is within this range); ignored by other rules.
-  double vor_range = 0.0;
-};
-
-struct MovementResult {
-  int rounds = 0;
-  bool converged = false;
-  double final_max_range = 0.0;  ///< max region circumradius about nodes
-  double final_min_range = 0.0;
-};
-
-/// Run the given target rule to convergence, mutating `net` (positions and
-/// sensing ranges, like Engine::run).
-MovementResult run_target_rule(wsn::Network& net, TargetRule rule,
-                               const MovementConfig& cfg);
+/// Wang et al. [9] farthest-vertex pursuit at a fixed `sensing_range`:
+/// move toward the farthest region vertex, stopping `sensing_range` short
+/// of it; hold position once every vertex is in range. A 1-coverage
+/// heuristic: run it with LaacadConfig::k = 1, so the regions are order-1
+/// Voronoi cells.
+core::TargetFn vor_target(double sensing_range);
 
 }  // namespace laacad::base

@@ -4,7 +4,7 @@
 // region; the paper computes it as the center of the minimum enclosing circle
 // of the region's vertices ("we apply Welzl's algorithm ... by taking the
 // vertices of the region as the input"). `min_enclosing_circle` is that
-// primitive; `chebyshev_center` is the paper-facing alias.
+// primitive.
 #pragma once
 
 #include <vector>
@@ -18,11 +18,5 @@ namespace laacad::geom {
 /// the internal shuffle uses a fixed seed). Empty input yields an invalid
 /// circle (radius < 0).
 Circle min_enclosing_circle(std::vector<Vec2> points);
-
-/// Chebyshev center of the convex hull of `points` (= MEC center), paired
-/// with the covering radius. See Definition 2 in the paper.
-inline Circle chebyshev_center(std::vector<Vec2> points) {
-  return min_enclosing_circle(std::move(points));
-}
 
 }  // namespace laacad::geom

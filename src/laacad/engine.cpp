@@ -172,7 +172,8 @@ void Engine::refresh(const std::vector<int>& dirty,
     if (comm == nullptr && !std::isfinite(out.support_radius)) return;
     const geom::Circle cheb = region.chebyshev();
     if (!cheb.valid()) return;
-    r.target = cheb.center;
+    r.target = cfg_.target ? cfg_.target(region, net_->position(i))
+                           : cheb.center;
     r.cheb_radius = cheb.radius;
     r.has_target = true;
   });

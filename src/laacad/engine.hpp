@@ -4,7 +4,8 @@
 // V^k_{n_i} (through a RegionProvider — exact adaptive Lemma-1 solver or the
 // hop-faithful localized Algorithm 2), find its Chebyshev center c_i, and
 // move u_i <- u_i + alpha (c_i - u_i) unless already within the stopping
-// tolerance epsilon. On termination each node tunes its sensing range to the
+// tolerance epsilon (LaacadConfig::target swaps c_i for an ablation's
+// target rule). On termination each node tunes its sensing range to the
 // circumradius of its dominating region about its final position, which
 // guarantees k-coverage of the whole target area (every point lies in the
 // dominating region of each of its k nearest nodes, Proposition 1).
@@ -52,11 +53,17 @@
 
 namespace laacad::core {
 
-/// Algorithm 1's parameters (k, alpha, epsilon, the round cap), the backend
-/// and the localized backend's spec keys, and execution details (threads,
-/// seed, history, the auto-backend threshold). The solvers' fixed geometry
-/// (Lemma-1 window, ring growth, arc sampling, boundary thresholds) is named
-/// constants in their own sources, not configuration.
+/// A motion target rule: a node's dominating region and position -> the
+/// point it moves toward.
+using TargetFn = std::function<geom::Vec2(const DominatingRegion& region,
+                                          geom::Vec2 position)>;
+
+/// Algorithm 1's parameters (k, alpha, epsilon, the round cap), the backend,
+/// the target rule and the localized backend's spec keys, and execution
+/// details (threads, seed, history, the auto-backend threshold). The
+/// solvers' fixed geometry (Lemma-1 window, ring growth, arc sampling,
+/// boundary thresholds) is named constants in their own sources, not
+/// configuration.
 struct LaacadConfig {
   int k = 1;               ///< coverage degree
   double alpha = 1.0;      ///< motion step size, (0, 1]
@@ -73,6 +80,13 @@ struct LaacadConfig {
   ///   cfg.provider = make_global_provider();                   // or
   ///   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
   std::shared_ptr<RegionProvider> provider;
+  /// Motion target rule: where a node with a non-empty dominating region
+  /// moves. Null selects Algorithm 1's Chebyshev center (Proposition 3);
+  /// baselines/ supplies the centroid and VOR ablations. Must be a pure
+  /// function of its two arguments: it runs on pool workers, and the engine
+  /// caches its result and reuses it for nodes whose region did not change.
+  /// Never called for an empty region (such a node holds position).
+  TargetFn target;
   /// Network size above which a null `provider` selects the localized
   /// backend instead of the global one.
   int provider_auto_threshold = 20000;
@@ -175,11 +189,11 @@ class Engine {
   /// the cells can be freed immediately — this is what keeps a round's
   /// footprint O(n) instead of O(n · region complexity).
   struct NodeRound {
-    geom::Vec2 target{};       ///< Chebyshev center (valid iff has_target)
+    geom::Vec2 target{};       ///< target rule's output (valid iff has_target)
     double cheb_radius = 0.0;
     double hat_radius = 0.0;   ///< circumradius about u_i; 0 if region empty
     double support = 0.0;      ///< RegionOutput::support_radius
-    bool has_target = false;   ///< region non-empty, Chebyshev circle valid
+    bool has_target = false;   ///< region non-empty
   };
 
   /// Serial snapshot phase: hand the network (and the round pool) to the

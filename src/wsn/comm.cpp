@@ -64,77 +64,65 @@ std::vector<int> CommModel::hop_distances(NodeId i, int max_hops) const {
 
 std::vector<int> CommModel::gather(NodeId i, double rho, int ttl,
                                    CommStats* stats) const {
+  // Membership is Euclidean (< rho) plus reachability from i within ttl
+  // hops. Resolve the Euclidean set with a grid query instead of an O(n)
+  // scan, then BFS outward from i, exiting early once every member has been
+  // labeled; a node at depth ttl is labeled but not expanded. BFS assigns
+  // true shortest-hop depths, so max_hops_used is exact, and an unreachable
+  // member simply drains i's (ttl-capped) component.
   const geom::Vec2 ui = net_->position(i);
+  std::vector<int> targets = net_->nodes_within(ui, rho);
+  std::sort(targets.begin(), targets.end());
+  GatherScratch& s = gather_scratch();
+  const std::size_t n = static_cast<std::size_t>(net_->size());
+  if (s.stamp.size() < n) {
+    s.stamp.assign(n, 0);
+    s.member.assign(n, 0);
+    s.depth.resize(n);
+    s.epoch = 0;
+  }
+  if (++s.epoch == 0) {  // stamp wrap: hard-reset once every 2^32 calls
+    std::fill(s.stamp.begin(), s.stamp.end(), 0u);
+    std::fill(s.member.begin(), s.member.end(), 0u);
+    s.epoch = 1;
+  }
+  const std::uint32_t epoch = s.epoch;
+  int wanted = 0;
+  for (int j : targets) {
+    if (j == i) continue;
+    // The strict test: the grid query over-approximates with <=.
+    if (geom::dist(net_->position(j), ui) < rho) {
+      s.member[static_cast<std::size_t>(j)] = epoch;
+      ++wanted;
+    }
+  }
+  s.queue.clear();
+  s.queue.push_back(i);
+  s.stamp[static_cast<std::size_t>(i)] = epoch;
+  s.depth[static_cast<std::size_t>(i)] = 0;
+  int found = 0;
+  for (std::size_t head = 0; head < s.queue.size() && found < wanted;
+       ++head) {
+    const int u = s.queue[head];
+    const int du = s.depth[static_cast<std::size_t>(u)];
+    if (ttl >= 0 && du >= ttl) break;  // BFS order: the rest are at ttl too
+    for (int v : adjacency_[static_cast<std::size_t>(u)]) {
+      const std::size_t vz = static_cast<std::size_t>(v);
+      if (s.stamp[vz] == epoch) continue;
+      s.stamp[vz] = epoch;
+      s.depth[vz] = du + 1;
+      if (s.member[vz] == epoch) ++found;
+      s.queue.push_back(v);
+    }
+  }
   std::vector<int> out;
+  out.reserve(static_cast<std::size_t>(found));
   int deepest = 0;
-  if (ttl < 0) {
-    // Idealized gather: membership is purely Euclidean (< rho) plus
-    // reachability from i. Resolve membership with a grid query instead of
-    // an O(n) scan, then BFS outward from i with early exit once every
-    // member has been labeled. BFS still assigns true shortest-hop depths,
-    // so max_hops_used is unchanged, and an unreachable member simply
-    // drains i's component — exactly what the unbounded BFS always did.
-    std::vector<int> targets = net_->nodes_within(ui, rho);
-    std::sort(targets.begin(), targets.end());
-    GatherScratch& s = gather_scratch();
-    const std::size_t n = static_cast<std::size_t>(net_->size());
-    if (s.stamp.size() < n) {
-      s.stamp.assign(n, 0);
-      s.member.assign(n, 0);
-      s.depth.resize(n);
-      s.epoch = 0;
-    }
-    if (++s.epoch == 0) {  // stamp wrap: hard-reset once every 2^32 calls
-      std::fill(s.stamp.begin(), s.stamp.end(), 0u);
-      std::fill(s.member.begin(), s.member.end(), 0u);
-      s.epoch = 1;
-    }
-    const std::uint32_t epoch = s.epoch;
-    int wanted = 0;
-    for (int j : targets) {
-      if (j == i) continue;
-      // Same strict test the full-scan path applied, so the gathered set is
-      // bit-identical (the grid query over-approximates with <=).
-      if (geom::dist(net_->position(j), ui) < rho) {
-        s.member[static_cast<std::size_t>(j)] = epoch;
-        ++wanted;
-      }
-    }
-    s.queue.clear();
-    s.queue.push_back(i);
-    s.stamp[static_cast<std::size_t>(i)] = epoch;
-    s.depth[static_cast<std::size_t>(i)] = 0;
-    int found = 0;
-    for (std::size_t head = 0; head < s.queue.size() && found < wanted;
-         ++head) {
-      const int u = s.queue[head];
-      const int du = s.depth[static_cast<std::size_t>(u)];
-      for (int v : adjacency_[static_cast<std::size_t>(u)]) {
-        const std::size_t vz = static_cast<std::size_t>(v);
-        if (s.stamp[vz] == epoch) continue;
-        s.stamp[vz] = epoch;
-        s.depth[vz] = du + 1;
-        if (s.member[vz] == epoch) ++found;
-        s.queue.push_back(v);
-      }
-    }
-    out.reserve(static_cast<std::size_t>(found));
-    for (int j : targets) {
-      const std::size_t jz = static_cast<std::size_t>(j);
-      if (s.member[jz] == epoch && s.stamp[jz] == epoch) {
-        out.push_back(j);
-        deepest = std::max(deepest, s.depth[jz]);
-      }
-    }
-  } else {
-    const std::vector<int> d = hop_distances(i, ttl);
-    for (int j = 0; j < net_->size(); ++j) {
-      if (j == i) continue;
-      if (d[static_cast<std::size_t>(j)] < 0) continue;
-      if (geom::dist(net_->position(j), ui) < rho) {
-        out.push_back(j);
-        deepest = std::max(deepest, d[static_cast<std::size_t>(j)]);
-      }
+  for (int j : targets) {
+    const std::size_t jz = static_cast<std::size_t>(j);
+    if (s.member[jz] == epoch && s.stamp[jz] == epoch) {
+      out.push_back(j);
+      deepest = std::max(deepest, s.depth[jz]);
     }
   }
   if (stats) {

@@ -42,9 +42,10 @@ class CommModel {
   /// the paper's idealized gather over the connected component — on a
   /// unit-disk graph a Euclidean-close node can be many hops away).
   /// Logs gather cost into `stats`, including the deepest hop actually
-  /// needed to reach a gathered node. The unbounded case resolves
-  /// membership via the spatial grid and early-exits the BFS, so its cost
-  /// is O(neighborhood), not O(network); the gathered set is identical.
+  /// needed to reach a gathered node. Membership is resolved via the
+  /// spatial grid and one BFS, capped at `ttl` and exiting once every
+  /// candidate is labeled, so the cost is O(neighborhood), not O(network).
+  /// Members are returned in ascending id order.
   std::vector<int> gather(NodeId i, double rho, int ttl,
                           CommStats* stats) const;
 

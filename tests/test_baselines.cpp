@@ -65,16 +65,16 @@ TEST(Movement, ChebyshevBeatsVorOnMinMaxObjective) {
   wsn::Domain d = wsn::Domain::rectangle(200, 200);
   Rng rng(93);
   const auto init = wsn::deploy_uniform(d, 20, rng);
-  MovementConfig cfg;
+  core::LaacadConfig cfg;
   cfg.k = 1;
   cfg.epsilon = 0.5;
   cfg.max_rounds = 200;
-  cfg.vor_range = 35.0;
 
   wsn::Network a(&d, init, 60.0);
-  MovementResult cheb = run_target_rule(a, TargetRule::kChebyshev, cfg);
+  core::RunResult cheb = core::Engine(a, cfg).run();
   wsn::Network b(&d, init, 60.0);
-  MovementResult vor = run_target_rule(b, TargetRule::kVor, cfg);
+  cfg.target = vor_target(35.0);
+  core::RunResult vor = core::Engine(b, cfg).run();
 
   EXPECT_TRUE(cheb.converged);
   EXPECT_LE(cheb.final_max_range, vor.final_max_range * 1.05);
@@ -84,15 +84,16 @@ TEST(Movement, CentroidRuleConvergesButNotBetterThanChebyshev) {
   wsn::Domain d = wsn::Domain::rectangle(200, 200);
   Rng rng(94);
   const auto init = wsn::deploy_uniform(d, 24, rng);
-  MovementConfig cfg;
+  core::LaacadConfig cfg;
   cfg.k = 2;
   cfg.epsilon = 0.5;
   cfg.max_rounds = 250;
 
   wsn::Network a(&d, init, 60.0);
-  MovementResult cheb = run_target_rule(a, TargetRule::kChebyshev, cfg);
+  core::RunResult cheb = core::Engine(a, cfg).run();
   wsn::Network b(&d, init, 60.0);
-  MovementResult cent = run_target_rule(b, TargetRule::kCentroid, cfg);
+  cfg.target = centroid_target;
+  core::RunResult cent = core::Engine(b, cfg).run();
 
   EXPECT_TRUE(cheb.converged);
   // Lloyd optimizes mean-square distance; the min-max objective favors the
@@ -105,10 +106,10 @@ TEST(Movement, VorStopsOnceRangeSatisfied) {
   // VOR once every cell vertex is within range.
   wsn::Domain d = wsn::Domain::rectangle(50, 50);
   wsn::Network net(&d, {{25, 25}}, 30.0);
-  MovementConfig cfg;
-  cfg.vor_range = 100.0;  // covers the whole domain from anywhere
+  core::LaacadConfig cfg;
+  cfg.target = vor_target(100.0);  // covers the whole domain from anywhere
   cfg.max_rounds = 10;
-  MovementResult res = run_target_rule(net, TargetRule::kVor, cfg);
+  core::RunResult res = core::Engine(net, cfg).run();
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(net.position(0), geom::Vec2(25, 25));
 }

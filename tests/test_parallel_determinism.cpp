@@ -4,19 +4,32 @@
 // makes the thread count a pure performance knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "baselines/movement.hpp"
 #include "common/thread_pool.hpp"
 #include "laacad/engine.hpp"
 #include "laacad/region_provider.hpp"
+#include "voronoi/adaptive.hpp"
+#include "voronoi/sites.hpp"
 #include "wsn/boundary.hpp"
 #include "wsn/comm.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/spatial_grid.hpp"
 
 namespace laacad::core {
 namespace {
 
 using geom::Vec2;
+
+bool same_bits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
 
 struct RunRecord {
   std::vector<RoundMetrics> history;
@@ -218,6 +231,104 @@ TEST(ParallelDeterminism, PooledLocalizedSnapshotMatchesSerial) {
       EXPECT_EQ(comm.gather(i, 90.0, -1, &a),
                 serial_comm.gather(i, 90.0, -1, &b));
       EXPECT_EQ(a.max_hops_used, b.max_hops_used);
+    }
+  }
+}
+
+// The serial loop the target-rule ablations ran on before they moved onto
+// Engine: every round a full recompute of every region against a fresh
+// site grid, a synchronous move toward each non-empty region's target, and
+// a final circumradius pass. Kept as the reference LaacadConfig::target
+// must reproduce bit for bit.
+struct ReferenceRun {
+  std::vector<Vec2> positions;
+  std::vector<double> ranges;
+  int rounds = 0;
+  bool converged = false;
+};
+
+std::vector<DominatingRegion> reference_regions(const wsn::Network& net,
+                                                int k) {
+  const auto sites = vor::separate_sites(net.positions());
+  const wsn::SpatialGrid grid(sites, std::max(net.gamma(), 1.0));
+  std::vector<DominatingRegion> out;
+  for (int i = 0; i < net.size(); ++i)
+    out.emplace_back(vor::compute_dominating_region(sites, grid, i, k,
+                                                    net.domain().bbox())
+                         .cells,
+                     net.domain());
+  return out;
+}
+
+ReferenceRun reference_loop(wsn::Network& net, const LaacadConfig& cfg) {
+  ReferenceRun run;
+  while (run.rounds < cfg.max_rounds && !run.converged) {
+    const auto regions = reference_regions(net, cfg.k);
+    int moved = 0;
+    for (int i = 0; i < net.size(); ++i) {
+      const DominatingRegion& region = regions[static_cast<std::size_t>(i)];
+      if (region.empty()) continue;
+      const Vec2 ui = net.position(i);
+      const Vec2 t =
+          cfg.target ? cfg.target(region, ui) : region.chebyshev().center;
+      if (geom::dist(ui, t) <= cfg.epsilon) continue;
+      net.set_position(i, ui + (t - ui) * cfg.alpha);
+      if (geom::dist(ui, net.position(i)) > std::max(1e-6, 0.05 * cfg.epsilon))
+        ++moved;
+    }
+    ++run.rounds;
+    run.converged = moved == 0;
+  }
+  const auto regions = reference_regions(net, cfg.k);
+  for (int i = 0; i < net.size(); ++i) {
+    const DominatingRegion& region = regions[static_cast<std::size_t>(i)];
+    run.ranges.push_back(region.empty() ? 0.0
+                                        : region.max_dist_from(net.position(i)));
+  }
+  run.positions = net.positions();
+  return run;
+}
+
+TEST(ParallelDeterminism, TargetRulesMatchRetiredSerialLoop) {
+  const wsn::Domain d = wsn::Domain::rectangle(300, 300);
+  Rng rng(47);
+  const auto initial = wsn::deploy_uniform(d, 30, rng);
+  struct Rule {
+    const char* name;
+    TargetFn target;
+    std::vector<int> ks;
+  };
+  const std::vector<Rule> rules = {
+      {"chebyshev", nullptr, {1, 2, 3}},
+      {"centroid", base::centroid_target, {1, 2, 3}},
+      {"vor", base::vor_target(45.0), {1}},  // a 1-coverage heuristic
+  };
+  for (const Rule& rule : rules) {
+    for (const int k : rule.ks) {
+      LaacadConfig cfg;
+      cfg.k = k;
+      cfg.max_rounds = 150;
+      cfg.target = rule.target;
+      wsn::Network ref_net(&d, initial, 100.0);
+      const ReferenceRun ref = reference_loop(ref_net, cfg);
+      ASSERT_GT(ref.rounds, 1);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << rule.name << " k=" << k
+                                        << " threads=" << threads);
+        cfg.num_threads = threads;
+        wsn::Network net(&d, initial, 100.0);
+        const RunResult res = Engine(net, cfg).run();
+        EXPECT_EQ(res.rounds, ref.rounds);
+        EXPECT_EQ(res.converged, ref.converged);
+        for (int i = 0; i < net.size(); ++i) {
+          const auto iz = static_cast<std::size_t>(i);
+          EXPECT_TRUE(same_bits(net.position(i), ref.positions[iz]))
+              << "node " << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(net.sensing_ranges()[iz]),
+                    std::bit_cast<std::uint64_t>(ref.ranges[iz]))
+              << "node " << i;
+        }
+      }
     }
   }
 }

@@ -395,6 +395,50 @@ TEST(Comm, GatherRespectsRhoAndHops) {
   EXPECT_EQ(got1, (std::vector<int>{1}));
 }
 
+TEST(Comm, GatherMatchesHopDistanceOracle) {
+  // gather's one capped BFS against the definition: every j != i with
+  // |u_j - u_i| < rho and a hop distance <= ttl (any, when ttl < 0), in
+  // ascending order, with max_hops_used the deepest member's hop distance.
+  Domain d = Domain::rectangle(200, 60);
+  Rng rng(17);
+  std::vector<Vec2> connected = deploy_uniform(d, 70, rng);
+  std::vector<Vec2> split;  // two clusters 80 m apart: two components
+  for (int j = 0; j < 60; ++j)
+    split.push_back({rng.uniform(0, 60) + (j % 2 == 0 ? 0.0 : 140.0),
+                     rng.uniform(0, 60)});
+  for (const bool whole : {true, false}) {
+    Network net(&d, whole ? connected : split, 18.0);
+    CommModel comm(net);
+    if (!whole) {
+      ASSERT_FALSE(comm.connected());
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      const int i = rng.uniform_int(0, net.size() - 1);
+      const double rho = rng.uniform(5.0, 220.0);
+      for (const int ttl : {-1, 0, 1, 2, 3, 6}) {
+        const std::vector<int> hops = comm.hop_distances(i, ttl);
+        std::vector<int> want;
+        std::uint64_t deepest = 0;
+        for (int j = 0; j < net.size(); ++j) {
+          if (j == i || hops[static_cast<std::size_t>(j)] < 0) continue;
+          if (geom::dist(net.position(j), net.position(i)) >= rho) continue;
+          want.push_back(j);
+          deepest = std::max<std::uint64_t>(
+              deepest, static_cast<std::uint64_t>(
+                           hops[static_cast<std::size_t>(j)]));
+        }
+        CommStats stats;
+        EXPECT_EQ(comm.gather(i, rho, ttl, &stats), want)
+            << "i=" << i << " rho=" << rho << " ttl=" << ttl;
+        EXPECT_EQ(stats.gather_requests, 1u);
+        EXPECT_EQ(stats.node_reports, want.size());
+        EXPECT_EQ(stats.max_hops_used, deepest)
+            << "i=" << i << " rho=" << rho << " ttl=" << ttl;
+      }
+    }
+  }
+}
+
 TEST(Comm, ConnectedDenseNetwork) {
   Domain d = Domain::rectangle(50, 50);
   Rng rng(6);
