@@ -42,13 +42,16 @@ inline int num_threads();  // defined below; referenced by the template
 /// the campaign across LAACAD_THREADS workers with `probe` observing each
 /// finished trial, and return the aggregated result. The probe runs on
 /// worker threads; writing only rows[pt.trial] and per-trial files needs
-/// no lock.
+/// no lock. `keep_history` fills the per-round history of every phase the
+/// probe sees (CampaignOptions::keep_history).
 template <typename Row, typename Probe>
 campaign::CampaignResult run_campaign_with_probe(campaign::CampaignSpec spec,
                                                  std::vector<Row>& rows,
-                                                 Probe&& probe) {
+                                                 Probe&& probe,
+                                                 bool keep_history = false) {
   campaign::CampaignOptions opt;
   opt.workers = num_threads();
+  opt.keep_history = keep_history;
   opt.probe = std::forward<Probe>(probe);
   campaign::CampaignScheduler scheduler(std::move(spec), std::move(opt));
   rows.assign(scheduler.trials().size(), Row{});

@@ -20,24 +20,35 @@
 
 #include "bench_common.hpp"
 #include "campaign/scheduler.hpp"
+#include "scenario/runner.hpp"
 
 namespace {
 
 using namespace laacad;
 
+struct Row {
+  std::vector<core::RoundMetrics> history;  ///< every phase, in order
+};
+
 void experiment() {
-  campaign::CampaignOptions opt;
-  opt.workers = benchutil::num_threads();
-  opt.keep_history = true;
   campaign::CampaignSpec spec = campaign::load_campaign_file(
       std::string(LAACAD_SOURCE_DIR) + "/campaigns/fig6_convergence.cmp");
   // The figure's table has one column pair per k, read from one trial's
   // history; the shipped file's extra seeds only tighten its aggregates.
   spec.trials = 1;
-  campaign::CampaignScheduler scheduler(std::move(spec), std::move(opt));
-  const campaign::CampaignResult result = scheduler.run();
+  std::vector<Row> rows;
+  const campaign::CampaignResult result = benchutil::run_campaign_with_probe(
+      std::move(spec), rows,
+      [&rows](const campaign::TrialPoint& pt, const scenario::ScenarioRunner&,
+              const scenario::ScenarioResult& res) {
+        auto& history = rows[static_cast<std::size_t>(pt.trial)].history;
+        for (const scenario::PhaseRecord& p : res.phases)
+          history.insert(history.end(), p.history.begin(), p.history.end());
+      },
+      /*keep_history=*/true);
   for (const auto& trial : result.trials) {
-    if (!trial.ok || trial.history.empty()) {
+    const Row& row = rows[static_cast<std::size_t>(trial.trial)];
+    if (!trial.ok || row.history.empty()) {
       benchutil::TableSink::instance().note(
           "fig6 campaign trial FAILED — no figure produced: " +
           (trial.error.empty() ? "empty history" : trial.error));
@@ -55,7 +66,8 @@ void experiment() {
     std::vector<std::string> row{std::to_string(round)};
     bool any = false;
     for (const auto& trial : result.trials) {
-      const auto& history = trial.history;
+      const auto& history =
+          rows[static_cast<std::size_t>(trial.trial)].history;
       if (round <= static_cast<int>(history.size())) {
         const auto& m = history[static_cast<std::size_t>(round) - 1];
         row.push_back(TextTable::num(m.max_circumradius, 1));
@@ -75,10 +87,10 @@ void experiment() {
 
   // Monotonicity check (Prop. 4 corollary) reported explicitly.
   bool monotone = true;
-  for (const auto& trial : result.trials) {
-    for (std::size_t i = 1; i < trial.history.size(); ++i) {
-      if (trial.history[i].max_hat_radius >
-          trial.history[i - 1].max_hat_radius + 1e-6)
+  for (const Row& row : rows) {
+    for (std::size_t i = 1; i < row.history.size(); ++i) {
+      if (row.history[i].max_hat_radius >
+          row.history[i - 1].max_hat_radius + 1e-6)
         monotone = false;
     }
   }

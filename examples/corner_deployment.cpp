@@ -4,9 +4,10 @@
 //
 //   ./corner_deployment [nodes] [seed]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
 #include "common/csv.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
@@ -14,11 +15,12 @@
 #include "viz/render.hpp"
 #include "wsn/deployment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace laacad;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 100;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3;
+  const int n = argc > 1 ? specparse::parse_int(argv[1], 0, "nodes", 1) : 100;
+  const std::uint64_t seed =
+      argc > 2 ? specparse::parse_uint64(argv[2], 0, "seed") : 3;
 
   wsn::Domain domain = wsn::Domain::square_km();
   Rng rng(seed);
@@ -39,14 +41,13 @@ int main(int argc, char** argv) {
     cfg.k = k;
     cfg.epsilon = 1.0;
     cfg.max_rounds = 300;
-    cfg.retain_history = true;  // per-round table printed below
     core::Engine engine(net, cfg);
-    const core::RunResult result = engine.run();
-    for (const core::RoundMetrics& m : result.history) {
-      csv.add_row({std::to_string(k), std::to_string(m.round),
-                   TextTable::num(m.max_circumradius, 3),
-                   TextTable::num(m.min_circumradius, 3)});
-    }
+    const core::RunResult result =
+        engine.run({}, [&](const core::RoundMetrics& m) {
+          csv.add_row({std::to_string(k), std::to_string(m.round),
+                       TextTable::num(m.max_circumradius, 3),
+                       TextTable::num(m.min_circumradius, 3)});
+        });
     const auto exact =
         cov::critical_point_coverage(domain, cov::sensing_disks(net));
     const std::string svg = "corner_k" + std::to_string(k) + ".svg";
@@ -59,4 +60,8 @@ int main(int argc, char** argv) {
   }
   std::printf("convergence series written to corner_convergence.csv\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "corner_deployment: %s\n",
+               laacad::specparse::without_line(e.what()).c_str());
+  return 2;
 }

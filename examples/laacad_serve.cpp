@@ -6,8 +6,8 @@
 //                [--state PATH] [--threads N] [--publish-every N]
 //                [--trace PATH] [--heartbeat] [--quiet]
 //
-//   Loads the base spec (default: an embedded mirror of
-//   scenarios/serve_base.scn; the spec's timeline must be empty), starts
+//   Loads the base spec (default: scenarios/serve_base.scn, embedded at
+//   build time; the spec's timeline must be empty), starts
 //   the round loop, and answers newline-delimited JSON requests: knn,
 //   coverage, load, stats, health, event, drain, shutdown. On stdio,
 //   responses go to stdout and everything human goes to stderr, so a
@@ -31,6 +31,7 @@
 #include <string>
 
 #include "common/specparse.hpp"
+#include "embedded_specs.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
@@ -39,20 +40,6 @@
 namespace {
 
 using namespace laacad;
-
-// Mirror of scenarios/serve_base.scn so the daemon runs without a checkout.
-constexpr const char* kDefaultSpec = R"(
-name      serve_base
-domain    square
-side      300
-nodes     40
-k         2
-seed      11
-epsilon   0.5
-max_rounds 200
-battery   2.0e6
-grid_resolution 5
-)";
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -92,7 +79,7 @@ struct Options {
 
 int serve_main(const Options& opt) {
   scenario::ScenarioSpec spec =
-      opt.scn_path.empty() ? scenario::parse_scenario_string(kDefaultSpec)
+      opt.scn_path.empty() ? scenario::parse_scenario_string(kServeBaseSpec)
                            : scenario::load_scenario_file(opt.scn_path);
   if (opt.threads >= 0) spec.num_threads = opt.threads;
 

@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
   ScenarioSpec spec;
   spec.nodes = 60;
   spec.side = 500.0;
-  spec.history = true;  // the --csv dump walks every round
   Options opt;
   // Domain, deployment, gamma and backend come from the scenario engine's
   // setup path, so every spec the grammar accepts runs here too.
@@ -153,9 +152,11 @@ int main(int argc, char** argv) {
     heartbeat = std::make_unique<obs::HeartbeatEmitter>(
         stderr, "engine", "laacad_sim", /*shard=*/"", spec.max_rounds);
   if (!opt.trace_path.empty()) obs::start_trace(opt.trace_path);
+  std::vector<core::RoundMetrics> history;  // the --csv rows
   const core::RunResult run =
-      world.engine->run({}, [&heartbeat](const core::RoundMetrics& m) {
+      world.engine->run({}, [&](const core::RoundMetrics& m) {
         if (heartbeat) heartbeat->tick(m.round, m.moved == 0 ? 1 : 0);
+        if (!opt.csv_path.empty()) history.push_back(m);
       });
   const wsn::LoadReport& load = run.load;
   if (!opt.trace_path.empty()) {
@@ -189,7 +190,7 @@ int main(int argc, char** argv) {
     CsvWriter csv(opt.csv_path,
                   {"round", "max_circumradius", "min_circumradius",
                    "max_move", "moved"});
-    for (const auto& m : run.history) {
+    for (const auto& m : history) {
       csv.add_row({std::to_string(m.round),
                    TextTable::num(m.max_circumradius, 4),
                    TextTable::num(m.min_circumradius, 4),

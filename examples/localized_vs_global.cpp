@@ -6,7 +6,10 @@
 //   ./localized_vs_global [nodes] [gamma]
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <string>
 
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "laacad/localized.hpp"
 #include "laacad/region.hpp"
@@ -14,11 +17,15 @@
 #include "voronoi/sites.hpp"
 #include "wsn/deployment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace laacad;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 150;
-  const double gamma = argc > 2 ? std::atof(argv[2]) : 120.0;
+  const int n = argc > 1 ? specparse::parse_int(argv[1], 0, "nodes", 1) : 150;
+  const double gamma =
+      argc > 2 ? specparse::parse_double(argv[2], 0, "gamma") : 120.0;
+  if (!(gamma > 0.0))
+    specparse::fail(0, "'gamma' expects a number > 0, got '" +
+                           std::string(argv[2]) + "'");
 
   wsn::Domain domain = wsn::Domain::square_km();
   Rng rng(23);
@@ -60,4 +67,8 @@ int main(int argc, char** argv) {
               "and its region agrees with the exact global computation — "
               "only information from a few hops away is ever needed.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "localized_vs_global: %s\n",
+               laacad::specparse::without_line(e.what()).c_str());
+  return 2;
 }

@@ -4,20 +4,38 @@
 //
 //   ./min_node_planner [k] [r_s] [side]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <string>
 
 #include "baselines/ammari.hpp"
 #include "baselines/regular.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "coverage/critical.hpp"
 #include "laacad/min_node.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// argv[i] as a number > 0 named `key`, or `fallback` when absent.
+double positive_arg(int argc, char** argv, int i, const char* key,
+                    double fallback) {
+  if (argc <= i) return fallback;
+  const double v = laacad::specparse::parse_double(argv[i], 0, key);
+  if (!(v > 0.0))
+    laacad::specparse::fail(0, std::string("'") + key +
+                                   "' expects a number > 0, got '" + argv[i] +
+                                   "'");
+  return v;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) try {
   using namespace laacad;
 
-  const int k = argc > 1 ? std::atoi(argv[1]) : 2;
-  const double rs = argc > 2 ? std::atof(argv[2]) : 25.0;
-  const double side = argc > 3 ? std::atof(argv[3]) : 150.0;
+  const int k = argc > 1 ? specparse::parse_int(argv[1], 0, "k", 1) : 2;
+  const double rs = positive_arg(argc, argv, 2, "r_s", 25.0);
+  const double side = positive_arg(argc, argv, 3, "side", 150.0);
 
   wsn::Domain domain = wsn::Domain::rectangle(side, side);
   Rng rng(17);
@@ -61,4 +79,8 @@ int main(int argc, char** argv) {
               "includes them — the paper reports ~15%% overhead for the same "
               "reason)\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "min_node_planner: %s\n",
+               laacad::specparse::without_line(e.what()).c_str());
+  return 2;
 }

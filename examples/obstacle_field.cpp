@@ -4,8 +4,9 @@
 //
 //   ./obstacle_field [nodes] [k]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/specparse.hpp"
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
@@ -45,10 +46,10 @@ void run_scenario(const char* name, const laacad::wsn::Domain& domain, int n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace laacad;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 120;
-  const int k = argc > 2 ? std::atoi(argv[2]) : 2;
+  const int n = argc > 1 ? specparse::parse_int(argv[1], 0, "nodes", 1) : 120;
+  const int k = argc > 2 ? specparse::parse_int(argv[2], 0, "k", 1) : 2;
 
   // Scenario I: L-shaped area with one rectangular obstacle.
   wsn::Domain lshape = wsn::Domain::lshape(1000, 1000)
@@ -61,4 +62,8 @@ int main(int argc, char** argv) {
                           .with_rect_hole({430, 720}, {560, 820});
   run_scenario("cross", cross, n, k, 12);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "obstacle_field: %s\n",
+               laacad::specparse::without_line(e.what()).c_str());
+  return 2;
 }

@@ -3,20 +3,22 @@
 //
 //   ./quickstart [k] [nodes] [seed]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/specparse.hpp"
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
 #include "viz/render.hpp"
 #include "wsn/deployment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace laacad;
 
-  const int k = argc > 1 ? std::atoi(argv[1]) : 2;
-  const int n = argc > 2 ? std::atoi(argv[2]) : 60;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  const int k = argc > 1 ? specparse::parse_int(argv[1], 0, "k", 1) : 2;
+  const int n = argc > 2 ? specparse::parse_int(argv[2], 0, "nodes", 1) : 60;
+  const std::uint64_t seed =
+      argc > 3 ? specparse::parse_uint64(argv[3], 0, "seed") : 7;
 
   // 1. The target area and the initial (random) deployment.
   wsn::Domain domain = wsn::Domain::rectangle(500, 500);
@@ -52,4 +54,8 @@ int main(int argc, char** argv) {
   std::printf(
       "  wrote quickstart_deployment.svg and quickstart_partition.svg\n");
   return exact.min_depth >= k ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "quickstart: %s\n",
+               laacad::specparse::without_line(e.what()).c_str());
+  return 2;
 }

@@ -42,6 +42,7 @@
 #include "common/perf_counters.hpp"
 #include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
+#include "embedded_specs.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,24 +50,6 @@
 namespace {
 
 using namespace laacad;
-
-// Mirror of campaigns/scale_ladder.cmp so the binary is self-contained
-// (ctest runs it from the build tree); --campaign swaps in a file.
-constexpr const char* kLadderSpec = R"(
-name      scale_ladder
-trials    1
-seed      900
-domain    square
-side      1000
-deploy    uniform
-k         2
-backend   auto
-epsilon   5.0
-max_rounds 3
-gamma     0
-grid_resolution 25
-sweep nodes 1000 10000 100000 1000000
-)";
 
 struct RungBudget {
   long long nodes = 0;
@@ -94,8 +77,8 @@ void usage(const char* argv0) {
       "usage: %s [--campaign PATH] [--max-nodes N] [--budget PATH]\n"
       "          [--json PATH] [--trial-threads N] [--trace PATH]\n"
       "          [--heartbeat] [--quiet]\n"
-      "  --campaign PATH   ladder campaign file (default: embedded\n"
-      "                    mirror of campaigns/scale_ladder.cmp)\n"
+      "  --campaign PATH   ladder campaign file (default:\n"
+      "                    campaigns/scale_ladder.cmp, embedded)\n"
       "  --max-nodes N     skip rungs larger than N nodes\n"
       "  --budget PATH     budget file; dist2 budgets always enforced\n"
       "                    (counters are exact at any thread count),\n"
@@ -227,7 +210,7 @@ int main(int argc, char** argv) {
   try {
     const campaign::CampaignSpec spec =
         campaign_path.empty()
-            ? campaign::parse_campaign_string(kLadderSpec)
+            ? campaign::parse_campaign_string(kScaleLadderCampaign)
             : campaign::load_campaign_file(campaign_path);
     const campaign::Axis* nodes_axis = nullptr;
     for (const campaign::Axis& ax : spec.axes)

@@ -4,8 +4,8 @@
 //               [--requests N] [--rate R] [--connections C] [--seed S]
 //               [--quiet]
 //
-// Replays a declarative `.wl` workload (bench/workloads/*.wl; default: an
-// embedded mirror of serve_mix.wl) over real loopback TCP and writes
+// Replays a declarative `.wl` workload (bench/workloads/*.wl; default:
+// serve_mix.wl, embedded at build time) over real loopback TCP and writes
 // BENCH_serve_latency.json: per-verb client-side percentiles measured
 // coordinated-omission-safely from *scheduled* send times, plus the
 // server's own queue/query/serialize breakdown pulled from its final
@@ -27,6 +27,7 @@
 #include <thread>
 
 #include "common/specparse.hpp"
+#include "embedded_specs.hpp"
 #include "scenario/spec.hpp"
 #include "serve/bench.hpp"
 #include "serve/server.hpp"
@@ -36,33 +37,6 @@
 namespace {
 
 using namespace laacad;
-
-// Mirror of scenarios/serve_base.scn (same as laacad_serve's default).
-constexpr const char* kDefaultSpec = R"(
-name      serve_base
-domain    square
-side      300
-nodes     40
-k         2
-seed      11
-epsilon   0.5
-max_rounds 200
-battery   2.0e6
-grid_resolution 5
-)";
-
-// Mirror of bench/workloads/serve_mix.wl.
-constexpr const char* kDefaultWorkload = R"(
-name        serve_mix
-requests    2000
-rate        500
-connections 2
-seed        7
-knn_k       3
-mix         knn=6 coverage=2 load=1 stats=1
-churn       every=250 fail_nodes count=2 pick=random
-churn       every=600 add_nodes count=3 deploy=uniform
-)";
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -132,7 +106,7 @@ int main(int argc, char** argv) {
 
   try {
     serve::WorkloadSpec wl =
-        wl_path.empty() ? serve::parse_workload_string(kDefaultWorkload)
+        wl_path.empty() ? serve::parse_workload_string(kServeMixWorkload)
                         : serve::load_workload_file(wl_path);
     if (requests) wl.requests = *requests;
     if (rate) wl.rate = *rate;
@@ -140,7 +114,7 @@ int main(int argc, char** argv) {
     if (seed) wl.seed = *seed;
 
     scenario::ScenarioSpec spec =
-        scn_path.empty() ? scenario::parse_scenario_string(kDefaultSpec)
+        scn_path.empty() ? scenario::parse_scenario_string(kServeBaseSpec)
                          : scenario::load_scenario_file(scn_path);
     if (threads) spec.num_threads = *threads;
 

@@ -35,7 +35,7 @@ struct CampaignOptions {
   bool resume = false;  ///< replay the manifest instead of starting over
   /// Manifest path; empty disables journaling (in-memory embedders).
   std::string manifest_path;
-  /// Retain per-trial round history in memory (never serialized).
+  /// Fill each phase's per-round history for `probe` (never serialized).
   bool keep_history = false;
   /// Run only the trials this shard owns (stride partition, see
   /// dist/partition.hpp) and stamp the shard coordinates into the manifest

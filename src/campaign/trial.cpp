@@ -98,11 +98,8 @@ TrialResult run_trial(const CampaignSpec& spec, const TrialPoint& point,
   set("aborted", result.aborted ? 1.0 : 0.0);
 
   double travel = 0.0;
-  for (const scenario::PhaseRecord& p : result.phases) {
+  for (const scenario::PhaseRecord& p : result.phases)
     travel += p.series.travel;
-    if (keep_history)
-      r.history.insert(r.history.end(), p.history.begin(), p.history.end());
-  }
   set("travel", travel);
 
   if (!result.phases.empty()) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "campaign/spec.hpp"
-#include "laacad/engine.hpp"
 
 namespace laacad::scenario {
 class ScenarioRunner;
@@ -42,10 +41,6 @@ struct TrialResult {
   /// cleanly instead of poisoning aggregates with fake zeros.
   std::vector<double> metrics;
   std::string error;  ///< what() when the trial threw, empty otherwise
-  /// Per-round engine metrics concatenated over phases. Populated only when
-  /// CampaignOptions::keep_history is set (in-memory consumers like the
-  /// fig6 bench); never journaled or serialized.
-  std::vector<core::RoundMetrics> history;
 };
 
 /// Build the fully resolved scenario spec for one trial: load the scenario
@@ -64,6 +59,7 @@ scenario::ScenarioSpec resolve_trial_spec(const CampaignSpec& spec,
 /// unreadable scenario file, runtime abort) returns the NaN row described
 /// above with `error` set. A non-null `probe` is invoked on success, while
 /// the runner is still alive; a probe that throws fails the trial.
+/// `keep_history` fills every PhaseRecord::history the probe sees.
 /// `trial_threads` is the engine thread count for this trial (1 = serial,
 /// 0 = hardware); see CampaignOptions::trial_threads for when that is safe.
 TrialResult run_trial(const CampaignSpec& spec, const TrialPoint& point,

@@ -51,20 +51,7 @@ Engine::Engine(wsn::Network& net, LaacadConfig cfg)
     throw std::invalid_argument(
         "LaacadConfig: num_threads must be >= 0 (0 = hardware), got " +
         std::to_string(cfg_.num_threads));
-  if (cfg_.provider_auto_threshold < 1)
-    throw std::invalid_argument(
-        "LaacadConfig: provider_auto_threshold must be >= 1, got " +
-        std::to_string(cfg_.provider_auto_threshold));
-  if (cfg_.provider) {
-    provider_ = cfg_.provider;
-  } else if (net.size() > cfg_.provider_auto_threshold) {
-    // Past the threshold the exact global snapshot is the wrong tool (and
-    // GlobalRegionProvider refuses outright at kMaxSites): default to the
-    // localized Algorithm 2, whose per-round cost is O(n · neighborhood).
-    provider_ = make_localized_provider(cfg_.localized, cfg_.seed);
-  } else {
-    provider_ = make_global_provider();
-  }
+  provider_ = cfg_.provider ? cfg_.provider : make_global_provider();
   if (cfg_.num_threads != 1)
     pool_ = std::make_unique<common::ThreadPool>(cfg_.num_threads);
 }
@@ -248,12 +235,10 @@ RunResult Engine::run(
   RunResult result;
   while (round_ < cfg_.max_rounds) {
     if (interrupted && interrupted()) break;
-    RoundMetrics m = step();
-    const bool done = (m.moved == 0);
+    const RoundMetrics m = step();
     result.series.add(m);
     if (on_round) on_round(m);
-    if (cfg_.retain_history) result.history.push_back(std::move(m));
-    if (done) {
+    if (m.moved == 0) {
       result.converged = true;
       break;
     }

@@ -34,8 +34,8 @@
 // that computed it and the polygon soup discarded. That O(n) cache of
 // distilled results, support radii and the positions they were computed at
 // persists between rounds. Per-round metrics stream into constant-size
-// accumulators (RunResult::series); the full RoundMetrics history is opt-in
-// via LaacadConfig::retain_history.
+// accumulators (RunResult::series); a caller that wants every round's
+// RoundMetrics collects them from run()'s `on_round`.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@
 
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "laacad/localized.hpp"
 #include "laacad/region.hpp"
 #include "laacad/region_provider.hpp"
 #include "wsn/energy.hpp"
@@ -58,10 +57,9 @@ namespace laacad::core {
 using TargetFn = std::function<geom::Vec2(const DominatingRegion& region,
                                           geom::Vec2 position)>;
 
-/// Algorithm 1's parameters (k, alpha, epsilon, the round cap), the backend,
-/// the target rule and the localized backend's spec keys, and execution
-/// details (threads, seed, history, the auto-backend threshold). The
-/// solvers' fixed geometry (Lemma-1 window, ring growth, arc sampling,
+/// Algorithm 1's parameters (k, alpha, epsilon, the round cap), its two
+/// seams (the region backend and the target rule), and the thread count.
+/// The solvers' fixed geometry (Lemma-1 window, ring growth, arc sampling,
 /// boundary thresholds) is named constants in their own sources, not
 /// configuration.
 struct LaacadConfig {
@@ -73,12 +71,11 @@ struct LaacadConfig {
   /// 0 = hardware concurrency, N = exactly N. Results are identical for
   /// every value.
   int num_threads = 1;
-  /// Region backend. Null selects by network size: the exact global solver
-  /// up to provider_auto_threshold nodes, the localized Algorithm 2 above it
-  /// (the global snapshot path is the wrong tool at that scale — see
-  /// GlobalRegionProvider::kMaxSites). To force a backend set
-  ///   cfg.provider = make_global_provider();                   // or
-  ///   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
+  /// Region backend. Null selects the exact global solver; for Algorithm 2
+  /// set
+  ///   cfg.provider = make_localized_provider(localized_cfg, seed);
+  /// The scenario spec's `backend auto` maps to one of the two by network
+  /// size (scenario::build_world, provider_auto_threshold).
   std::shared_ptr<RegionProvider> provider;
   /// Motion target rule: where a node with a non-empty dominating region
   /// moves. Null selects Algorithm 1's Chebyshev center (Proposition 3);
@@ -87,16 +84,10 @@ struct LaacadConfig {
   /// caches its result and reuses it for nodes whose region did not change.
   /// Never called for an empty region (such a node holds position).
   TargetFn target;
-  /// Network size above which a null `provider` selects the localized
-  /// backend instead of the global one.
-  int provider_auto_threshold = 20000;
-  /// Keep the full per-round RoundMetrics history in RunResult::history.
-  /// Off by default: long runs at large n made the engine's memory
-  /// O(n + rounds) for data most callers never read — the streaming
-  /// RunResult::series carries the per-round aggregates either way.
-  bool retain_history = false;
-  LocalizedConfig localized;      ///< localized-provider spec keys
-  std::uint64_t seed = 1;         ///< feeds localization noise simulation
+  /// Network size above which `backend auto` selects the localized
+  /// backend: past it the exact global snapshot is the wrong tool (see
+  /// GlobalRegionProvider::kMaxSites).
+  static constexpr int provider_auto_threshold = 20000;
 };
 
 /// Per-round aggregates; mirrors the series plotted in Fig. 6.
@@ -127,10 +118,7 @@ struct RoundSeries {
 };
 
 struct RunResult {
-  /// Full per-round record; filled only when LaacadConfig::retain_history
-  /// is set (empty otherwise — use `series` for aggregates).
-  std::vector<RoundMetrics> history;
-  RoundSeries series;  ///< always populated, O(1) memory
+  RoundSeries series;  ///< per-round aggregates, O(1) memory
   int rounds = 0;
   bool converged = false;
   double final_max_range = 0.0;  ///< R* = max_i r*_i

@@ -35,7 +35,8 @@ void GlobalRegionProvider::begin_round(const wsn::Network& net, int k,
         "GlobalRegionProvider: network size " + std::to_string(net.size()) +
         " exceeds the global snapshot cap of " + std::to_string(kMaxSites) +
         " nodes; use make_localized_provider() (backend \"localized\", or "
-        "\"auto\" above LaacadConfig::provider_auto_threshold) at this scale");
+        "\"auto\", which picks it above "
+        "LaacadConfig::provider_auto_threshold) at this scale");
   }
   k_ = k;
   sites_ = vor::separate_sites(net.positions());

@@ -152,9 +152,9 @@ class LocalizedRegionProvider final : public RegionProvider {
 };
 
 /// Factory helpers — the usual way call sites select a backend:
-///   cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
-/// A null LaacadConfig::provider selects by network size (see
-/// LaacadConfig::provider_auto_threshold).
+///   cfg.provider = make_localized_provider(localized_cfg, seed);
+/// A null LaacadConfig::provider means the global solver; only the scenario
+/// spec's `backend auto` selects by network size (scenario::build_world).
 /// A provider instance carries per-round state; share one across engines
 /// only if the engines never run concurrently.
 std::shared_ptr<RegionProvider> make_global_provider();

@@ -109,6 +109,20 @@ bool rect_touches_domain(const wsn::Domain& domain, geom::Vec2 lo,
   return geom::area(clipped) > 1e-6;
 }
 
+/// The provider for the spec's backend word; `auto` picks by network size.
+std::shared_ptr<core::RegionProvider> make_provider(const ScenarioSpec& spec,
+                                                    int nodes) {
+  if (spec.backend == "global" ||
+      (spec.backend == "auto" &&
+       nodes <= core::LaacadConfig::provider_auto_threshold))
+    return core::make_global_provider();
+  core::LocalizedConfig localized;
+  localized.max_hops = spec.max_hops;
+  localized.range_noise = spec.noise;
+  localized.ideal_gather = (spec.flooding == "ideal");
+  return core::make_localized_provider(localized, spec.seed);
+}
+
 void remove_nodes_desc(World& w, std::vector<int> ids) {
   std::sort(ids.begin(), ids.end(), std::greater<int>());
   for (int id : ids) {
@@ -171,18 +185,8 @@ World build_world(ScenarioSpec spec) {
   cfg.alpha = w.spec.alpha;
   cfg.epsilon = w.spec.epsilon;
   cfg.max_rounds = w.spec.max_rounds;
-  cfg.seed = w.spec.seed;
   cfg.num_threads = w.spec.num_threads;
-  cfg.retain_history = w.spec.history;
-  cfg.localized.max_hops = w.spec.max_hops;
-  cfg.localized.range_noise = w.spec.noise;
-  cfg.localized.ideal_gather = (w.spec.flooding == "ideal");
-  if (w.spec.backend == "localized")
-    cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
-  else if (w.spec.backend == "global")
-    cfg.provider = core::make_global_provider();
-  // backend "auto": provider stays null and the engine selects by network
-  // size (global below provider_auto_threshold, localized above).
+  cfg.provider = make_provider(w.spec, w.net->size());
   w.engine = std::make_unique<core::Engine>(*w.net, cfg);
   return w;
 }

@@ -1,6 +1,7 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <ostream>
 
@@ -31,11 +32,16 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   // A round-scheduled disruption interrupts the phase, converged or not.
   // Engine::run finalizes either way: it tunes the sensing ranges for the
   // current positions and reports their load balance.
-  core::RunResult run = world_.engine->run([&] {
-    return pending && pending->trigger == Trigger::kAtRound &&
-           rec.start_round + world_.engine->rounds_executed() >=
-               pending->round;
-  });
+  std::function<void(const core::RoundMetrics&)> record;
+  if (spec.history)
+    record = [&rec](const core::RoundMetrics& m) { rec.history.push_back(m); };
+  const core::RunResult run = world_.engine->run(
+      [&] {
+        return pending && pending->trigger == Trigger::kAtRound &&
+               rec.start_round + world_.engine->rounds_executed() >=
+                   pending->round;
+      },
+      record);
   global_round_ += run.rounds;
   rec.rounds = run.rounds;
   rec.converged = run.converged;
@@ -43,7 +49,6 @@ PhaseRecord ScenarioRunner::run_phase(int phase_idx, const std::string& cause,
   rec.final_min_range = run.final_min_range;
   rec.load = run.load;
   rec.series = run.series;
-  rec.history = std::move(run.history);
 
   // Verify what this phase actually delivers: k-coverage, connectivity.
   obs::ScopedSpan verify_span("verify");

@@ -106,8 +106,8 @@ struct ScenarioSpec {
   double epsilon = 0.5;
   int max_rounds = 300;  ///< per redeployment phase
   double gamma = 0.0;    ///< transmission range; 0 = density-aware auto
-  /// global | localized | auto (auto: engine picks global below its
-  /// provider_auto_threshold node count, localized above it).
+  /// global | localized | auto (auto: build_world picks global up to
+  /// LaacadConfig::provider_auto_threshold nodes, localized above it).
   std::string backend = "global";
   int max_hops = 10;
   double noise = 0.0;

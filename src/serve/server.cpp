@@ -10,12 +10,12 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace laacad::serve {
 
@@ -113,9 +113,16 @@ bool write_all(int fd, const std::string& data) {
 int TcpServer::serve() {
   std::atomic<int> handled{0};
   std::atomic<bool> shutting_down{false};
-  std::mutex conn_mu;             // guards open_fds + workers
-  std::vector<int> open_fds;      // -1 once a worker closed its slot
-  std::vector<std::thread> workers;
+  // One entry per live connection; a finished one is joined and erased at
+  // the next accept, so a long-lived daemon holds no thread per past peer.
+  // List nodes are stable, so a worker keeps a reference to its own.
+  struct Connection {
+    int fd = -1;
+    bool finished = false;  ///< worker closed fd and is returning
+    std::thread worker;
+  };
+  std::mutex conn_mu;  // guards conns (membership, fd, finished)
+  std::list<Connection> conns;
 
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -124,14 +131,24 @@ int TcpServer::serve() {
       continue;
     }
     std::lock_guard<std::mutex> lk(conn_mu);
+    // A finished worker has released conn_mu for good, so joining it here
+    // cannot deadlock.
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!it->finished) {
+        ++it;
+        continue;
+      }
+      it->worker.join();
+      it = conns.erase(it);
+    }
     if (shutting_down.load()) {
       ::close(fd);
       break;
     }
-    const std::size_t slot = open_fds.size();
-    open_fds.push_back(fd);
-    workers.emplace_back([this, fd, slot, &handled, &shutting_down, &conn_mu,
-                          &open_fds] {
+    Connection& conn = conns.emplace_back();
+    conn.fd = fd;
+    conn.worker = std::thread([this, fd, &conn, &handled, &shutting_down,
+                               &conn_mu, &conns] {
       // Request/response turnarounds are latency-bound, not throughput-
       // bound: disable Nagle so a response is not parked waiting for an
       // ACK (40 ms delayed-ACK stalls would dominate every percentile a
@@ -157,29 +174,23 @@ int TcpServer::serve() {
           std::lock_guard<std::mutex> conn_lk(conn_mu);
           // Unblock the accept loop and every idle connection so serve()
           // can join all workers: half-close the sockets, do not close the
-          // fds (each worker closes its own slot, exactly once).
+          // fds (each worker closes its own, exactly once).
           ::shutdown(listen_fd_, SHUT_RDWR);
-          for (const int other : open_fds)
-            if (other >= 0 && other != fd) ::shutdown(other, SHUT_RDWR);
+          for (const Connection& other : conns)
+            if (!other.finished && &other != &conn)
+              ::shutdown(other.fd, SHUT_RDWR);
           break;
         }
       }
       std::lock_guard<std::mutex> conn_lk(conn_mu);
       ::close(fd);
-      open_fds[slot] = -1;
+      conn.finished = true;
     });
   }
 
-  for (;;) {
-    std::thread t;
-    {
-      std::lock_guard<std::mutex> lk(conn_mu);
-      if (workers.empty()) break;
-      t = std::move(workers.back());
-      workers.pop_back();
-    }
-    if (t.joinable()) t.join();
-  }
+  // The accept loop is over, so conns no longer changes shape; workers
+  // touch only their own entry's fields, under conn_mu.
+  for (Connection& c : conns) c.worker.join();
   svc_.stop();
   return handled.load();
 }

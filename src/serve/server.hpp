@@ -69,8 +69,9 @@ class TcpServer {
   int port() const { return port_; }
 
   /// Accept-and-serve until a client sends shutdown. Each connection gets
-  /// a thread; requests within a connection are handled in order. Blocks;
-  /// returns the total number of requests handled.
+  /// a thread, joined at the next accept after the connection ends;
+  /// requests within a connection are handled in order. Blocks; returns
+  /// the total number of requests handled.
   int serve();
 
  private:

@@ -18,8 +18,6 @@ BoundaryInfo detect_boundary(const Network& net, NodeId i) {
   const double radius = net.gamma();
 
   const geom::Vec2 ui = net.position(i);
-  if (net.domain().dist_to_boundary(ui) <= radius) info.area_boundary = true;
-
   auto ids = net.nodes_within(ui, radius);
   std::erase(ids, static_cast<int>(i));
   if (ids.empty()) {

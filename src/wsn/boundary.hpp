@@ -3,15 +3,13 @@
 // The paper delegates network-boundary detection to UNFOLD [29]; we
 // substitute a classic angular-gap heuristic with the same contract: using
 // only 1-hop information, decide whether a node sits on the boundary of the
-// region currently occupied by the network. A node also counts as a boundary
-// node when it is close to the boundary of the target area A itself
-// (Sec. IV-B1: "A's boundary serves as a natural boundary").
+// region currently occupied by the network. A's own boundary needs no
+// verdict: Algorithm 2 treats it as a natural boundary (Sec. IV-B1) by
+// skipping arc samples outside A.
 //
-// Both scales are the transmission range gamma: the angular scan looks at
-// neighbours within gamma, and a node within gamma of A's boundary is an
-// area-boundary node. A node is a network-boundary node when the largest
-// angular gap between directions to its neighbours exceeds pi/2 and points
-// into A.
+// The angular scan looks at neighbours within the transmission range
+// gamma. A node is a network-boundary node when the largest angular gap
+// between directions to its neighbours exceeds pi/2 and points into A.
 #pragma once
 
 #include <vector>
@@ -26,8 +24,6 @@ namespace laacad::wsn {
 
 struct BoundaryInfo {
   bool network_boundary = false;
-  bool area_boundary = false;
-  bool any() const { return network_boundary || area_boundary; }
 };
 
 /// Classify one node.

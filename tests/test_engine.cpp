@@ -23,8 +23,13 @@ LaacadConfig quick_config(int k, double alpha = 1.0) {
   cfg.alpha = alpha;
   cfg.epsilon = 0.5;
   cfg.max_rounds = 250;
-  cfg.retain_history = true;  // several tests assert on the round record
   return cfg;
+}
+
+/// run(), with every round's metrics collected through `on_round`.
+RunResult run_recorded(Engine& engine, std::vector<RoundMetrics>* history) {
+  return engine.run(
+      {}, [history](const RoundMetrics& m) { history->push_back(m); });
 }
 
 TEST(Engine, RejectsBadArguments) {
@@ -173,11 +178,12 @@ TEST(Engine, MaxHatRadiusNonIncreasingForAlphaOne) {
   Rng rng(7);
   wsn::Network net(&d, wsn::deploy_uniform(d, 35, rng), 60.0);
   Engine engine(net, quick_config(2, 1.0));
-  RunResult res = engine.run();
-  ASSERT_GE(res.history.size(), 2u);
-  for (std::size_t i = 1; i < res.history.size(); ++i) {
-    EXPECT_LE(res.history[i].max_hat_radius,
-              res.history[i - 1].max_hat_radius + 1e-6)
+  std::vector<RoundMetrics> history;
+  run_recorded(engine, &history);
+  ASSERT_GE(history.size(), 2u);
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    EXPECT_LE(history[i].max_hat_radius,
+              history[i - 1].max_hat_radius + 1e-6)
         << "round " << i;
   }
 }
@@ -279,12 +285,13 @@ TEST(Engine, HistoryRecordsRounds) {
   Rng rng(14);
   wsn::Network net(&d, wsn::deploy_uniform(d, 12, rng), 60.0);
   Engine engine(net, quick_config(1));
-  RunResult res = engine.run();
-  ASSERT_FALSE(res.history.empty());
-  EXPECT_EQ(res.history.front().round, 1);
-  EXPECT_EQ(res.history.back().round, res.rounds);
+  std::vector<RoundMetrics> history;
+  RunResult res = run_recorded(engine, &history);
+  ASSERT_FALSE(history.empty());
+  EXPECT_EQ(history.front().round, 1);
+  EXPECT_EQ(history.back().round, res.rounds);
   // Last round has no movement (that is the convergence signal).
-  EXPECT_EQ(res.history.back().moved, 0);
+  EXPECT_EQ(history.back().moved, 0);
 }
 
 TEST(Engine, RunInterruptedBeforeFirstRoundStillFinalizes) {
@@ -293,15 +300,18 @@ TEST(Engine, RunInterruptedBeforeFirstRoundStillFinalizes) {
   wsn::Network net(&d, wsn::deploy_uniform(d, 12, rng), 60.0);
   Engine engine(net, quick_config(2));
   int polls = 0;
-  RunResult res = engine.run([&polls] {
-    ++polls;
-    return true;
-  });
+  std::vector<RoundMetrics> history;
+  RunResult res = engine.run(
+      [&polls] {
+        ++polls;
+        return true;
+      },
+      [&history](const RoundMetrics& m) { history.push_back(m); });
   EXPECT_EQ(polls, 1);
   EXPECT_EQ(res.rounds, 0);
   EXPECT_EQ(engine.rounds_executed(), 0);
   EXPECT_FALSE(res.converged);
-  EXPECT_TRUE(res.history.empty());
+  EXPECT_TRUE(history.empty());
   EXPECT_GT(res.final_max_range, 0.0);
   EXPECT_EQ(res.final_max_range, res.load.max_range);
   for (int i = 0; i < net.size(); ++i)
@@ -317,19 +327,18 @@ TEST(Engine, RunObserverSeesEveryRound) {
   wsn::Network net(&d, wsn::deploy_uniform(d, 12, rng), 60.0);
   Engine engine(net, quick_config(1));
   std::vector<RoundMetrics> seen;
-  RunResult res = engine.run(
-      {}, [&seen](const RoundMetrics& m) { seen.push_back(m); });
+  RunResult res = run_recorded(engine, &seen);
   ASSERT_TRUE(res.converged);
-  ASSERT_EQ(seen.size(), res.history.size());
-  EXPECT_EQ(static_cast<int>(seen.size()), res.rounds);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].round, res.history[i].round);
-    EXPECT_EQ(seen[i].max_circumradius, res.history[i].max_circumradius);
-    EXPECT_EQ(seen[i].min_circumradius, res.history[i].min_circumradius);
-    EXPECT_EQ(seen[i].max_hat_radius, res.history[i].max_hat_radius);
-    EXPECT_EQ(seen[i].max_move, res.history[i].max_move);
-    EXPECT_EQ(seen[i].moved, res.history[i].moved);
-  }
+  ASSERT_EQ(static_cast<int>(seen.size()), res.rounds);
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    EXPECT_EQ(seen[i].round, static_cast<int>(i) + 1);
+  const RoundMetrics& last = res.series.last;
+  EXPECT_EQ(seen.back().round, last.round);
+  EXPECT_EQ(seen.back().max_circumradius, last.max_circumradius);
+  EXPECT_EQ(seen.back().min_circumradius, last.min_circumradius);
+  EXPECT_EQ(seen.back().max_hat_radius, last.max_hat_radius);
+  EXPECT_EQ(seen.back().max_move, last.max_move);
+  EXPECT_EQ(seen.back().moved, last.moved);
 }
 
 // ---------------------------------------------------------- providers ----
@@ -347,7 +356,7 @@ TEST(Engine, ExplicitGlobalProviderMatchesDefault) {
   cfg.provider = make_global_provider();
   RunResult rb = Engine(b, cfg).run();
 
-  ASSERT_EQ(ra.history.size(), rb.history.size());
+  ASSERT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.final_max_range, rb.final_max_range);
   for (int i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.position(i).x, b.position(i).x) << "node " << i;

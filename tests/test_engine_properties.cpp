@@ -89,8 +89,9 @@ TEST(EngineProperty, GlobalAndLocalizedAgreeOnFinalQuality) {
 
   wsn::Network l(&d, init, 90.0);
   LaacadConfig lc = cfg_quick(2);
-  lc.localized.max_hops = 8;
-  lc.provider = make_localized_provider(lc.localized, lc.seed);
+  LocalizedConfig localized;
+  localized.max_hops = 8;
+  lc.provider = make_localized_provider(localized, 1);
   RunResult rl = Engine(l, lc).run();
 
   EXPECT_TRUE(rg.converged);

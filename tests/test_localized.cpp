@@ -136,17 +136,20 @@ TEST(Localized, EngineLocalizedBackendConvergesAndCovers) {
   cfg.alpha = 0.8;
   cfg.epsilon = 1.0;
   cfg.max_rounds = 200;
-  cfg.localized.max_hops = 8;
-  cfg.retain_history = true;  // the comm assertion reads the first round
-  cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
+  LocalizedConfig localized;
+  localized.max_hops = 8;
+  cfg.provider = make_localized_provider(localized, 1);
   Engine engine(net, cfg);
-  RunResult res = engine.run();
+  std::vector<RoundMetrics> history;  // the comm assertion reads round 1
+  RunResult res = engine.run(
+      {}, [&history](const RoundMetrics& m) { history.push_back(m); });
   EXPECT_TRUE(res.converged);
   const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
   EXPECT_GE(exact.min_depth, 2)
       << "witness at (" << exact.witness.x << ", " << exact.witness.y << ")";
   // Message accounting flowed into the round metrics.
-  EXPECT_GT(res.history.front().comm.gather_requests, 0u);
+  ASSERT_FALSE(history.empty());
+  EXPECT_GT(history.front().comm.gather_requests, 0u);
 }
 
 TEST(Localized, RobustToMildRangingNoise) {
@@ -157,8 +160,9 @@ TEST(Localized, RobustToMildRangingNoise) {
   cfg.k = 1;
   cfg.epsilon = 1.0;
   cfg.max_rounds = 200;
-  cfg.localized.range_noise = 0.02;  // 2% ranging error
-  cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
+  LocalizedConfig localized;
+  localized.range_noise = 0.02;  // 2% ranging error
+  cfg.provider = make_localized_provider(localized, 1);
   Engine engine(net, cfg);
   RunResult res = engine.run();
   // Noisy localization distorts the computed regions, so exact coverage can

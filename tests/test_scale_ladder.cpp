@@ -10,10 +10,10 @@
 //     k-coverage through the campaign engine, within a deterministic
 //     dist2-evaluations-per-node budget (the machine-independent stand-in
 //     for the wall-clock gates the nightly CI job enforces).
-//  3. The provider policy at scale: `backend auto` / a null provider picks
-//     the localized Algorithm-2 provider above provider_auto_threshold,
-//     and the global snapshot solver refuses site counts above its hard
-//     cap with an error that names the way out.
+//  3. The provider policy at scale: `backend auto` picks the localized
+//     Algorithm-2 provider above provider_auto_threshold, and the global
+//     snapshot solver refuses site counts above its hard cap with an error
+//     that names the way out.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "common/sysinfo.hpp"
 #include "laacad/engine.hpp"
 #include "laacad/region_provider.hpp"
+#include "scenario/apply.hpp"
 #include "voronoi/sites.hpp"
 #include "wsn/deployment.hpp"
 
@@ -63,15 +64,18 @@ std::uint64_t run_hash(const std::string& backend, int threads) {
   cfg.epsilon = 1.0;
   cfg.max_rounds = 40;
   cfg.num_threads = threads;
-  cfg.retain_history = true;
   if (backend == "localized") {
-    cfg.localized.max_hops = 10;
-    cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
+    core::LocalizedConfig localized;
+    localized.max_hops = 10;
+    cfg.provider = core::make_localized_provider(localized, 1);
   }
   core::Engine engine(net, cfg);
-  const auto res = engine.run();
+  std::vector<core::RoundMetrics> history;
+  const auto res = engine.run({}, [&history](const core::RoundMetrics& m) {
+    history.push_back(m);
+  });
   std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& m : res.history) {
+  for (const auto& m : history) {
     h = fnv1a(h, bits(m.max_circumradius));
     h = fnv1a(h, bits(m.min_circumradius));
     h = fnv1a(h, bits(m.max_hat_radius));
@@ -190,51 +194,19 @@ TEST(ScaleLadder, TrialThreadsIsBitIdenticalAndAvoidsNestedPools) {
 // Provider policy at scale.
 
 TEST(ProviderPolicy, AutoSelectsLocalizedAboveThreshold) {
-  // Same network, four engines. The localized provider is the only one
-  // that produces message accounting, so series.comm separates the two
-  // cleanly, and the final-position hash ties each auto selection to its
-  // explicit counterpart bit for bit.
-  struct Outcome {
-    std::uint64_t hash = 0;
-    std::uint64_t gathers = 0;
+  // build_world resolves the spec's backend word; nothing here runs a round.
+  auto provider_name = [](const char* backend, int nodes) {
+    scenario::ScenarioSpec spec;
+    spec.backend = backend;
+    spec.nodes = nodes;
+    const scenario::World w = scenario::build_world(spec);
+    return std::string(w.engine->provider().name());
   };
-  auto run_one = [](int auto_threshold, const char* backend) {
-    wsn::Domain domain = wsn::Domain::rectangle(600, 600);
-    Rng rng(17);
-    wsn::Network net(&domain, wsn::deploy_uniform(domain, 80, rng), 140.0);
-    core::LaacadConfig cfg;
-    cfg.k = 2;
-    cfg.epsilon = 1.0;
-    cfg.max_rounds = 6;
-    if (auto_threshold > 0) cfg.provider_auto_threshold = auto_threshold;
-    if (std::string(backend) == "localized")
-      cfg.provider = core::make_localized_provider(cfg.localized, cfg.seed);
-    else if (std::string(backend) == "global")
-      cfg.provider = core::make_global_provider();
-    core::Engine engine(net, cfg);
-    const auto res = engine.run();
-    Outcome out;
-    out.gathers = res.series.comm.gather_requests;
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const geom::Vec2 p : net.positions()) {
-      h = fnv1a(h, bits(p.x));
-      h = fnv1a(h, bits(p.y));
-    }
-    out.hash = h;
-    return out;
-  };
-  const Outcome explicit_localized = run_one(0, "localized");
-  const Outcome explicit_global = run_one(0, "global");
-  const Outcome auto_small_threshold = run_one(10, "auto");
-  const Outcome auto_default = run_one(0, "auto");
-  EXPECT_GT(explicit_localized.gathers, 0u);
-  EXPECT_EQ(explicit_global.gathers, 0u);
-  EXPECT_GT(auto_small_threshold.gathers, 0u)
-      << "80 nodes > threshold 10 must auto-select the localized provider";
-  EXPECT_EQ(auto_small_threshold.hash, explicit_localized.hash);
-  EXPECT_EQ(auto_default.gathers, 0u)
-      << "below the default threshold the global provider is the default";
-  EXPECT_EQ(auto_default.hash, explicit_global.hash);
+  constexpr int kThreshold = core::LaacadConfig::provider_auto_threshold;
+  EXPECT_EQ(provider_name("auto", kThreshold), "global");
+  EXPECT_EQ(provider_name("auto", kThreshold + 1), "localized");
+  EXPECT_EQ(provider_name("global", kThreshold + 1), "global");
+  EXPECT_EQ(provider_name("localized", 40), "localized");
 }
 
 TEST(ProviderPolicy, GlobalProviderRefusesBeyondSiteCap) {
@@ -307,38 +279,25 @@ TEST(RoundSeries, StreamingDigestMatchesRetainedHistory) {
   cfg.k = 2;
   cfg.epsilon = 1.0;
   cfg.max_rounds = 30;
-  cfg.retain_history = true;
   core::Engine engine(net, cfg);
-  const auto res = engine.run();
-  ASSERT_FALSE(res.history.empty());
+  std::vector<core::RoundMetrics> history;
+  const auto res = engine.run({}, [&history](const core::RoundMetrics& m) {
+    history.push_back(m);
+  });
+  ASSERT_FALSE(history.empty());
 
   core::RoundSeries replay;
-  for (const auto& m : res.history) replay.add(m);
-  EXPECT_EQ(res.series.rounds, static_cast<int>(res.history.size()));
+  for (const auto& m : history) replay.add(m);
+  EXPECT_EQ(res.series.rounds, res.rounds);
+  EXPECT_EQ(res.series.rounds, static_cast<int>(history.size()));
   EXPECT_EQ(res.series.rounds, replay.rounds);
+  EXPECT_GT(res.series.travel, 0.0);
   EXPECT_EQ(bits(res.series.travel), bits(replay.travel));
   EXPECT_EQ(bits(res.series.max_circumradius.mean()),
             bits(replay.max_circumradius.mean()));
   EXPECT_EQ(bits(res.series.max_move.max()), bits(replay.max_move.max()));
   EXPECT_EQ(bits(res.series.moved.sum()), bits(replay.moved.sum()));
-  EXPECT_EQ(bits(res.series.last.max_move),
-            bits(res.history.back().max_move));
-}
-
-TEST(RoundSeries, HistoryIsOptInAndOffByDefault) {
-  wsn::Domain domain = wsn::Domain::rectangle(400, 400);
-  Rng rng(31);
-  wsn::Network net(&domain, wsn::deploy_uniform(domain, 40, rng), 110.0);
-  core::LaacadConfig cfg;
-  cfg.k = 2;
-  cfg.epsilon = 1.0;
-  cfg.max_rounds = 15;
-  core::Engine engine(net, cfg);
-  const auto res = engine.run();
-  EXPECT_TRUE(res.history.empty())
-      << "round history must be opt-in (retain_history)";
-  EXPECT_EQ(res.series.rounds, res.rounds);
-  EXPECT_GT(res.series.travel, 0.0);
+  EXPECT_EQ(bits(res.series.last.max_move), bits(history.back().max_move));
 }
 
 }  // namespace

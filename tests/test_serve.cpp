@@ -413,24 +413,45 @@ TEST(Protocol, StdioTransportRunsAScriptedSession) {
   EXPECT_TRUE(flatjson::get_bool(lines[3], "stopping", &flag) && flag);
 }
 
-/// One blocking loopback TCP session: connect to `port`, send `request`,
-/// read until the server closes. False on any socket error, including a
-/// reset in place of an orderly EOF.
-bool tcp_session(int port, const std::string& request, std::string* response) {
+/// A blocking socket connected to loopback `port`, or -1. A server that
+/// never answers fails a receive after 30 s instead of hanging the test.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  // A server that never answers fails the test instead of hanging it.
+  if (fd < 0) return -1;
   const timeval timeout{30, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  bool ok =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Append everything `fd` receives until an orderly EOF; false on a
+/// receive error (a reset, a timeout).
+bool read_to_eof(int fd, std::string* response) {
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0) return true;
+    if (n < 0) return false;
+    response->append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// One blocking loopback TCP session: connect to `port`, send `request`,
+/// read until the server closes. False on any socket error, including a
+/// reset in place of an orderly EOF.
+bool tcp_session(int port, const std::string& request, std::string* response) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return false;
   // Send while receiving: a burst whose answers outgrow the socket buffers
   // would otherwise deadlock against a server blocked on its writes.
-  bool sent = ok;
+  bool sent = true;
   std::thread sender([&] {
     for (std::size_t off = 0; sent && off < request.size();) {
       const ssize_t n =
@@ -439,13 +460,7 @@ bool tcp_session(int port, const std::string& request, std::string* response) {
       if (sent) off += static_cast<std::size_t>(n);
     }
   });
-  char chunk[4096];
-  while (ok) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
-    ok = n > 0;
-    if (ok) response->append(chunk, static_cast<std::size_t>(n));
-  }
+  const bool ok = read_to_eof(fd, response);
   // A receive that failed (e.g. timed out) must not leave the sender
   // blocked in send() forever: shutting the socket down makes it return.
   if (!ok) ::shutdown(fd, SHUT_RDWR);
@@ -558,6 +573,50 @@ TEST(Protocol, TcpPipelinedBurstAnsweredInOrder) {
   }
   bool flag = false;
   EXPECT_TRUE(flatjson::get_bool(lines.back(), "stopping", &flag) && flag);
+}
+
+/// The process's virtual size in KiB (VmSize in /proc/self/status).
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+// A connection's thread is joined once the connection ends. Left joinable,
+// each finished worker keeps its stack mapped (about 8 MiB), so 1 000
+// sequential connections would grow the daemon by gigabytes.
+TEST(Protocol, TcpFinishedConnectionsAreReaped) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  TcpServer server(svc, /*port=*/0);
+  std::thread accept_thread([&] { server.serve(); });
+
+  const std::string health = "{\"op\":\"health\"}\n";
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 1000; ++i) {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0) << "connection " << i;
+    std::string reply;
+    const bool ok =
+        ::send(fd, health.data(), health.size(), 0) ==
+            static_cast<ssize_t>(health.size()) &&
+        ::shutdown(fd, SHUT_WR) == 0 && read_to_eof(fd, &reply);
+    ::close(fd);
+    ASSERT_TRUE(ok) << "connection " << i;
+    ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  }
+  const long growth_kib = vm_size_kib() - before;
+
+  std::string response;
+  EXPECT_TRUE(
+      tcp_session(server.port(), "{\"op\":\"shutdown\"}\n", &response));
+  accept_thread.join();
+  EXPECT_LT(growth_kib, 256L * 1024) << "VmSize grew by " << growth_kib
+                                     << " KiB over 1000 connections";
 }
 
 // ---------------------------------------------------- concurrency (TSan) ----

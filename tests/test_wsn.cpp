@@ -464,16 +464,6 @@ TEST(Boundary, ClusterEdgeDetected) {
   EXPECT_FALSE(info[12].network_boundary);
 }
 
-TEST(Boundary, AreaBoundaryByProximity) {
-  // The area margin is gamma = 10 m: pinned at 0.9 gamma and 1.1 gamma.
-  Domain d = Domain::rectangle(100, 100);
-  Network net(&d, {{2, 50}, {50, 50}, {9, 50}, {11, 50}}, 10.0);
-  EXPECT_TRUE(detect_boundary(net, 0).area_boundary);
-  EXPECT_FALSE(detect_boundary(net, 1).area_boundary);
-  EXPECT_TRUE(detect_boundary(net, 2).area_boundary);
-  EXPECT_FALSE(detect_boundary(net, 3).area_boundary);
-}
-
 TEST(Boundary, IsolatedNodeIsBoundary) {
   Domain d = Domain::rectangle(100, 100);
   Network net(&d, {{50, 50}}, 10.0);
