@@ -1,5 +1,6 @@
 #include "common/specparse.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,14 +22,17 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 double parse_double(const std::string& s, int line, const std::string& key) {
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(s, &used);
+    v = std::stod(s, &used);
     if (used != s.size()) throw std::invalid_argument(s);
-    return v;
   } catch (const std::exception&) {
     fail(line, "'" + key + "' expects a number, got '" + s + "'");
   }
+  if (!std::isfinite(v))
+    fail(line, "'" + key + "' expects a finite number, got '" + s + "'");
+  return v;
 }
 
 int parse_int(const std::string& s, int line, const std::string& key,

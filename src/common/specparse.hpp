@@ -20,7 +20,8 @@ namespace laacad::specparse {
 std::vector<std::string> tokenize(const std::string& line);
 
 /// Strict scalar parsers: the whole token must consume, or fail() with a
-/// message naming `key`. parse_int also fails on a value below `min`.
+/// message naming `key`. parse_double also fails on nan and inf; parse_int
+/// also fails on a value below `min`.
 double parse_double(const std::string& s, int line, const std::string& key);
 int parse_int(const std::string& s, int line, const std::string& key,
               int min = std::numeric_limits<int>::min());

@@ -126,8 +126,9 @@ std::optional<std::pair<std::size_t, double>> farthest_vertex(const Ring& ring,
 }
 
 void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
-                    double eps) {
+                    double eps, EdgeLabels* labels) {
   out.clear();
+  if (labels) labels->out.clear();
   const std::size_t n = ring.size();
   if (n == 0) return;
   auto& pc = perf::counters();
@@ -135,25 +136,40 @@ void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
   const std::size_t cap0 = out.capacity();
   // Push with the dedupe_ring consecutive-duplicate check inlined, so the
   // arena variant needs no second pass (and no second ring) to normalize.
-  auto push = [&](Vec2 v) {
-    if (out.empty() || !almost_equal(out.back(), v, eps)) out.push_back(v);
+  // `label` tags the edge leaving v; a dropped duplicate hands its outgoing
+  // edge to the vertex it merged into.
+  const int clip_label = labels ? labels->clip : 0;
+  auto push = [&](Vec2 v, int label) {
+    if (out.empty() || !almost_equal(out.back(), v, eps)) {
+      out.push_back(v);
+      if (labels) labels->out.push_back(label);
+    } else if (labels) {
+      labels->out.back() = label;
+    }
   };
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 a = ring[i], b = ring[(i + 1) % n];
     const double da = hp.signed_dist(a);
     const double db = hp.signed_dist(b);
     const bool ina = da <= eps, inb = db <= eps;
-    if (ina) push(a);
+    const int edge = labels ? labels->in[i] : 0;
+    if (ina) push(a, edge);
     if (ina != inb) {
       // Edge crosses the boundary; da != db here because the signs differ
-      // beyond +-eps on at least one side.
+      // beyond +-eps on at least one side. Leaving the half-plane, the
+      // result runs along the clip line until it re-enters.
       const double t = da / (da - db);
-      push(lerp(a, b, std::clamp(t, 0.0, 1.0)));
+      push(lerp(a, b, std::clamp(t, 0.0, 1.0)), ina ? clip_label : edge);
     }
   }
-  while (out.size() >= 2 && almost_equal(out.front(), out.back(), eps))
+  while (out.size() >= 2 && almost_equal(out.front(), out.back(), eps)) {
     out.pop_back();
-  if (out.size() < 3) out.clear();
+    if (labels) labels->out.pop_back();
+  }
+  if (out.size() < 3) {
+    out.clear();
+    if (labels) labels->out.clear();
+  }
   if (out.capacity() != cap0) ++pc.ring_allocs;
 }
 

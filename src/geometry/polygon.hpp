@@ -72,12 +72,24 @@ std::optional<std::pair<std::size_t, double>> farthest_vertex(const Ring& ring,
 /// enclosing-circle uses in this project.
 Ring clip_ring(const Ring& ring, const HalfPlane& hp, double eps = kEps);
 
+/// Per-edge labels carried through clip_ring_into. `in[e]` tags the subject
+/// edge ring[e] -> ring[e+1]; `out` receives one tag per edge of the result
+/// (same convention). A cut edge keeps its tag, the new edge along the clip
+/// line gets `clip`, and when the dedupe drops a vertex the survivor takes
+/// the dropped vertex's outgoing tag.
+struct EdgeLabels {
+  const std::vector<int>& in;
+  std::vector<int>& out;
+  int clip;
+};
+
 /// Allocation-free variant of clip_ring for hot loops: writes the clipped,
 /// deduped result into `out` (cleared first; capacity is reused, so a caller
 /// ping-ponging two scratch rings performs no heap traffic once warm).
-/// `out` must not alias `ring`. Result is element-identical to clip_ring().
+/// `out` must not alias `ring`. Result is element-identical to clip_ring(),
+/// with or without `labels`.
 void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
-                    double eps = kEps);
+                    double eps = kEps, EdgeLabels* labels = nullptr);
 
 /// Clip an arbitrary subject ring against a convex window ring (CCW):
 /// successive `clip_ring` against each window edge.

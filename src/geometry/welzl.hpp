@@ -15,8 +15,14 @@
 namespace laacad::geom {
 
 /// Minimum enclosing circle of a point set (expected O(n), deterministic:
-/// the internal shuffle uses a fixed seed). Empty input yields an invalid
-/// circle (radius < 0).
-Circle min_enclosing_circle(std::vector<Vec2> points);
+/// the internal shuffle uses a fixed seed per input size). Empty input
+/// yields an invalid circle (radius < 0).
+Circle min_enclosing_circle(const std::vector<Vec2>& points);
+
+/// The move-to-front construction over `points` in the order given, with
+/// no shuffle. min_enclosing_circle runs this over its input shuffled by
+/// std::shuffle with std::mt19937_64(0x5eed5eed ^ size); exposed so tests
+/// can replay that order.
+Circle min_enclosing_circle_in_order(const std::vector<Vec2>& points);
 
 }  // namespace laacad::geom

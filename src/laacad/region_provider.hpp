@@ -20,7 +20,7 @@
 //                             built once per begin_round() and shared by
 //                             every compute(i): it bounds the Lemma-1
 //                             gathers, and the order-k kernel underneath
-//                             pulls its per-cell candidate lists and probe
+//                             pulls its per-cell candidate lists and seed
 //                             queries from a spatial index as well (a
 //                             thread-local scratch grid over the gathered
 //                             subset), so no per-node computation ever

@@ -1,5 +1,6 @@
 #include "scenario/spec.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <sstream>
@@ -343,6 +344,14 @@ void validate(const ScenarioSpec& spec) {
   if (spec.num_threads < 0) bad("threads must be >= 0 (0 = hardware)");
   if (spec.battery <= 0.0) bad("battery must be > 0");
   if (spec.grid_resolution <= 0.0) bad("grid_resolution must be > 0");
+  const double per_side = std::ceil(spec.side / spec.grid_resolution);
+  if (per_side * per_side > kMaxCoverageSamples) {
+    const auto num = [](double v) { return JsonWriter::number_to_string(v); };
+    bad("grid_resolution " + num(spec.grid_resolution) + " on side " +
+        num(spec.side) + " asks for " + num(per_side * per_side) +
+        " coverage samples, above kMaxCoverageSamples " +
+        num(kMaxCoverageSamples));
+  }
   if (spec.max_hops < 1) bad("max_hops must be >= 1");
   if (spec.noise < 0.0) bad("noise must be >= 0");
   if (spec.domain != "square" && spec.domain != "lshape" &&

@@ -172,10 +172,17 @@ std::string format_spec_header(const ScenarioSpec& spec);
 /// input, with the same messages as the file parser.
 Event parse_event_body(const std::string& text);
 
+/// Most grid-coverage samples a spec may ask for: ceil(side /
+/// grid_resolution)^2. The largest shipped or benchmarked spec needs about
+/// 4.8e5; grid_resolution 0.001 on a 300 m side would ask for 9e10 and
+/// does not finish within a minute.
+inline constexpr double kMaxCoverageSamples = 1e8;
+
 /// Spec-level sanity checks shared by parser and runner: positive side,
-/// nodes >= k >= 1, alpha in (0,1], epsilon > 0, max_rounds > 0, known
-/// domain/deploy/backend strings, event arguments in range. Throws
-/// std::runtime_error naming the offending field.
+/// nodes >= k >= 1, alpha in (0,1], epsilon > 0, max_rounds > 0, at most
+/// kMaxCoverageSamples coverage samples, known domain/deploy/backend
+/// strings, event arguments in range. Throws std::runtime_error naming the
+/// offending field.
 void validate(const ScenarioSpec& spec);
 
 }  // namespace laacad::scenario

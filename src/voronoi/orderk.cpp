@@ -25,25 +25,43 @@ double max_vertex_dist(const Ring& ring, Vec2 ref) {
   return m;
 }
 
-// Probe offset used to identify the generator set across a cell edge:
-// relative to the local geometry scale.
-double probe_delta(const Ring& cell) {
-  const geom::BBox bb = geom::bounding_box(cell);
-  return 1e-6 * (1.0 + std::max(bb.width(), bb.height()));
-}
-
 // ---------------------------------------------------------- cell engine ----
 //
 // One order-k cell is the window clipped against bisectors with out-sites
 // taken in ascending distance from the reference generator, with the Lemma
 // pruning bound ending the scan early. The brute and grid paths share this
 // machinery; they differ only in how the candidate list is produced.
+//
+// Every edge of the cell carries a label naming what created it: the window
+// (kWindowEdge) or an index into `cuts`, the (kept generator h, out-site j)
+// pair whose bisector clipped it. Crossing an edge on bisector(h, j) swaps h
+// for j (D. T. Lee, IEEE Trans. Computers C-31(6), 1982), so the BFS
+// derives each neighbouring cell from the label instead of locating it.
+//
+// A bisector that only touches the cell (some vertex within kEps, cutting
+// nothing) is kept in `touches`. Near-coincident bisectors (co-located
+// sites pulled apart by separate_sites) can cross at a vertex and stay
+// within kEps of each other along the edge beyond it: the edge is then
+// split below clipping resolution, and the cell across the first stretch,
+// H - h + j, has no edge of its own to be found through.
 
-// Reusable per-BFS scratch: ping-pong clip rings plus the candidate buffer.
-// Eliminates the ring allocation per half-plane clip (and the candidate
-// vector per cell) the old kernel paid.
+constexpr int kWindowEdge = -1;
+
+struct Swap {
+  int h;  // generator left behind across the bisector
+  int j;  // out-site taken in
+
+  bool operator==(const Swap&) const = default;
+};
+
+// Reusable per-BFS scratch: ping-pong clip rings with their edge labels,
+// the per-cell swap lists and the candidate buffer. Eliminates the ring
+// allocation per half-plane clip (and the candidate vector per cell) the
+// old kernel paid.
 struct CellScratch {
   Ring cur, next;
+  std::vector<int> labels, next_labels;  // one per edge of cur / next
+  std::vector<Swap> cuts, touches;       // reset per cell
   std::vector<std::pair<double, int>> cand;  // (dist2 to ref, site index)
 };
 
@@ -58,8 +76,12 @@ struct CellState {
 bool init_cell(const std::vector<Vec2>& sites, const std::vector<int>& gens,
                const Ring& window, CellScratch& s, CellState& st) {
   s.cur.assign(window.begin(), window.end());
+  s.labels.assign(s.cur.size(), kWindowEdge);
+  s.cuts.clear();
+  s.touches.clear();
   if (s.cur.size() < 3 || gens.empty()) {
     s.cur.clear();
+    s.labels.clear();
     return false;
   }
   st.ref = sites[static_cast<std::size_t>(gens.front())];
@@ -89,21 +111,32 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
     // nearest remaining out-site, no later out-site can cut either.
     ++pc.dist2_evals;
     if (geom::dist(uj, st.ref) - st.rv > st.rv + st.dmax_h) return true;
+    const int j = cand[a].second;
     bool cut = false;
     for (int h : gens) {
       const HalfPlane hp =
           geom::bisector_halfplane(sites[static_cast<std::size_t>(h)], uj);
       // Quick reject: does the bisector actually cut the current cell?
-      bool all_inside = true;
+      // `touch`: some vertex lies on it (within kEps).
+      bool all_inside = true, touch = false;
       for (Vec2 v : s.cur) {
-        if (hp.signed_dist(v) > geom::kEps) {
+        const double d = hp.signed_dist(v);
+        if (d > geom::kEps) {
           all_inside = false;
           break;
         }
+        touch |= d >= -geom::kEps;
       }
-      if (all_inside) continue;
-      geom::clip_ring_into(s.cur, hp, s.next, geom::kEps);
+      if (all_inside) {
+        if (touch) s.touches.push_back(Swap{h, j});
+        continue;
+      }
+      s.cuts.push_back(Swap{h, j});
+      geom::EdgeLabels labels{s.labels, s.next_labels,
+                              static_cast<int>(s.cuts.size()) - 1};
+      geom::clip_ring_into(s.cur, hp, s.next, geom::kEps, &labels);
       std::swap(s.cur, s.next);
+      std::swap(s.labels, s.next_labels);
       cut = true;
       if (s.cur.empty()) break;
     }
@@ -171,7 +204,7 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
   }
 }
 
-// The one probe primitive of the BFS and its seeders: k nearest sites to a
+// The one point-location primitive of the seeders: k nearest sites to a
 // point, through the grid when one is available. Grid and brute answers are
 // exactly equal (shared canonical (dist2, index) order; property-tested).
 std::vector<int> nearest_gens(const std::vector<Vec2>& sites,
@@ -253,8 +286,9 @@ class GenSetSeen {
 // Shared BFS engine. When `restrict_to` >= 0, only cells whose generator
 // set contains that site are expanded and reported (dominating-region
 // traversal); otherwise all cells are reported (full enumeration). When
-// `grid` is non-null it must index exactly `sites`; all probe queries and
-// candidate gathers then route through it.
+// `grid` is non-null it must index exactly `sites`; the candidate gathers
+// then route through it. Neighbours are derived from the edge labels, so the
+// traversal itself issues no point-location query.
 std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
                                   const Ring& window, int restrict_to,
                                   const std::vector<std::vector<int>>& seeds,
@@ -275,7 +309,6 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
       return;
     if (visited.insert(gens)) queue.push(std::move(gens));
   };
-  auto probe_gens = [&](Vec2 p) { return nearest_gens(sites, grid, p, k); };
   for (const auto& s : seeds) push(s);
 
   CellScratch scratch;
@@ -291,12 +324,16 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
 #ifndef NDEBUG
       {
         // Debug cross-check: the bounded gather must reproduce the
-        // exhaustive kernel bit for bit.
+        // exhaustive kernel bit for bit. Its own work stays out of the
+        // counters, which measure the grid path.
+        const perf::KernelCounters before = pc;
         CellScratch ref_s;
         CellState ref_st;
         init_cell(sites, gens, window, ref_s, ref_st);
         cell_brute(sites, gens, ref_s, ref_st);
-        assert(scratch.cur == ref_s.cur &&
+        pc = before;
+        assert(scratch.cur == ref_s.cur && scratch.labels == ref_s.labels &&
+               scratch.cuts == ref_s.cuts && scratch.touches == ref_s.touches &&
                "grid-backed order-k cell diverged from the brute kernel");
       }
 #endif
@@ -306,35 +343,24 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
     const Ring& cell = scratch.cur;
     if (cell.empty() || geom::area(cell) < 1e-18) continue;
 
-    // Cross every edge with a probe just outside the cell; the k nearest
-    // sites there form the neighbouring cell's generator set.
-    const double delta = probe_delta(cell);
-    const std::size_t m = cell.size();
-    for (std::size_t e = 0; e < m; ++e) {
-      const Vec2 a = cell[e], b = cell[(e + 1) % m];
-      const Vec2 edge = b - a;
-      const double len = edge.norm();
-      if (len <= 0.0) continue;
-      const Vec2 outward = Vec2{edge.y, -edge.x}.normalized();
-      if (len >= 10.0 * delta) {
-        const Vec2 probe = geom::midpoint(a, b) + outward * delta;
-        if (!geom::contains_point(window, probe, 0.0)) continue;  // window edge
-        push(probe_gens(probe));
-      } else {
-        // Sliver edge. The old kernel skipped these outright, which can
-        // drop a neighbouring cell reachable only through the short edge; a
-        // single midpoint probe offset by the full delta is no better, as
-        // it can overshoot a thin neighbour entirely. Probe from the
-        // midpoints of both half-edges with an offset scaled to the edge
-        // length so the probes stay adjacent to it; wrong or duplicate hits
-        // are harmless (empty cells or visited sets).
-        const double off = 0.25 * len;
-        for (const double t : {0.25, 0.75}) {
-          const Vec2 probe = a + edge * t + outward * off;
-          if (!geom::contains_point(window, probe, 0.0)) continue;
-          push(probe_gens(probe));
-        }
-      }
+    // Cross every non-window edge, in edge order, then every bisector that
+    // still touches the finished cell: each crossing swaps one generator.
+    auto cross = [&](const Swap& sw) {
+      std::vector<int> across = gens;
+      *std::find(across.begin(), across.end(), sw.h) = sw.j;
+      push(std::move(across));
+    };
+    for (const int label : scratch.labels)
+      if (label != kWindowEdge)
+        cross(scratch.cuts[static_cast<std::size_t>(label)]);
+    for (const Swap& t : scratch.touches) {
+      const HalfPlane hp =
+          geom::bisector_halfplane(sites[static_cast<std::size_t>(t.h)],
+                                   sites[static_cast<std::size_t>(t.j)]);
+      if (std::any_of(cell.begin(), cell.end(), [&](Vec2 v) {
+            return hp.signed_dist(v) >= -geom::kEps;
+          }))
+        cross(t);
     }
 
     ++pc.cells_built;
@@ -454,12 +480,6 @@ std::vector<OrderKCell> enumerate_order_k_cells_brute(
     const std::vector<Vec2>& sites, int k, const Ring& window) {
   return bfs_cells(sites, k, window, /*restrict_to=*/-1,
                    enumeration_seeds(sites, k, window, nullptr), nullptr);
-}
-
-Ring order_1_cell(const std::vector<Vec2>& sites, int i, const Ring& window) {
-  auto cells = dominating_region_cells(sites, i, 1, window);
-  if (cells.empty()) return {};
-  return cells.front().poly;
 }
 
 }  // namespace laacad::vor

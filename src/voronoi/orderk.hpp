@@ -10,9 +10,12 @@
 // V^k_{n_i}) is the union of all nonempty V_H with i in H, equivalently
 // { v : at most k-1 other sites are strictly closer to v than i }
 // (Proposition 1). We enumerate the union by breadth-first search over the
-// cell adjacency graph: two cells sharing an edge differ by swapping one
-// generator, and the generator set of the neighbouring cell is recovered by
-// probing the k nearest sites just across the shared edge.
+// cell adjacency graph: an edge on bisector(h, j), h in H, j not in H,
+// separates V_H from V_{H - h + j} (D. T. Lee, "On k-nearest neighbor
+// Voronoi diagrams in the plane", IEEE Trans. Computers C-31(6), 1982). The
+// clip that builds a cell labels each edge with the pair whose bisector
+// created it, so the neighbouring generator set is derived, not located;
+// a bisector that touches a cell without cutting it is crossed as well.
 //
 // Validity of the restricted BFS rests on the dominating region being
 // star-shaped with respect to u_i: any site that beats i at a point w on
@@ -22,21 +25,23 @@
 // tests/test_orderk.cpp.
 // Kernel acceleration (this file's second half): every entry point exists in
 // two equivalent implementations. The *brute* path sorts all n out-sites per
-// BFS cell and probes edges with k_nearest_brute — the straightforward
-// transcription of the construction above, kept as the reference. The *grid*
-// path routes every point-location and probe query through a
-// wsn::SpatialGrid and clips each cell against a distance-bounded candidate
-// list gathered from the grid in expanding rings: once the gather radius R
-// satisfies R >= 2 rv + dmax (rv = current max vertex distance of the cell
-// from the reference generator, dmax = generator spread), any site beyond R
-// fails the same pruning bound the brute loop breaks on, so the two paths
-// clip the same sites in the same order and produce bit-identical cells
-// (asserted against each other in Debug builds; if every site is gathered
-// before the bound closes, the gather has degenerated to the exhaustive
-// list, counted as a kernel_fallback). The default entry points pick the
-// grid path automatically above a small site count, reusing a thread-local
-// scratch grid, so all callers — the adaptive Lemma-1 solver, the localized
-// Algorithm-2 solver, tests, benches — share one accelerated kernel.
+// BFS cell and seeds with k_nearest_brute — the straightforward
+// transcription of the construction above, kept as the reference for
+// candidate gathering (an exhaustive per-subset construction in the tests
+// is the reference for adjacency). The *grid* path routes every seed query
+// through a wsn::SpatialGrid and clips each cell against a distance-bounded
+// candidate list gathered from the grid in expanding rings: once the gather
+// radius R satisfies R >= 2 rv + dmax (rv = current max vertex distance of
+// the cell from the reference generator, dmax = generator spread), any site
+// beyond R fails the same pruning bound the brute loop breaks on, so the
+// two paths clip the same sites in the same order and produce bit-identical
+// cells (asserted against each other in Debug builds; if every site is
+// gathered before the bound closes, the gather has degenerated to the
+// exhaustive list, counted as a kernel_fallback). The default entry points
+// pick the grid path automatically above a small site count, reusing a
+// thread-local scratch grid, so all callers — the adaptive Lemma-1 solver,
+// the localized Algorithm-2 solver, tests, benches — share one accelerated
+// kernel.
 #pragma once
 
 #include <vector>
@@ -80,7 +85,7 @@ std::vector<OrderKCell> dominating_region_cells(
     int k, const geom::Ring& window);
 
 /// Exhaustive reference kernel (full per-cell candidate sort, brute-force
-/// probes). Kept for cross-validation in tests and as the micro-bench
+/// seeding). Kept for cross-validation in tests and as the micro-bench
 /// baseline the grid kernel's dist2-eval reduction is measured against.
 std::vector<OrderKCell> dominating_region_cells_brute(
     const std::vector<geom::Vec2>& sites, int i, int k,
@@ -100,10 +105,5 @@ std::vector<OrderKCell> enumerate_order_k_cells(
 /// Exhaustive reference enumeration.
 std::vector<OrderKCell> enumerate_order_k_cells_brute(
     const std::vector<geom::Vec2>& sites, int k, const geom::Ring& window);
-
-/// Classic order-1 Voronoi cell of site i (dominating region at k = 1 is a
-/// single convex cell).
-geom::Ring order_1_cell(const std::vector<geom::Vec2>& sites, int i,
-                        const geom::Ring& window);
 
 }  // namespace laacad::vor

@@ -62,7 +62,7 @@ class SpatialGrid {
   /// (ties broken by ascending index, matching vor::k_nearest_brute exactly).
   /// `exclude` (if >= 0) is skipped — used for "k nearest other nodes".
   /// Correct for any q, including query points outside the points' bounding
-  /// box (the Voronoi kernel probes just outside cell edges).
+  /// box.
   std::vector<int> k_nearest(geom::Vec2 q, int k, int exclude = -1) const;
 
   std::size_t size() const { return n_; }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/perf_counters.hpp"
 #include "common/rng.hpp"
@@ -55,6 +59,12 @@ TEST(Sites, CloserCount) {
 }
 
 // ------------------------------------------------------- order-1 cells ----
+
+// The classic Voronoi cell of site i: its dominating region at k = 1 is one
+// convex cell.
+Ring order_1_cell(const std::vector<Vec2>& sites, int i, const Ring& window) {
+  return dominating_region_cells(sites, i, 1, window).front().poly;
+}
 
 TEST(Order1, TwoSitesSplitWindow) {
   std::vector<Vec2> sites = {{25, 50}, {75, 50}};
@@ -217,7 +227,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StarShapedProperty, ::testing::Range(0, 10));
 // ------------------------------------- grid path vs exhaustive path -------
 
 // The determinism contract of the accelerated kernel: the grid-backed path
-// (bounded candidate gathers, grid probes) must reproduce the exhaustive
+// (bounded candidate gathers, grid seeds) must reproduce the exhaustive
 // kernel bit for bit — identical generator sets, identical vertices, in
 // identical order — for any site count, k, and window.
 TEST(GridKernel, BitIdenticalToBruteKernel) {
@@ -324,19 +334,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Near-degenerate configuration: sites nearly cocircular plus a center site
 // produce order-k vertices where many cells meet through very short edges.
-// The old BFS skipped every edge shorter than 10*delta without probing
-// across it, so a neighbouring cell reachable only through such an edge was
-// silently dropped from the traversal — the enumerated "partition" had a
-// hole and dominating regions lost area. The fixed kernel probes short
-// edges from both half-edge midpoints instead.
+// An early BFS skipped every edge shorter than a probe threshold, so a
+// neighbouring cell reachable only through such an edge was silently
+// dropped from the traversal — the enumerated "partition" had a hole and
+// dominating regions lost area. The kernel now derives the neighbour across
+// every edge, however short, from the edge's bisector label.
 TEST(SliverEdges, NearCocircularPartitionHasNoHoles) {
   for (int seed = 0; seed < 4; ++seed) {
     laacad::Rng rng(900 + seed);
     std::vector<Vec2> sites;
     const int m = 10 + seed;
     for (int i = 0; i < m; ++i) {
-      // Cocircular up to ~1e-7 jitter: far below the probe scale, so the
-      // resulting diagram is packed with sliver edges.
+      // Cocircular up to ~1e-7 jitter: the resulting diagram is packed
+      // with sliver edges.
       const double ang = 2.0 * M_PI * i / m + rng.uniform(-1e-7, 1e-7);
       sites.push_back(Vec2{50.0 + 30.0 * std::cos(ang),
                            50.0 + 30.0 * std::sin(ang)});
@@ -363,14 +373,13 @@ TEST(SliverEdges, NearCocircularPartitionHasNoHoles) {
 }
 
 TEST(SliverEdges, RegressionLostCellOnJitteredLattice) {
-  // Pinned regression config (found by searching the pre-fix kernel against
-  // the fixed one): a jittered 23 m lattice, whose squares put four sites
+  // Pinned regression config (found by searching an early kernel against
+  // a later one): a jittered 23 m lattice, whose squares put four sites
   // nearly on a circle. At k = 2 the cell V_{2,4} — the sliver between the
   // two diagonal sites of the middle square — attaches to the rest of the
-  // diagram only through edges shorter than the 10*delta probe threshold.
-  // The old BFS skipped those edges and never discovered the cell: full
-  // enumeration was missing {2,4}, and the dominating regions of sites 2
-  // and 4 each silently lost a cell.
+  // diagram only through very short edges. A BFS that skipped short edges
+  // never discovered the cell: full enumeration was missing {2,4}, and the
+  // dominating regions of sites 2 and 4 each silently lost a cell.
   const std::vector<Vec2> sites = {
       {14.999143405333413, 15.000181380951267},
       {37.999986925745873, 15.000003883196152},
@@ -537,6 +546,152 @@ TEST(EnumerateCells, DominatingRegionIsUnionOfEnumerated) {
   double got = 0.0;
   for (const auto& c : mine) got += c.area();
   EXPECT_NEAR(got, expect, 1e-3);
+}
+
+// ------------------------------------------ exhaustive adjacency oracle ---
+
+// Every nonempty order-k cell, built subset by subset with no adjacency at
+// all: order_k_cell against every out-site sorted by (dist2 to the first
+// generator, index), the kernel's own clip order, so the rings compare bit
+// for bit. Kept under the BFS's own rule (area not below 1e-18). This is
+// the one check of neighbour discovery that does not run through the BFS.
+using CellMap = std::map<std::vector<int>, Ring>;
+
+CellMap exhaustive_cells(const std::vector<Vec2>& sites, int k,
+                         const Ring& window) {
+  const int n = static_cast<int>(sites.size());
+  CellMap out;
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    if (std::popcount(mask) != k) continue;
+    std::vector<int> gens;
+    for (int s = 0; s < n; ++s)
+      if ((mask >> s) & 1u) gens.push_back(s);
+    const Vec2 ref = sites[static_cast<std::size_t>(gens.front())];
+    std::vector<std::pair<double, int>> order;
+    for (int j = 0; j < n; ++j)
+      if (!((mask >> j) & 1u))
+        order.emplace_back(geom::dist2(sites[static_cast<std::size_t>(j)], ref),
+                           j);
+    std::sort(order.begin(), order.end());
+    std::vector<int> others;
+    for (const auto& o : order) others.push_back(o.second);
+    Ring cell = order_k_cell(sites, gens, others, window);
+    if (!cell.empty() && !(geom::area(cell) < 1e-18))
+      out.emplace(std::move(gens), std::move(cell));
+  }
+  return out;
+}
+
+void expect_same_cells(const std::vector<OrderKCell>& got,
+                       const CellMap& expected, const std::string& what) {
+  CellMap found;
+  for (const auto& c : got)
+    EXPECT_TRUE(found.emplace(c.gens, c.poly).second)
+        << what << ": cell reported twice";
+  for (const auto& [gens, ring] : expected) {
+    const auto it = found.find(gens);
+    if (it == found.end()) {
+      ADD_FAILURE() << what << ": missing cell "
+                    << ::testing::PrintToString(gens);
+      continue;
+    }
+    EXPECT_EQ(it->second, ring) << what << ": cell "
+                                << ::testing::PrintToString(gens);
+  }
+  for (const auto& c : found)
+    EXPECT_TRUE(expected.count(c.first))
+        << what << ": spurious cell " << ::testing::PrintToString(c.first);
+}
+
+// Both entry points on both kernel paths against the oracle, k = 1..3.
+void check_against_exhaustive(const std::vector<Vec2>& sites,
+                              const std::string& name) {
+  const Ring window = window100();
+  const wsn::SpatialGrid grid(sites, 20.0);
+  const int n = static_cast<int>(sites.size());
+  for (int k = 1; k <= 3 && k <= n; ++k) {
+    const CellMap all = exhaustive_cells(sites, k, window);
+    ASSERT_FALSE(all.empty());
+    const std::string tag = name + " k=" + std::to_string(k);
+    expect_same_cells(enumerate_order_k_cells_brute(sites, k, window), all,
+                      tag + " enumerate brute");
+    expect_same_cells(enumerate_order_k_cells(sites, grid, k, window), all,
+                      tag + " enumerate grid");
+    for (int i = 0; i < n; ++i) {
+      CellMap mine;
+      for (const auto& [gens, ring] : all)
+        if (std::binary_search(gens.begin(), gens.end(), i))
+          mine.emplace(gens, ring);
+      const std::string who = tag + " i=" + std::to_string(i);
+      expect_same_cells(dominating_region_cells_brute(sites, i, k, window),
+                        mine, who + " region brute");
+      expect_same_cells(dominating_region_cells(sites, grid, i, k, window),
+                        mine, who + " region grid");
+    }
+  }
+}
+
+TEST(ExhaustiveOracle, ExactSquareLattice) {
+  // No jitter: four sites on every order-k vertex, and bisectors of
+  // opposite lattice sides that coincide exactly while a cell is clipped.
+  std::vector<Vec2> sites;
+  for (int r = 0; r < 3; ++r)
+    for (int c = 0; c < 3; ++c) sites.push_back({25.0 + 25 * c, 25.0 + 25 * r});
+  check_against_exhaustive(sites, "lattice3x3");
+  sites.resize(8);
+  check_against_exhaustive(sites, "lattice3x3-1");
+  std::vector<Vec2> square = {{30, 30}, {70, 30}, {70, 70}, {30, 70}};
+  check_against_exhaustive(square, "square");
+}
+
+TEST(ExhaustiveOracle, StackedGroups) {
+  // Co-located groups (three anchors of three, or four of two) pulled apart
+  // by separate_sites. Their bisectors nearly coincide: some cells border a
+  // neighbour only along a stretch where two bisectors stay within kEps of
+  // each other, so they are reachable only across a bisector that touches
+  // the neighbour without cutting it (seed 0 has such cells).
+  for (int seed = 0; seed < 100; ++seed) {
+    laacad::Rng rng(static_cast<std::uint64_t>(seed));
+    const int anchors = seed % 2 ? 4 : 3;
+    const int group = seed % 2 ? 2 : 3;
+    std::vector<Vec2> sites;
+    for (int a = 0; a < anchors; ++a) {
+      const Vec2 at{rng.uniform(5, 95), rng.uniform(5, 95)};
+      for (int g = 0; g < group; ++g) sites.push_back(at);
+    }
+    check_against_exhaustive(separate_sites(sites),
+                             "stacked seed " + std::to_string(seed));
+  }
+}
+
+TEST(ExhaustiveOracle, NearCocircular) {
+  // The SliverEdges construction at n = 9: eight sites on a circle up to
+  // ~1e-7 jitter plus one near its center.
+  for (int seed = 0; seed < 4; ++seed) {
+    laacad::Rng rng(900 + seed);
+    std::vector<Vec2> sites;
+    const int m = 8;
+    for (int i = 0; i < m; ++i) {
+      const double ang = 2.0 * M_PI * i / m + rng.uniform(-1e-7, 1e-7);
+      sites.push_back(Vec2{50.0 + 30.0 * std::cos(ang),
+                           50.0 + 30.0 * std::sin(ang)});
+    }
+    sites.push_back({50.0 + rng.uniform(-1e-7, 1e-7), 50.0});
+    check_against_exhaustive(separate_sites(sites),
+                             "cocircular" + std::to_string(seed));
+  }
+}
+
+TEST(ExhaustiveOracle, RandomSets) {
+  laacad::Rng rng(31);
+  for (int round = 0; round < 12; ++round) {
+    const int n = 4 + rng.uniform_int(0, 5);
+    std::vector<Vec2> sites;
+    for (int i = 0; i < n; ++i)
+      sites.push_back({rng.uniform(5, 95), rng.uniform(5, 95)});
+    check_against_exhaustive(separate_sites(sites),
+                             "random" + std::to_string(round));
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "common/rng.hpp"
 #include "geometry/polygon.hpp"
 #include "geometry/welzl.hpp"
@@ -61,6 +64,32 @@ TEST(Welzl, DeterministicAcrossCalls) {
   Circle b = min_enclosing_circle(pts);
   EXPECT_EQ(a.center, b.center);
   EXPECT_EQ(a.radius, b.radius);
+}
+
+// The per-size permutation cache reproduces the seeded in-place shuffle bit
+// for bit: every size up to 300 (and one beyond the cache cap, which
+// shuffles directly), against a reference that seeds a generator and
+// shuffles the points themselves.
+TEST(Welzl, CachedShuffleMatchesSeededInPlaceShuffle) {
+  laacad::Rng rng(17);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 300; ++n) sizes.push_back(n);
+  sizes.push_back(1100);
+  for (const std::size_t n : sizes) {
+    std::vector<Vec2> pts;
+    for (std::size_t i = 0; i < n; ++i)
+      pts.push_back({rng.uniform(-50, 50), rng.uniform(-50, 50)});
+    std::vector<Vec2> shuffled = pts;
+    std::mt19937_64 gen(0x5eed5eedULL ^ n);
+    std::shuffle(shuffled.begin(), shuffled.end(), gen);
+    const Circle ref = min_enclosing_circle_in_order(shuffled);
+    // Twice: the first call fills the cache, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      const Circle c = min_enclosing_circle(pts);
+      EXPECT_EQ(c.center, ref.center) << "n=" << n;
+      EXPECT_EQ(c.radius, ref.radius) << "n=" << n;
+    }
+  }
 }
 
 // Property sweep: for random point clouds the MEC (a) contains all points,
