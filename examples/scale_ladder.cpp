@@ -11,20 +11,22 @@
 //   scale_ladder [--campaign PATH] [--max-nodes N] [--budget PATH]
 //                [--json PATH] [--trial-threads N] [--trace PATH] [--quiet]
 //
-// --max-nodes caps which rungs run: ctest climbs to 10^5, CI's nightly
-// job runs the full ladder. --budget loads campaigns/scale_ladder.budget;
+// --max-nodes caps which rungs run: the ctest entry
+// scale_ladder_within_budget climbs to 10^5 (10^4 in Debug) with
+// --trial-threads 0 against campaigns/scale_ladder.budget, and CI's
+// nightly job runs the full ladder. --budget loads that file;
 // dist2-evaluation budgets are enforced unconditionally for every
-// --trial-threads value (they are deterministic and machine-independent,
-// the same contract as the dist^2 regression gates — the thread pool folds
-// every worker chunk's counter delta back into the measuring thread, so
-// the totals are exact at any thread count), while wall-clock and RSS
-// budgets
-// apply only when LAACAD_ENFORCE_BUDGET is set in the environment (CI
-// runners), so developer laptops never flake on a noisy neighbour.
+// --trial-threads value (they are deterministic and machine-independent:
+// the thread pool folds every worker chunk's counter delta back into the
+// measuring thread, so the totals are exact at any thread count), while
+// wall-clock and RSS caps apply only when LAACAD_ENFORCE_BUDGET is set in
+// the environment (CI runners), so developer laptops never flake on a
+// noisy neighbour. Any budgeted quantity that reads 0 fails its rung.
 // --trace writes one Chrome trace-event JSON per rung (path suffixed
 // _n<nodes>) and prints that rung's per-stage wall-clock breakdown (grid
 // rebuild, region fan-out, movement, ...) in the stdout summary.
-// Exit status 0 iff every rung ran ok and every enforced budget held.
+// Exit status 0 iff every rung ran ok, every enforced budget held and no
+// budgeted quantity read 0.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/ladder_budget.hpp"
 #include "campaign/scheduler.hpp"
 #include "common/perf_counters.hpp"
 #include "common/specparse.hpp"
@@ -50,13 +53,6 @@
 namespace {
 
 using namespace laacad;
-
-struct RungBudget {
-  long long nodes = 0;
-  double dist2_per_node = 0.0;  ///< dist2_evals / nodes cap; 0 = no cap
-  double wall_ms = 0.0;         ///< total wall cap; 0 = no cap
-  double rss_mib = 0.0;         ///< peak RSS cap; 0 = no cap
-};
 
 struct RungRow {
   long long nodes = 0;
@@ -103,37 +99,6 @@ std::string rung_trace_path(const std::string& base, long long n) {
       (slash != std::string::npos && dot < slash))
     return base + suffix;
   return base.substr(0, dot) + suffix + base.substr(dot);
-}
-
-/// Rows of `nodes dist2_per_node wall_ms rss_mib`, parsed strictly: a
-/// malformed value or a wrong field count throws "<path>: line N: ...".
-std::vector<RungBudget> load_budget(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open budget file: " + path);
-  std::vector<RungBudget> out;
-  std::string line;
-  int lineno = 0;
-  try {
-    while (std::getline(in, line)) {
-      ++lineno;
-      const std::vector<std::string> tok = specparse::tokenize(line);
-      if (tok.empty()) continue;  // blank / comment-only line
-      if (tok.size() != 4)
-        specparse::fail(lineno,
-                        "expected 'nodes dist2_per_node wall_ms rss_mib', "
-                        "got " + std::to_string(tok.size()) + " fields");
-      RungBudget b;
-      b.nodes = specparse::parse_int(tok[0], lineno, "nodes", 1);
-      b.dist2_per_node =
-          specparse::parse_double(tok[1], lineno, "dist2_per_node");
-      b.wall_ms = specparse::parse_double(tok[2], lineno, "wall_ms");
-      b.rss_mib = specparse::parse_double(tok[3], lineno, "rss_mib");
-      out.push_back(b);
-    }
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
-  return out;
 }
 
 void write_json(const std::string& path, const std::vector<RungRow>& rows,
@@ -219,8 +184,9 @@ int main(int argc, char** argv) {
       throw std::runtime_error(
           "scale ladder campaign must sweep exactly one axis: nodes");
 
-    std::vector<RungBudget> budgets;
-    if (!budget_path.empty()) budgets = load_budget(budget_path);
+    std::vector<campaign::RungBudget> budgets;
+    if (!budget_path.empty())
+      budgets = campaign::load_ladder_budget(budget_path);
     // lint:allow(ambient-env): gates *extra* budget assertions only — rung
     // results and BENCH bytes are identical with or without it
     const bool enforce_env = std::getenv("LAACAD_ENFORCE_BUDGET") != nullptr;
@@ -315,32 +281,31 @@ int main(int argc, char** argv) {
         }
       }
 
-      for (const RungBudget& b : budgets) {
+      // A budgeted quantity that reads 0 fails the rung: a broken counter
+      // or RSS probe would otherwise pass every cap.
+      const auto check = [&](const char* what, double cap, double reading,
+                             const char* unit, bool enforced) {
+        if (cap <= 0.0) return;
+        if (reading <= 0.0) {
+          all_ok = false;
+          std::cerr << "scale_ladder: rung n=" << n << " read 0 " << what
+                    << " against a budget of " << cap << " " << unit << "\n";
+        } else if (enforced && reading > cap) {
+          all_ok = false;
+          std::cerr << "scale_ladder: rung n=" << n << " BLEW " << what
+                    << " budget: " << reading << " > " << cap << " " << unit
+                    << "\n";
+        }
+      };
+      for (const campaign::RungBudget& b : budgets) {
         if (b.nodes != n) continue;
-        if (b.dist2_per_node > 0.0) {
-          const double per_node = static_cast<double>(row.dist2_evals) /
-                                  static_cast<double>(n);
-          if (per_node > b.dist2_per_node) {
-            all_ok = false;
-            std::cerr << "scale_ladder: rung n=" << n
-                      << " BLEW dist2 budget: " << per_node << " > "
-                      << b.dist2_per_node << " evals/node\n";
-          }
-        }
-        if (enforce_env && b.wall_ms > 0.0 && row.wall_ms > b.wall_ms) {
-          all_ok = false;
-          std::cerr << "scale_ladder: rung n=" << n
-                    << " BLEW wall budget: " << row.wall_ms << " > "
-                    << b.wall_ms << " ms\n";
-        }
-        const double rss_mib =
-            static_cast<double>(row.peak_rss) / (1024.0 * 1024.0);
-        if (enforce_env && b.rss_mib > 0.0 && rss_mib > b.rss_mib) {
-          all_ok = false;
-          std::cerr << "scale_ladder: rung n=" << n
-                    << " BLEW RSS budget: " << rss_mib << " > " << b.rss_mib
-                    << " MiB\n";
-        }
+        check("dist2", b.dist2_per_node,
+              static_cast<double>(row.dist2_evals) / static_cast<double>(n),
+              "evals/node", true);
+        check("wall", b.wall_ms, row.wall_ms, "ms", enforce_env);
+        check("RSS", b.rss_mib,
+              static_cast<double>(row.peak_rss) / (1024.0 * 1024.0), "MiB",
+              enforce_env);
       }
       if (row.ok) ++rungs_ok;
       rows.push_back(std::move(row));

@@ -67,20 +67,20 @@ void LocalizedRegionProvider::begin_round(const wsn::Network& net,
   k_ = k;
   epoch_ = epoch;
   // Warm the spatial index with the lent pool (bit-identical re-bin for any
-  // thread count), then boundary verdicts (they query that index), then the
-  // connectivity snapshot the gathers run over. All three run on the pool:
-  // each writes only its own slots, so every thread count yields the same
-  // snapshot.
+  // thread count), then the connectivity snapshot the gathers run over (it
+  // queries that index), then boundary verdicts over the snapshot's
+  // adjacency. All three run on the pool: each writes only its own slots,
+  // so every thread count yields the same snapshot.
   {
     obs::ScopedSpan span("grid_rebuild", net.size());
     net.warm_grid(pool);
   }
   {
-    obs::ScopedSpan span("boundaries");
-    boundaries_ = wsn::detect_all_boundaries(net, pool);
+    obs::ScopedSpan span("comm_build");
+    comm_.emplace(net, pool);
   }
-  obs::ScopedSpan span("comm_build");
-  comm_.emplace(net, pool);
+  obs::ScopedSpan span("boundaries");
+  boundaries_ = wsn::detect_all_boundaries(*comm_, pool);
 }
 
 RegionOutput LocalizedRegionProvider::compute(wsn::NodeId i) const {

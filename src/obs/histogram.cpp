@@ -13,36 +13,13 @@ namespace {
 constexpr int kTotalSlots = HistogramBuckets::kNumBuckets + 1;  // + overflow
 }  // namespace
 
-Histogram::Histogram(const Histogram& other)
-    : buckets_(other.buckets_
-                   ? std::make_unique<std::vector<std::uint64_t>>(
-                         *other.buckets_)
-                   : nullptr),
-      count_(other.count_),
-      sum_(other.sum_),
-      min_(other.min_),
-      max_(other.max_) {}
-
-Histogram& Histogram::operator=(const Histogram& other) {
-  if (this == &other) return *this;
-  buckets_ = other.buckets_ ? std::make_unique<std::vector<std::uint64_t>>(
-                                  *other.buckets_)
-                            : nullptr;
-  count_ = other.count_;
-  sum_ = other.sum_;
-  min_ = other.min_;
-  max_ = other.max_;
-  return *this;
-}
-
 void Histogram::ensure_buckets() {
-  if (!buckets_)
-    buckets_ = std::make_unique<std::vector<std::uint64_t>>(kTotalSlots, 0);
+  if (buckets_.empty()) buckets_.assign(kTotalSlots, 0);
 }
 
 void Histogram::record(std::uint64_t ns) {
   ensure_buckets();
-  ++(*buckets_)[static_cast<std::size_t>(Buckets::index_of(ns))];
+  ++buckets_[static_cast<std::size_t>(Buckets::index_of(ns))];
   ++count_;
   sum_ += ns;
   min_ = std::min(min_, ns);
@@ -52,9 +29,8 @@ void Histogram::record(std::uint64_t ns) {
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
   ensure_buckets();
-  if (other.buckets_)
-    for (int i = 0; i < kTotalSlots; ++i)
-      (*buckets_)[i] += (*other.buckets_)[i];
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i)
+    buckets_[i] += other.buckets_[i];
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -62,7 +38,7 @@ void Histogram::merge(const Histogram& other) {
 }
 
 std::uint64_t Histogram::overflow() const {
-  return buckets_ ? (*buckets_)[Buckets::kNumBuckets] : 0;
+  return buckets_.empty() ? 0 : buckets_[Buckets::kNumBuckets];
 }
 
 std::uint64_t Histogram::value_at(double q) const {
@@ -73,7 +49,7 @@ std::uint64_t Histogram::value_at(double q) const {
       std::min(count_, static_cast<std::uint64_t>(target));
   std::uint64_t cum = 0;
   for (int i = 0; i < kTotalSlots; ++i) {
-    cum += (*buckets_)[i];
+    cum += buckets_[static_cast<std::size_t>(i)];
     if (cum >= rank) {
       // In the last nonempty bucket the exact max is a tighter (and still
       // same-bucket) answer; it also covers the overflow bucket, whose
@@ -97,14 +73,13 @@ void Histogram::write_json(JsonWriter& w) const {
   w.kv("max_ns", max_);
   w.kv("sum_ns", sum_);
   w.key("buckets").begin_array();
-  if (buckets_)
-    for (int i = 0; i < kTotalSlots; ++i) {
-      if ((*buckets_)[i] == 0) continue;
-      w.begin_array();
-      w.value(i);
-      w.value((*buckets_)[i]);
-      w.end_array();
-    }
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] == 0) continue;
+    w.begin_array();
+    w.value(static_cast<int>(i));
+    w.value(buckets_[i]);
+    w.end_array();
+  }
   w.end_array();
   w.end_object();
 }
@@ -158,7 +133,7 @@ bool Histogram::from_json(const std::string& raw, Histogram* out) {
   while (next_uint(&index)) {
     if (!next_uint(&c) || index >= static_cast<std::uint64_t>(kTotalSlots))
       return false;
-    (*h.buckets_)[static_cast<std::size_t>(index)] += c;
+    h.buckets_[static_cast<std::size_t>(index)] += c;
     recounted += c;
   }
   if (recounted != h.count_) return false;
@@ -194,7 +169,7 @@ Histogram AtomicHistogram::snapshot() const {
   std::uint64_t total = 0, sum = 0;
   for (int i = 0; i < kTotalSlots; ++i) {
     const std::uint64_t c = buckets_[i].load(std::memory_order_relaxed);
-    (*h.buckets_)[static_cast<std::size_t>(i)] = c;
+    h.buckets_[static_cast<std::size_t>(i)] = c;
     total += c;
   }
   sum = sum_.load(std::memory_order_relaxed);

@@ -84,16 +84,10 @@ struct HistogramBuckets {
 };
 
 /// Plain mergeable histogram. Buckets allocate lazily on the first record
-/// or merge, so an empty histogram is a few pointers.
+/// or merge, so an empty histogram is an empty vector and four counters.
 class Histogram {
  public:
   using Buckets = HistogramBuckets;
-
-  Histogram() = default;
-  Histogram(const Histogram& other);  ///< deep copy (reports copy stages)
-  Histogram& operator=(const Histogram& other);
-  Histogram(Histogram&&) = default;
-  Histogram& operator=(Histogram&&) = default;
 
   void record(std::uint64_t ns);
 
@@ -135,7 +129,7 @@ class Histogram {
 
   void ensure_buckets();
 
-  std::unique_ptr<std::vector<std::uint64_t>> buckets_;  // size kNumBuckets+1
+  std::vector<std::uint64_t> buckets_;  // empty, or kNumBuckets + 1 slots
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = ~0ull;

@@ -273,6 +273,11 @@ EventRecord apply_event(World& w, const Event& ev, int index,
       break;
     }
     case EventType::kAddNodes: {
+      if (static_cast<long long>(n) + ev.count > kMaxNodes)
+        throw std::runtime_error(
+            "add_nodes (spec line " + std::to_string(ev.line) + "): " +
+            std::to_string(n) + " nodes plus " + std::to_string(ev.count) +
+            " arrivals is above kMaxNodes " + std::to_string(kMaxNodes));
       std::vector<geom::Vec2> fresh;
       if (ev.deploy == "uniform")
         fresh = wsn::deploy_uniform(w.domain(), ev.count, w.rng);

@@ -77,8 +77,8 @@ CoverageCheck check_coverage(const wsn::Network& net, int k,
 /// Apply one disruption to the world. `index` is the event's position in
 /// the timeline (traced as the "event" span id); `global_round` stamps the
 /// record. Throws std::runtime_error — *before* touching the world or its
-/// RNG — when the event is invalid against the current domain (e.g. a
-/// jam_region outside it).
+/// RNG — when the event is invalid against the current world (a
+/// jam_region outside the domain, an arrival past kMaxNodes).
 EventRecord apply_event(World& w, const Event& ev, int index,
                         int global_round);
 

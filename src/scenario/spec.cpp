@@ -106,6 +106,9 @@ Event parse_event(const std::vector<std::string>& toks, int line) {
     ev.type = EventType::kAddNodes;
     ev.count = take_int("count", 1);
     if (ev.count <= 0) fail(line, "add_nodes count must be >= 1");
+    if (ev.count > kMaxNodes)
+      fail(line, "add_nodes count " + std::to_string(ev.count) +
+                     " is above kMaxNodes " + std::to_string(kMaxNodes));
     if (const std::string d = take("deploy"); !d.empty()) ev.deploy = d;
     if (ev.deploy != "uniform" && ev.deploy != "corner" &&
         ev.deploy != "gaussian")
@@ -351,6 +354,17 @@ void validate(const ScenarioSpec& spec) {
         num(spec.side) + " asks for " + num(per_side * per_side) +
         " coverage samples, above kMaxCoverageSamples " +
         num(kMaxCoverageSamples));
+  }
+  long long total = spec.nodes;
+  for (const Event& ev : spec.events)
+    if (ev.type == EventType::kAddNodes) total += ev.count;
+  if (total > kMaxNodes) {
+    const std::string arrivals =
+        total > spec.nodes ? " plus " + std::to_string(total - spec.nodes) +
+                                 " add_nodes arrivals"
+                           : "";
+    bad("nodes " + std::to_string(spec.nodes) + arrivals +
+        " is above kMaxNodes " + std::to_string(kMaxNodes));
   }
   if (spec.max_hops < 1) bad("max_hops must be >= 1");
   if (spec.noise < 0.0) bad("noise must be >= 0");

@@ -169,7 +169,8 @@ std::string format_spec_header(const ScenarioSpec& spec);
 /// keyword and no trigger — the vocabulary a daemon client submits; the
 /// service stamps the trigger round itself. Returns an event with the
 /// default kOnConvergence trigger. Throws std::runtime_error on malformed
-/// input, with the same messages as the file parser.
+/// input, with the same messages as the file parser (an add_nodes count
+/// above kMaxNodes included).
 Event parse_event_body(const std::string& text);
 
 /// Most grid-coverage samples a spec may ask for: ceil(side /
@@ -178,9 +179,16 @@ Event parse_event_body(const std::string& text);
 /// does not finish within a minute.
 inline constexpr double kMaxCoverageSamples = 1e8;
 
+/// Most nodes a spec may ever hold: `nodes` plus every add_nodes arrival.
+/// Twice the largest budgeted scale-ladder rung (10^6 nodes, about 0.5 GiB
+/// peak RSS), so every shipped run fits while a typo such as
+/// `add_nodes count=100000000` is refused before it allocates.
+inline constexpr int kMaxNodes = 2'000'000;
+
 /// Spec-level sanity checks shared by parser and runner: positive side,
 /// nodes >= k >= 1, alpha in (0,1], epsilon > 0, max_rounds > 0, at most
-/// kMaxCoverageSamples coverage samples, known domain/deploy/backend
+/// kMaxCoverageSamples coverage samples, at most kMaxNodes nodes counting
+/// every add_nodes arrival, known domain/deploy/backend
 /// strings, event arguments in range. Throws std::runtime_error naming the
 /// offending field.
 void validate(const ScenarioSpec& spec);

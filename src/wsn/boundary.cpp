@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/thread_pool.hpp"
+#include "wsn/comm.hpp"
 
 namespace laacad::wsn {
 
@@ -11,22 +12,21 @@ namespace {
 
 constexpr double kGapThreshold = M_PI / 2.0;  ///< radians
 
-}  // namespace
-
-BoundaryInfo detect_boundary(const Network& net, NodeId i) {
+/// Classify node i from its 1-hop neighbours: the ids within gamma of it,
+/// i excluded (Network::one_hop_neighbors, CommModel::neighbors).
+BoundaryInfo classify_boundary(const Network& net, NodeId i,
+                               const std::vector<int>& neighbours) {
   BoundaryInfo info;
   const double radius = net.gamma();
 
   const geom::Vec2 ui = net.position(i);
-  auto ids = net.nodes_within(ui, radius);
-  std::erase(ids, static_cast<int>(i));
-  if (ids.empty()) {
+  if (neighbours.empty()) {
     info.network_boundary = true;
     return info;
   }
   std::vector<double> angles;
-  angles.reserve(ids.size());
-  for (int j : ids) angles.push_back((net.position(j) - ui).angle());
+  angles.reserve(neighbours.size());
+  for (int j : neighbours) angles.push_back((net.position(j) - ui).angle());
   std::sort(angles.begin(), angles.end());
   double max_gap = 2.0 * M_PI - (angles.back() - angles.front());
   double gap_mid = angles.back() + 0.5 * max_gap;  // wrap-around gap
@@ -48,11 +48,24 @@ BoundaryInfo detect_boundary(const Network& net, NodeId i) {
   return info;
 }
 
+}  // namespace
+
+BoundaryInfo detect_boundary(const Network& net, NodeId i) {
+  return classify_boundary(net, i, net.one_hop_neighbors(i));
+}
+
 std::vector<BoundaryInfo> detect_all_boundaries(const Network& net,
                                                 common::ThreadPool* pool) {
+  return detect_all_boundaries(CommModel(net, pool), pool);
+}
+
+std::vector<BoundaryInfo> detect_all_boundaries(const CommModel& comm,
+                                                common::ThreadPool* pool) {
+  const Network& net = comm.network();
   std::vector<BoundaryInfo> out(static_cast<std::size_t>(net.size()));
   common::parallel_for(pool, net.size(), [&](int i) {
-    out[static_cast<std::size_t>(i)] = detect_boundary(net, i);
+    out[static_cast<std::size_t>(i)] =
+        classify_boundary(net, i, comm.neighbors(i));
   });
   return out;
 }

@@ -22,16 +22,25 @@ class ThreadPool;
 
 namespace laacad::wsn {
 
+class CommModel;
+
 struct BoundaryInfo {
   bool network_boundary = false;
 };
 
-/// Classify one node.
+/// Classify one node over net.one_hop_neighbors(i). Every entry point
+/// below runs the same classification over that neighbour list.
 BoundaryInfo detect_boundary(const Network& net, NodeId i);
 
-/// Classify all nodes, in id order. A non-null `pool` classifies them on
-/// its threads; each verdict depends on node i alone and lands in slot i, so
-/// the result is the same for every thread count.
+/// Classify all nodes, in id order, over a connectivity snapshot's
+/// adjacency (which holds exactly the one_hop_neighbors lists). A non-null
+/// `pool` classifies them on its threads; each verdict depends on node i
+/// alone and lands in slot i, so the result is the same for every thread
+/// count.
+std::vector<BoundaryInfo> detect_all_boundaries(
+    const CommModel& comm, common::ThreadPool* pool = nullptr);
+
+/// The same, building the snapshot first.
 std::vector<BoundaryInfo> detect_all_boundaries(
     const Network& net, common::ThreadPool* pool = nullptr);
 

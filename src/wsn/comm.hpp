@@ -49,6 +49,11 @@ class CommModel {
   std::vector<int> gather(NodeId i, double rho, int ttl,
                           CommStats* stats) const;
 
+  /// i's 1-hop neighbours in this snapshot: net.one_hop_neighbors(i).
+  const std::vector<int>& neighbors(NodeId i) const {
+    return adjacency_[static_cast<std::size_t>(i)];
+  }
+
   /// True when the whole network is one connected component.
   bool connected() const;
 

@@ -140,10 +140,8 @@ std::pair<int, int> SpatialGrid::cell_of(double x, double y) const {
 
 int SpatialGrid::cell_index(int cx, int cy) const { return cy * nx_ + cx; }
 
-void SpatialGrid::gather(Vec2 q, double radius, int exclude,
-                         std::vector<std::pair<double, int>>& out) const {
-  out.clear();
-  if (n_ == 0 || radius < 0.0) return;
+template <class Hit>
+void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
   const int r_cells = static_cast<int>(std::ceil(radius / cell_)) + 1;
   auto [cx, cy] = cell_of(q.x, q.y);
   const double r2 = radius * radius;
@@ -160,49 +158,32 @@ void SpatialGrid::gather(Vec2 q, double radius, int exclude,
     const int end = cell_start_[static_cast<std::size_t>(row + x_hi) + 1];
     checked += static_cast<std::uint64_t>(end - begin);
     for (int j = begin; j < end; ++j) {
-      const int idx = order_[static_cast<std::size_t>(j)];
-      if (idx == exclude) {
+      const std::size_t slot = static_cast<std::size_t>(j);
+      if (exclude >= 0 && order_[slot] == exclude) {
         --checked;  // counter means "candidates distance-checked"
         continue;
       }
-      const double d2 = geom::dist2(
-          Vec2{px_[static_cast<std::size_t>(j)],
-               py_[static_cast<std::size_t>(j)]},
-          q);
-      if (d2 <= r2) out.emplace_back(d2, idx);
+      const double d2 = geom::dist2(Vec2{px_[slot], py_[slot]}, q);
+      if (d2 <= r2) hit(d2, order_[slot]);
     }
   }
   perf::counters().dist2_evals += checked;
 }
 
+void SpatialGrid::gather(Vec2 q, double radius, int exclude,
+                         std::vector<std::pair<double, int>>& out) const {
+  out.clear();
+  if (n_ == 0 || radius < 0.0) return;
+  scan(q, radius, exclude,
+       [&out](double d2, int idx) { out.emplace_back(d2, idx); });
+}
+
 std::vector<int> SpatialGrid::within(Vec2 q, double radius) const {
-  // Index-only twin of gather(): the critical-point checker and comm model
-  // call this per point / per node and never use the distances, so don't
-  // stage (dist2, index) pairs they would immediately discard.
   std::vector<int> out;
   if (n_ == 0 || radius < 0.0) return out;
-  auto& pc = perf::counters();
-  ++pc.grid_queries;
-  const int r_cells = static_cast<int>(std::ceil(radius / cell_)) + 1;
-  auto [cx, cy] = cell_of(q.x, q.y);
-  const double r2 = radius * radius;
-  const int y_lo = std::max(0, cy - r_cells), y_hi = std::min(ny_ - 1, cy + r_cells);
-  const int x_lo = std::max(0, cx - r_cells), x_hi = std::min(nx_ - 1, cx + r_cells);
-  std::uint64_t checked = 0;
-  for (int y = y_lo; y <= y_hi; ++y) {
-    const int row = y * nx_;
-    const int begin = cell_start_[static_cast<std::size_t>(row + x_lo)];
-    const int end = cell_start_[static_cast<std::size_t>(row + x_hi) + 1];
-    checked += static_cast<std::uint64_t>(end - begin);
-    for (int j = begin; j < end; ++j) {
-      const double d2 = geom::dist2(
-          Vec2{px_[static_cast<std::size_t>(j)],
-               py_[static_cast<std::size_t>(j)]},
-          q);
-      if (d2 <= r2) out.push_back(order_[static_cast<std::size_t>(j)]);
-    }
-  }
-  pc.dist2_evals += checked;
+  ++perf::counters().grid_queries;
+  scan(q, radius, /*exclude=*/-1,
+       [&out](double, int idx) { out.push_back(idx); });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -79,6 +79,11 @@ class SpatialGrid {
  private:
   std::pair<int, int> cell_of(double x, double y) const;
   int cell_index(int cx, int cy) const;
+  /// The one radius scan: the clamped window of cell rows around q, calling
+  /// hit(dist2, index) for every point within `radius` except `exclude`
+  /// (-1 = none), in slot order. Books the distance evaluations.
+  template <class Hit>
+  void scan(geom::Vec2 q, double radius, int exclude, Hit&& hit) const;
   void gather(geom::Vec2 q, double radius, int exclude,
               std::vector<std::pair<double, int>>& out) const;
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "coverage/grid_checker.hpp"
+#include "scenario/apply.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -126,6 +127,20 @@ TEST(ScenarioSpec, RejectsMalformedInputWithLineNumbers) {
   expect_error(
       "event round=50 fail_nodes count=1\nevent round=20 fail_nodes count=1\n",
       "non-decreasing");
+  // The node count is bounded, arrivals included; each of the two arrivals
+  // below fits on its own.
+  const std::string over = std::to_string(kMaxNodes + 1);
+  const std::string half = std::to_string(kMaxNodes / 2);
+  expect_error("nodes " + over + "\n", "nodes " + over + " is above kMaxNodes");
+  expect_error("event converged add_nodes count=" + over + "\n",
+               "line 1: add_nodes count " + over + " is above kMaxNodes");
+  expect_error("nodes 40\nevent converged add_nodes count=" + half +
+                   "\nevent converged add_nodes count=" + half + "\n",
+               "nodes 40 plus " + std::to_string(2 * (kMaxNodes / 2)) +
+                   " add_nodes arrivals is above kMaxNodes");
+  EXPECT_NO_THROW(parse_scenario_string(
+      "nodes 40\nevent converged add_nodes count=" +
+      std::to_string(kMaxNodes - 40) + "\n"));
 }
 
 TEST(ScenarioSpec, ShippedScenarioFilesParse) {
@@ -330,6 +345,22 @@ event converged drain_battery fraction=0.25
   EXPECT_DOUBLE_EQ(result.phases[0].battery_mean, 1.0e6);
   EXPECT_DOUBLE_EQ(result.phases[1].battery_mean, 7.5e5);
   EXPECT_DOUBLE_EQ(result.phases[1].battery_min, 7.5e5);
+}
+
+TEST(ScenarioRunner, ArrivalPastKMaxNodesIsRejectedBeforeTouchingTheWorld) {
+  ScenarioSpec spec;
+  spec.nodes = 10;
+  spec.k = 1;
+  World w = build_world(spec);
+  // The parser bounds one event's count; the world bounds the running total
+  // (the daemon admits events one at a time).
+  const Event ev =
+      parse_event_body("add_nodes count=" + std::to_string(kMaxNodes));
+  Rng untouched = w.rng;
+  EXPECT_THROW(apply_event(w, ev, 0, 0), std::runtime_error);
+  EXPECT_EQ(w.net->size(), 10);
+  EXPECT_EQ(w.battery.size(), 10u);
+  EXPECT_EQ(w.rng.engine()(), untouched.engine()());
 }
 
 TEST(ScenarioRunner, JamRegionOutsideDomainIsRejected) {

@@ -309,6 +309,33 @@ TEST(Replay, AbortPathStaysReplayable) {
   EXPECT_EQ(served.str(), replayed.str());
 }
 
+TEST(Service, OversizedArrivalIsRefusedAtSubmission) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  svc.drain();
+  // Refused by the event parser, so the client gets ok:false and the loop
+  // never sees (or allocates for) the event.
+  const std::string over = std::to_string(scenario::kMaxNodes + 1);
+  try {
+    svc.submit_event_line("add_nodes count=" + over);
+    FAIL() << "expected the submission to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("above kMaxNodes"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string response = handle_line(
+      svc, R"({"op":"event","spec":"add_nodes count=100000000"})").response;
+  bool ok = true;
+  EXPECT_TRUE(flatjson::get_bool(response, "ok", &ok)) << response;
+  EXPECT_FALSE(ok) << response;
+  svc.stop();
+  EXPECT_EQ(svc.stats().events_accepted, 0u);
+  EXPECT_EQ(svc.stats().events_applied, 0u);
+}
+
 TEST(Service, RejectsSpecWithTimeline) {
   ServeConfig cfg;
   cfg.spec = base_spec();
