@@ -2,8 +2,8 @@
 // trial matrix, shard it across workers, and emit aggregate metrics.
 //
 // Usage:
-//   campaign_runner <campaign-file> [--workers N] [--trial-threads N]
-//                   [--resume] [--json PATH] [--csv PATH] [--manifest PATH]
+//   campaign_runner <campaign-file> [--workers N] [--resume]
+//                   [--json PATH] [--csv PATH] [--manifest PATH]
 //                   [--shard i/N] [--dry-run] [--quiet]
 //                   [--trace PATH] [--heartbeat]
 //
@@ -43,13 +43,12 @@ namespace {
 
 void usage(const char* argv0) {
   std::printf(
-      "usage: %s <campaign-file> [--workers N] [--trial-threads N]\n"
-      "          [--resume] [--json PATH] [--csv PATH] [--manifest PATH]\n"
+      "usage: %s <campaign-file> [--workers N] [--resume]\n"
+      "          [--json PATH] [--csv PATH] [--manifest PATH]\n"
       "          [--shard i/N] [--dry-run] [--quiet]\n"
-      "  --workers N   trial-level parallelism (0 = hardware); outputs are\n"
+      "  --workers N   threads (0 = hardware): a pool across trials, or the\n"
+      "                engine's own when one trial is pending; outputs are\n"
       "                byte-identical for every value\n"
-      "  --trial-threads N  engine threads inside each trial (0 = hardware);\n"
-      "                requires --workers 1; outputs stay byte-identical\n"
       "  --resume      skip trials already journaled in the manifest\n"
       "  --json PATH   aggregate output (default BENCH_campaign_<name>.json)\n"
       "  --csv PATH    trial log (default BENCH_campaign_<name>_trials.csv)\n"
@@ -101,9 +100,6 @@ int main(int argc, char** argv) {
       else if (flag == "--workers")
         opt.workers =
             specparse::parse_int(next_value("--workers"), 0, flag, 0);
-      else if (flag == "--trial-threads")
-        opt.trial_threads =
-            specparse::parse_int(next_value("--trial-threads"), 0, flag, 0);
       else if (flag == "--trace") trace_path = next_value("--trace");
       else if (flag == "--heartbeat") heartbeat = true;
       else if (flag == "--json") json_path = next_value("--json");

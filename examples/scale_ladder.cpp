@@ -222,12 +222,12 @@ int main(int argc, char** argv) {
       // and each rung's wall-clock is a plain bracket around run().
       campaign::CampaignSpec rung = spec;
       rung.axes[0].values = {value};
+      // A one-trial campaign runs on this thread with `workers` engine
+      // threads, and the engine pool folds its worker chunks' counter
+      // deltas back here — so this scope reads exact global totals for any
+      // --trial-threads.
       campaign::CampaignOptions opt;
-      opt.workers = 1;
-      opt.trial_threads = trial_threads;
-      // workers == 1 keeps the trial on this thread, and the engine pool
-      // folds its worker chunks' counter deltas back here — so this scope
-      // reads exact global totals for any --trial-threads.
+      opt.workers = trial_threads;
       const obs::CounterScope counters;
       if (!trace_path.empty())
         obs::start_trace(rung_trace_path(trace_path, n));

@@ -236,14 +236,6 @@ CampaignScheduler::CampaignScheduler(CampaignSpec spec, CampaignOptions opt)
   if (opt_.workers < 0)
     throw std::runtime_error(
         "campaign: workers must be >= 0 (0 = hardware concurrency)");
-  if (opt_.trial_threads < 0)
-    throw std::runtime_error(
-        "campaign: trial_threads must be >= 0 (0 = hardware concurrency)");
-  if (opt_.trial_threads != 1 && opt_.workers != 1)
-    throw std::runtime_error(
-        "campaign: trial_threads requires workers == 1 — parallelism goes "
-        "either across trials (workers) or inside one (trial_threads), "
-        "never both");
   dist::validate(opt_.shard);
   points_ = expand_grid(spec_);
 }
@@ -279,6 +271,11 @@ CampaignResult CampaignScheduler::run() {
     // next pending index, so stragglers never serialize the matrix. The
     // queue order affects wall-clock only — rows land by trial index and
     // every trial's seed is a pure function of its identity.
+    // A lone pending trial runs on this thread with `workers` engine
+    // threads instead: a pool of one trial has nothing to fan out, and the
+    // trial's own pool must not nest inside a pool chunk.
+    const bool lone = pending.size() == 1;
+    const int engine_threads = lone ? opt_.workers : 1;
     std::atomic<std::size_t> next{0};
     std::mutex lock;
     int done = n_recovered;
@@ -292,7 +289,7 @@ CampaignResult CampaignScheduler::run() {
         {
           obs::ScopedSpan trial_span("trial", pt.trial);
           r = run_trial(spec_, pt, opt_.keep_history, opt_.probe,
-                        opt_.trial_threads);
+                        engine_threads);
         }
         store.record(r);
         std::lock_guard<std::mutex> g(lock);
@@ -303,10 +300,7 @@ CampaignResult CampaignScheduler::run() {
                         done, shard_total);
       }
     };
-    if (opt_.trial_threads != 1) {
-      // The trial itself parallelizes (engine pool), so it must not run
-      // inside a pool chunk — pools refuse to nest. workers == 1 is
-      // already enforced for this mode; drain the queue on this thread.
+    if (lone) {
       drain(0);
     } else {
       common::ThreadPool pool(opt_.workers);

@@ -5,9 +5,9 @@
 // atomic queue, so a long trial never blocks the rest of the matrix), but
 // results are deterministic anyway: every trial's RNG seed derives from its
 // identity (grid point, repetition) rather than from which worker ran it,
-// each trial runs a serial engine, and rows land in a results array indexed
-// by trial. The emitted JSON and CSV are therefore byte-identical for any
-// worker count — and, combined with the ResultStore manifest, for any
+// engines are thread-count deterministic, and rows land in a results array
+// indexed by trial. The emitted JSON and CSV are therefore byte-identical
+// for any worker count — and, combined with the ResultStore manifest, for any
 // interrupt/resume split.
 #pragma once
 
@@ -23,15 +23,14 @@
 namespace laacad::campaign {
 
 struct CampaignOptions {
-  int workers = 1;    ///< trial-level parallelism; 0 = hardware concurrency
-  /// Engine threads *inside* each trial (1 = serial, 0 = hardware). For
-  /// matrices of few huge trials (the scale ladder), where worker-level
-  /// fan-out has nothing to fan out. Requires workers == 1: a trial engine's
-  /// pool cannot be created from inside a campaign worker chunk (the
-  /// nested-parallelism guard), and the combination would oversubscribe
-  /// anyway. Changes no output bits — the engine is thread-count
-  /// deterministic.
-  int trial_threads = 1;
+  /// Threads for this process's slice of the matrix; 0 = hardware
+  /// concurrency. Several pending trials run on a pool of this many
+  /// workers, each trial with a serial engine. Exactly one pending trial
+  /// (a scale-ladder rung) has nothing to fan out across, so it runs on
+  /// the calling thread with this many engine threads instead — a trial
+  /// engine's pool cannot nest inside a worker chunk. Changes no output
+  /// bits either way: the engine is thread-count deterministic.
+  int workers = 1;
   bool resume = false;  ///< replay the manifest instead of starting over
   /// Manifest path; empty disables journaling (in-memory embedders).
   std::string manifest_path;

@@ -62,7 +62,7 @@ scenario::ScenarioSpec resolve_trial_spec(const CampaignSpec& spec,
 
 TrialResult run_trial(const CampaignSpec& spec, const TrialPoint& point,
                       bool keep_history, const TrialProbe& probe,
-                      int trial_threads) {
+                      int engine_threads) {
   TrialResult r;
   r.trial = point.trial;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -77,7 +77,7 @@ TrialResult run_trial(const CampaignSpec& spec, const TrialPoint& point,
     // Execution details layered on after resolution: neither is a physical
     // key, and neither changes a single output bit (engine determinism /
     // streaming-vs-retained history).
-    resolved.num_threads = trial_threads;
+    resolved.num_threads = engine_threads;
     resolved.history = keep_history;
     scenario::ScenarioRunner runner(std::move(resolved));
     result = runner.run();

@@ -48,9 +48,8 @@ struct TrialResult {
 /// overrides, then the point's swept values, then the derived seed.
 /// Trials default to a serial engine (num_threads = 1) — campaign
 /// parallelism is normally across trials, which is what keeps results
-/// independent of worker count. CampaignOptions::trial_threads threads the
-/// engine *inside* each trial instead (scale-ladder rungs too big to win
-/// from trial-level fan-out); it requires workers == 1 and changes no
+/// independent of worker count. A lone pending trial runs its engine on
+/// CampaignOptions::workers threads instead (see there); that changes no
 /// output bits either way.
 scenario::ScenarioSpec resolve_trial_spec(const CampaignSpec& spec,
                                           const TrialPoint& point);
@@ -60,11 +59,11 @@ scenario::ScenarioSpec resolve_trial_spec(const CampaignSpec& spec,
 /// above with `error` set. A non-null `probe` is invoked on success, while
 /// the runner is still alive; a probe that throws fails the trial.
 /// `keep_history` fills every PhaseRecord::history the probe sees.
-/// `trial_threads` is the engine thread count for this trial (1 = serial,
-/// 0 = hardware); see CampaignOptions::trial_threads for when that is safe.
+/// `engine_threads` is the engine thread count for this trial (1 = serial,
+/// 0 = hardware); anything but 1 must not run inside a pool chunk.
 TrialResult run_trial(const CampaignSpec& spec, const TrialPoint& point,
                       bool keep_history = false,
                       const TrialProbe& probe = nullptr,
-                      int trial_threads = 1);
+                      int engine_threads = 1);
 
 }  // namespace laacad::campaign

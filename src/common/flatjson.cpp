@@ -6,7 +6,8 @@
 namespace laacad::flatjson {
 
 std::size_t value_offset(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle(1, '"');
+  needle.append(key).append("\":");
   bool in_string = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];

@@ -13,6 +13,7 @@ CoverageService::CoverageService(ServeConfig cfg)
       log_(cfg.log_path, world_.spec),
       publish_every_(cfg.publish_every),
       heartbeat_(cfg.heartbeat),
+      applied_nodes_(world_.net->size()),
       start_time_(std::chrono::steady_clock::now()) {
   if (!world_.spec.events.empty())
     throw std::runtime_error(
@@ -59,6 +60,16 @@ std::uint64_t CoverageService::submit_event(scenario::Event ev) {
     if (aborted_)
       throw std::runtime_error("service aborted (" + abort_reason_ +
                                "); event rejected");
+    if (ev.type == scenario::EventType::kAddNodes) {
+      if (applied_nodes_ + pending_arrivals_ + ev.count > scenario::kMaxNodes)
+        throw std::runtime_error(
+            "add_nodes count " + std::to_string(ev.count) + " on " +
+            std::to_string(applied_nodes_) + " nodes and " +
+            std::to_string(pending_arrivals_) +
+            " queued arrivals is above kMaxNodes " +
+            std::to_string(scenario::kMaxNodes));
+      pending_arrivals_ += ev.count;
+    }
     queue_.push_back(std::move(ev));
     id = ++events_accepted_;
   }
@@ -256,6 +267,8 @@ void CoverageService::run_loop() {
     // only writer of global_round_.
     ev.trigger = scenario::Trigger::kAtRound;
     ev.round = global_round_;
+    const int arrivals =
+        ev.type == scenario::EventType::kAddNodes ? ev.count : 0;
     try {
       (void)scenario::apply_event(world_, ev,
                                   static_cast<int>(events_applied_),
@@ -267,6 +280,7 @@ void CoverageService::run_loop() {
       // phase would add a spurious finalize that replay would not have).
       std::lock_guard<std::mutex> lk(mu_);
       ++events_rejected_;
+      pending_arrivals_ -= arrivals;
       continue;
     }
     try {
@@ -287,6 +301,8 @@ void CoverageService::run_loop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++events_applied_;
+      applied_nodes_ = world_.net->size();
+      pending_arrivals_ -= arrivals;
     }
 
     if (std::string reason = scenario::below_k_reason(world_);

@@ -79,8 +79,11 @@ class CoverageService {
   bool running() const;
 
   /// Enqueue one churn event. Returns the acceptance id (1-based count).
-  /// Throws std::runtime_error when the service is stopping/aborted; a
-  /// rejected event consumes no randomness and is never logged.
+  /// Throws std::runtime_error when the service is stopping/aborted, or on
+  /// an add_nodes whose count, plus the node count after the last applied
+  /// event, plus every queued add_nodes count, is above kMaxNodes (queued
+  /// failures are not subtracted); a rejected event consumes no randomness
+  /// and is never logged.
   std::uint64_t submit_event(scenario::Event ev);
 
   /// Parse an event body ("fail_nodes count=3 pick=random") and enqueue it.
@@ -173,6 +176,9 @@ class CoverageService {
   std::uint64_t events_accepted_ = 0;
   std::uint64_t events_applied_ = 0;
   std::uint64_t events_rejected_ = 0;
+  int applied_nodes_ = 0;  ///< node count after the last applied event
+  /// add_nodes counts accepted and not yet applied or refused at apply.
+  long long pending_arrivals_ = 0;
   std::atomic<std::uint64_t> queries_{0};
 
   mutable std::mutex snap_mu_;

@@ -33,7 +33,7 @@ TEST(Localized, InteriorNodeMatchesGlobalRegion) {
 
   // Interior node: nearest to the center.
   const int i = grid.k_nearest({100, 100}, 1)[0];
-  for (int k : {1, 2, 3}) {
+  for (int k : {1, 2, 3, 4, 5, 6}) {
     LocalizedConfig cfg;
     cfg.max_hops = 10;
     wsn::BoundaryInfo binfo;  // interior: not a boundary node

@@ -137,7 +137,7 @@ double dist2_cap(int nodes) {
 // any thread count) and returns (ok, dist2 evals per node).
 std::pair<bool, double> run_rung(int nodes) {
   campaign::CampaignOptions opt;
-  opt.trial_threads = 0;
+  opt.workers = 0;
   perf::counters().reset();
   campaign::CampaignScheduler scheduler(ladder_rung(nodes), opt);
   const campaign::CampaignResult result = scheduler.run();
@@ -170,15 +170,15 @@ TEST(ScaleLadder, HundredThousandNodeRungCompletes) {
   EXPECT_GT(common::peak_rss_bytes(), 0u);
 }
 
-// trial_threads routes the scheduler around its own worker pool (a trial
-// engine's pool cannot nest inside a campaign worker chunk) and must change
-// no output bits — the engine is thread-count deterministic.
+// A one-trial campaign runs its engine on `workers` threads, around the
+// scheduler's own worker pool (a trial engine's pool cannot nest inside a
+// campaign worker chunk), and must change no output bits — the engine is
+// thread-count deterministic.
 TEST(ScaleLadder, TrialThreadsIsBitIdenticalAndAvoidsNestedPools) {
   const campaign::CampaignSpec ladder = ladder_rung(300);
-  const auto run_with = [&ladder](int trial_threads) {
+  const auto run_with = [&ladder](int workers) {
     campaign::CampaignOptions opt;
-    opt.workers = 1;
-    opt.trial_threads = trial_threads;
+    opt.workers = workers;
     campaign::CampaignScheduler scheduler(ladder, opt);
     return scheduler.run();
   };

@@ -336,6 +336,34 @@ TEST(Service, OversizedArrivalIsRefusedAtSubmission) {
   EXPECT_EQ(svc.stats().events_applied, 0u);
 }
 
+TEST(Service, QueuedArrivalsPastKMaxNodesAreRefusedAtSubmission) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  const int base = cfg.spec.nodes;
+  // Never started, so nothing applies: both arrivals stay queued, and the
+  // second is refused because the two together cross the bound.
+  CoverageService svc(std::move(cfg));
+  const std::string fits = std::to_string(scenario::kMaxNodes - base - 10);
+  EXPECT_EQ(svc.submit_event_line("add_nodes count=" + fits), 1u);
+  try {
+    svc.submit_event_line("add_nodes count=20");
+    FAIL() << "expected the submission to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("above kMaxNodes"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string response = handle_line(
+      svc, R"({"op":"event","spec":"add_nodes count=20"})").response;
+  bool ok = true;
+  EXPECT_TRUE(flatjson::get_bool(response, "ok", &ok)) << response;
+  EXPECT_FALSE(ok) << response;
+  EXPECT_NE(response.find("above kMaxNodes"), std::string::npos) << response;
+  // An arrival that still fits is accepted.
+  EXPECT_EQ(svc.submit_event_line("add_nodes count=10"), 2u);
+  EXPECT_EQ(svc.stats().events_accepted, 2u);
+}
+
 TEST(Service, RejectsSpecWithTimeline) {
   ServeConfig cfg;
   cfg.spec = base_spec();
