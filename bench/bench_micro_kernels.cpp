@@ -1,16 +1,21 @@
 // Microbenchmarks of the geometric kernels underneath LAACAD: minimum
 // enclosing circle (Welzl), half-plane clipping, order-k cell construction,
-// dominating-region BFS, and the adaptive Lemma-1 solver. These are classic
-// google-benchmark cases (multiple timed iterations), unlike the one-shot
-// experiment benches.
+// dominating-region BFS, the adaptive Lemma-1 solver, and one localized
+// Algorithm 2 region. These are classic google-benchmark cases (multiple
+// timed iterations), unlike the one-shot experiment benches.
 #include <benchmark/benchmark.h>
 
 #include "common/perf_counters.hpp"
 #include "common/rng.hpp"
 #include "geometry/welzl.hpp"
+#include "laacad/localized.hpp"
 #include "voronoi/adaptive.hpp"
 #include "voronoi/orderk.hpp"
 #include "voronoi/sites.hpp"
+#include "wsn/boundary.hpp"
+#include "wsn/comm.hpp"
+#include "wsn/deployment.hpp"
+#include "wsn/network.hpp"
 #include "wsn/spatial_grid.hpp"
 
 namespace {
@@ -149,6 +154,7 @@ void report_kernel_counters(benchmark::State& state) {
   state.counters["grid_queries"] = per_iter(c.grid_queries);
   state.counters["cells"] = per_iter(c.cells_built);
   state.counters["fallbacks"] = per_iter(c.kernel_fallbacks);
+  state.counters["exact_fallbacks"] = per_iter(c.exact_fallbacks);
 }
 
 void BM_OrderKRegionBrute(benchmark::State& state) {
@@ -217,6 +223,30 @@ void BM_GridWithin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridWithin);
+
+// Algorithm 2 at the deploy_localized density (2 000 uniform nodes per km²,
+// density-derived gamma): one interior node's localized_region, k = 2,
+// ideal gather, no ranging noise.
+void BM_LocalizedRegion(benchmark::State& state) {
+  constexpr int kNodes = 2000;
+  constexpr double kSide = 1000.0;
+  const wsn::Domain domain = wsn::Domain::rectangle(kSide, kSide);
+  const wsn::Network net(&domain, random_points(kNodes, 8, kSide),
+                         wsn::auto_comm_range(domain, kNodes, kSide));
+  const wsn::CommModel comm(net);
+  const std::vector<Vec2> sites = net.positions();
+  const int i = interior_node(sites, {kSide / 2, kSide / 2});
+  const wsn::BoundaryInfo boundary = wsn::detect_boundary(net, i);
+  const core::LocalizedConfig cfg;
+  Rng rng(9);
+  perf::counters().reset();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::localized_region(comm, i, 2, boundary, cfg, nullptr, rng));
+  }
+  report_kernel_counters(state);
+}
+BENCHMARK(BM_LocalizedRegion);
 
 }  // namespace
 

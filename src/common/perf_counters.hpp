@@ -31,6 +31,7 @@ struct KernelCounters {
   std::uint64_t grid_queries = 0;  ///< SpatialGrid within / k_nearest / collect
   std::uint64_t cells_built = 0;   ///< order-k cells constructed by the BFS
   std::uint64_t kernel_fallbacks = 0;  ///< grid kernel exhausted every site
+  std::uint64_t exact_fallbacks = 0;   ///< filtered predicate fell back to hypot
 
   void reset() { *this = KernelCounters{}; }
 
@@ -42,6 +43,7 @@ struct KernelCounters {
     grid_queries += o.grid_queries;
     cells_built += o.cells_built;
     kernel_fallbacks += o.kernel_fallbacks;
+    exact_fallbacks += o.exact_fallbacks;
   }
 
   /// Field-wise difference against an earlier snapshot of the same block.
@@ -55,6 +57,7 @@ struct KernelCounters {
     d.grid_queries = grid_queries - before.grid_queries;
     d.cells_built = cells_built - before.cells_built;
     d.kernel_fallbacks = kernel_fallbacks - before.kernel_fallbacks;
+    d.exact_fallbacks = exact_fallbacks - before.exact_fallbacks;
     return d;
   }
 };

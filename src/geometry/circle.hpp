@@ -19,7 +19,7 @@ struct Circle {
 
   /// Closed-disk containment with tolerance scaled to the radius.
   bool contains(Vec2 p, double eps = kEps) const {
-    return dist(center, p) <= radius + eps * (1.0 + radius);
+    return dist_le(center, p, radius + eps * (1.0 + radius));
   }
 };
 

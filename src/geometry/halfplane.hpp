@@ -3,6 +3,8 @@
 // so this is the innermost kernel of the whole reproduction.
 #pragma once
 
+#include <span>
+
 #include "geometry/vec2.hpp"
 
 namespace laacad::geom {
@@ -30,5 +32,25 @@ struct HalfPlane {
 /// keep != other; nearly coincident inputs are handled by the caller
 /// (see voronoi::SiteSet degeneracy handling).
 HalfPlane bisector_halfplane(Vec2 keep, Vec2 other);
+
+/// Where a ring lies against bisector_halfplane(keep, other) at tolerance
+/// kEps, as the order-k kernel's quick reject reads it.
+enum class RingSide {
+  kInside,  ///< every vertex has signed_dist < -kEps
+  kTouch,   ///< every vertex <= kEps, and some vertex >= -kEps
+  kCut,     ///< some vertex has signed_dist > kEps: the bisector clips
+};
+
+/// The reference: scan `ring` with the exact bisector_halfplane's
+/// signed_dist, stopping at the first vertex beyond kEps.
+RingSide bisector_side_exact(Vec2 keep, Vec2 other,
+                             std::span<const Vec2> ring);
+
+/// bisector_side_exact's answer, bit for bit, without the hypot of the
+/// exact normal: each vertex is classified against the unnormalised
+/// direction other - keep scaled by 1/sqrt(|e|^2), inside a certified band
+/// around +-kEps. A vertex in the band, |e| below 2 kEps or an input out of
+/// the filter range falls back to the exact scan (one exact_fallbacks).
+RingSide bisector_side(Vec2 keep, Vec2 other, std::span<const Vec2> ring);
 
 }  // namespace laacad::geom

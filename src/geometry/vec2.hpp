@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <iosfwd>
+#include <span>
 
 namespace laacad::geom {
 
@@ -56,6 +57,90 @@ constexpr double cross(Vec2 a, Vec2 b) { return a.x * b.y - a.y * b.x; }
 
 inline double dist(Vec2 a, Vec2 b) { return (a - b).norm(); }
 constexpr double dist2(Vec2 a, Vec2 b) { return (a - b).norm2(); }
+
+// ------------------------------------------------ filtered predicates ----
+//
+// Exact distance comparisons without std::hypot. Each predicate returns
+// exactly what its dist() expression returns (dist() is std::hypot), but
+// decides from dist2 whenever an error bound makes the answer certain and
+// evaluates hypot only inside the margin (the filtered-predicate scheme of
+// Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+// Geometric Predicates", 1997). Every fall-back to hypot counts one
+// perf::KernelCounters::exact_fallbacks.
+
+/// Relative margin of the filters. With u = 2^-53, for a difference vector
+/// e = a - b (computed once, shared by both expressions):
+///   s = fl(e.x^2 + e.y^2)   = |e|^2 (1 + t),  |t| <= 2u + u^2,
+///   h = hypot(e.x, e.y)     = |e| (1 + t'),   |t'| <= 2u (glibc: < 1 ulp),
+///   r2 = fl(r * r)          = r^2 (1 + t''),  |t''| <= u,
+/// and the product r2 * (1 -/+ kDistFilter) adds another u. So
+/// s < r2 (1 - kDistFilter) implies h^2 < r^2 (1 + 8u)(1 - kDistFilter),
+/// which is < r^2 — hence h < r — once kDistFilter > 8u ~ 9e-16;
+/// symmetrically for >. 1e-12 exceeds that few-ulp gap by three orders of
+/// magnitude, so even a hypot hundreds of ulps off stays on the right side.
+/// The bound is relative, so it holds only where squares neither overflow
+/// nor lose digits to underflow: see kFilterMin2 / kFilterMax2.
+inline constexpr double kDistFilter = 1e-12;
+
+/// Squared magnitudes the filters decide from: the reference square (r^2,
+/// the right-hand side of closer, the largest square of max_dist) must lie
+/// in (kFilterMin2, kFilterMax2). Squares of components below ~1e-154
+/// underflow with an absolute error of a few 2^-1074 ~ 1e-323, negligible
+/// beside the smallest margin kDistFilter * 1e-200; the upper limit keeps
+/// the reference and its margin finite, and a square that overflowed to
+/// inf still compares as larger. NaN and inf references fail the range
+/// test and take the exact path.
+inline constexpr double kFilterMin2 = 1e-200;
+inline constexpr double kFilterMax2 = 1e200;
+
+constexpr bool filterable(double sq) {
+  return sq > kFilterMin2 && sq < kFilterMax2;
+}
+
+/// The filter itself: -1 when the square s is certainly below the
+/// reference square ref2, +1 when certainly above, 0 when it cannot tell
+/// (within the kDistFilter margin, ref2 out of the filter range, or NaN).
+constexpr int compare_squares(double s, double ref2) {
+  if (!filterable(ref2)) return 0;
+  if (s < ref2 * (1.0 - kDistFilter)) return -1;
+  if (s > ref2 * (1.0 + kDistFilter)) return 1;
+  return 0;
+}
+
+namespace detail {
+// The exact paths (std::hypot), out of line; each counts one fallback.
+bool dist_lt_exact(Vec2 a, Vec2 b, double r);
+bool dist_le_exact(Vec2 a, Vec2 b, double r);
+bool closer_exact(Vec2 p, Vec2 q, Vec2 v);
+}  // namespace detail
+
+/// dist(a, b) < r, bit for bit.
+inline bool dist_lt(Vec2 a, Vec2 b, double r) {
+  const int c = r > 0.0 ? compare_squares(dist2(a, b), r * r) : 0;
+  return c != 0 ? c < 0 : detail::dist_lt_exact(a, b, r);
+}
+
+/// dist(a, b) <= r, bit for bit.
+inline bool dist_le(Vec2 a, Vec2 b, double r) {
+  const int c = r > 0.0 ? compare_squares(dist2(a, b), r * r) : 0;
+  return c != 0 ? c < 0 : detail::dist_le_exact(a, b, r);
+}
+
+/// dist(p, v) < dist(q, v), bit for bit.
+inline bool closer(Vec2 p, Vec2 q, Vec2 v) {
+  const int c = compare_squares(dist2(p, v), dist2(q, v));
+  return c != 0 ? c < 0 : detail::closer_exact(p, q, v);
+}
+
+/// max over `points` of dist2(ref, p), starting from 0; NaN when any
+/// square is NaN (hypot(inf, NaN) is inf, so such a point may still carry
+/// the max distance).
+double max_dist2(Vec2 ref, std::span<const Vec2> points);
+
+/// max over `points` of dist(ref, p), starting from 0 (the std::max loop),
+/// bit for bit: one dist2 scan finds the farthest square, then hypot runs
+/// only on the points within the margin of it.
+double max_dist(Vec2 ref, std::span<const Vec2> points);
 
 /// Linear interpolation a + t (b - a).
 constexpr Vec2 lerp(Vec2 a, Vec2 b, double t) { return a + (b - a) * t; }

@@ -13,7 +13,7 @@ namespace {
 // the circle size so kilometre-scale regions behave like unit-scale ones.
 bool inside(const Circle& c, Vec2 p) {
   if (!c.valid()) return false;
-  return dist(c.center, p) <= c.radius + 1e-7 * (1.0 + c.radius);
+  return dist_le(c.center, p, c.radius + 1e-7 * (1.0 + c.radius));
 }
 
 Circle from_3_or_best_pair(Vec2 a, Vec2 b, Vec2 c) {

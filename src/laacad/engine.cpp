@@ -215,8 +215,7 @@ RoundMetrics Engine::step() {
     if (!r.has_target) continue;
     const Vec2 ui = net_->position(i);
     const Vec2 ci = r.target;
-    const double d = geom::dist(ui, ci);
-    if (d <= cfg_.epsilon) continue;
+    if (geom::dist_le(ui, ci, cfg_.epsilon)) continue;
     net_->set_position(i, ui + (ci - ui) * cfg_.alpha);
     // Convergence counts *actual* displacement: a node whose target sits
     // inside an obstacle is projected back and may be pinned in place —

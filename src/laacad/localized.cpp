@@ -1,6 +1,7 @@
 #include "laacad/localized.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "voronoi/adaptive.hpp"
@@ -20,6 +21,19 @@ constexpr int kHopSlack = 2;
 /// transmission ranges of a gathered node (coverage proxy for the
 /// boundary-node arc restriction).
 constexpr double kNetworkReachFactor = 1.25;
+
+/// Unit directions of the arc samples, computed once.
+const std::array<Vec2, kArcSamples>& arc_directions() {
+  static const std::array<Vec2, kArcSamples> dirs = [] {
+    std::array<Vec2, kArcSamples> d;
+    for (int s = 0; s < kArcSamples; ++s) {
+      const double ang = 2.0 * M_PI * s / kArcSamples;
+      d[static_cast<std::size_t>(s)] = Vec2{std::cos(ang), std::sin(ang)};
+    }
+    return d;
+  }();
+  return dirs;
+}
 
 }  // namespace
 
@@ -74,24 +88,22 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
     // Line 5-8 of Algorithm 2: is any point of the rho/2-circle still
     // dominated by n_i?
     bool enclosed = true;
-    for (int s = 0; s < kArcSamples; ++s) {
-      const double ang = 2.0 * M_PI * s / kArcSamples;
-      const Vec2 v = ui + Vec2{std::cos(ang), std::sin(ang)} * (rho / 2.0);
+    for (const Vec2 dir : arc_directions()) {
+      const Vec2 v = ui + dir * (rho / 2.0);
       if (!domain.contains(v)) continue;  // A's boundary: natural boundary
       if (boundary.network_boundary) {
         // Restrict to the arc inside the region the network occupies.
-        bool inside_net = geom::dist(v, ui) <= reach;
+        bool inside_net = geom::dist_le(v, ui, reach);
         for (int j : gathered) {
           if (inside_net) break;
-          inside_net = geom::dist(v, net.position(j)) <= reach;
+          inside_net = geom::dist_le(v, net.position(j), reach);
         }
         if (!inside_net) continue;
       }
       // Only closer < k is read, so stop counting at k.
       int closer = 0;
-      const double di = geom::dist(ui, v);
       for (int j : gathered) {
-        if (geom::dist(net.position(j), v) < di && ++closer == k) break;
+        if (geom::closer(net.position(j), ui, v) && ++closer == k) break;
       }
       if (closer < k) {  // v still dominated by n_i: expand further
         enclosed = false;

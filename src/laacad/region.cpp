@@ -20,9 +20,7 @@ DominatingRegion::DominatingRegion(const std::vector<vor::OrderKCell>& cells,
 }
 
 double DominatingRegion::max_dist_from(Vec2 u) const {
-  double m = 0.0;
-  for (Vec2 v : vertices_) m = std::max(m, geom::dist(u, v));
-  return m;
+  return geom::max_dist(u, vertices_);
 }
 
 geom::Circle DominatingRegion::chebyshev() const {

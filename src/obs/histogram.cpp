@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <iterator>
 
 #include "common/flatjson.hpp"
 #include "common/json_writer.hpp"
@@ -42,23 +43,37 @@ std::uint64_t Histogram::overflow() const {
 }
 
 std::uint64_t Histogram::value_at(double q) const {
-  if (count_ == 0) return 0;
-  double target = std::ceil(q * static_cast<double>(count_));
-  if (!(target >= 1.0)) target = 1.0;  // q <= 0 (and NaN) clamp to rank 1
-  const std::uint64_t rank =
-      std::min(count_, static_cast<std::uint64_t>(target));
+  std::uint64_t v = 0;
+  values_at({&q, 1}, {&v, 1});
+  return v;
+}
+
+void Histogram::values_at(std::span<const double> qs,
+                          std::span<std::uint64_t> out) const {
+  // The rank of q: ceil(q * count), clamped to [1, count].
+  const auto rank_of = [&](double q) {
+    double target = std::ceil(q * static_cast<double>(count_));
+    if (!(target >= 1.0)) target = 1.0;  // q <= 0 (and NaN) clamp to rank 1
+    return std::min(count_, static_cast<std::uint64_t>(target));
+  };
+  if (count_ == 0) {
+    std::fill_n(out.begin(), qs.size(), 0);
+    return;
+  }
+  std::size_t next = 0;
   std::uint64_t cum = 0;
-  for (int i = 0; i < kTotalSlots; ++i) {
+  for (int i = 0; i < kTotalSlots && next < qs.size(); ++i) {
     cum += buckets_[static_cast<std::size_t>(i)];
-    if (cum >= rank) {
+    // Ranks ascend with qs, so every rank this bucket reaches is next.
+    for (; next < qs.size() && cum >= rank_of(qs[next]); ++next) {
       // In the last nonempty bucket the exact max is a tighter (and still
       // same-bucket) answer; it also covers the overflow bucket, whose
       // edge is meaningless.
-      if (cum == count_) return max_;
-      return Buckets::upper_edge(i);
+      out[next] = cum == count_ ? max_ : Buckets::upper_edge(i);
     }
   }
-  return max_;  // unreachable: rank <= count
+  // Unreachable: every rank is <= count.
+  for (; next < qs.size(); ++next) out[next] = max_;
 }
 
 double Histogram::mean_ns() const {
@@ -88,12 +103,15 @@ void Histogram::write_percentiles_json(JsonWriter& w) const {
   const auto us = [](std::uint64_t ns) {
     return static_cast<double>(ns) / 1000.0;
   };
+  static constexpr double kQuantiles[] = {0.50, 0.90, 0.99, 0.999};
+  std::uint64_t ns[std::size(kQuantiles)];
+  values_at(kQuantiles, ns);
   w.begin_object();
   w.kv("count", count_);
-  w.kv("p50_us", count_ ? us(value_at(0.50)) : std::nan(""));
-  w.kv("p90_us", count_ ? us(value_at(0.90)) : std::nan(""));
-  w.kv("p99_us", count_ ? us(value_at(0.99)) : std::nan(""));
-  w.kv("p999_us", count_ ? us(value_at(0.999)) : std::nan(""));
+  w.kv("p50_us", count_ ? us(ns[0]) : std::nan(""));
+  w.kv("p90_us", count_ ? us(ns[1]) : std::nan(""));
+  w.kv("p99_us", count_ ? us(ns[2]) : std::nan(""));
+  w.kv("p999_us", count_ ? us(ns[3]) : std::nan(""));
   w.kv("max_us", count_ ? us(max_) : std::nan(""));
   w.kv("mean_us", mean_ns() / 1000.0);  // NaN -> null when empty
   w.end_object();

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,10 @@ class Histogram {
   /// percentile, within one bucket width). q >= 1, overflow hits, and the
   /// top bucket all saturate at the exact max(). Returns 0 when empty.
   std::uint64_t value_at(double q) const;
+
+  /// out[i] = value_at(qs[i]) for ascending `qs`, in one cumulative scan.
+  void values_at(std::span<const double> qs,
+                 std::span<std::uint64_t> out) const;
 
   double mean_ns() const;  ///< from the exact running sum, not the buckets
 

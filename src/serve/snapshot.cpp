@@ -37,7 +37,7 @@ int Snapshot::coverage_depth(geom::Vec2 q) const {
   if (load_.max_range <= 0.0) return 0;
   int depth = 0;
   for (const int id : net_->nodes_within(q, load_.max_range)) {
-    if ((net_->position(id) - q).norm() <= net_->sensing_range(id)) ++depth;
+    if (geom::dist_le(net_->position(id), q, net_->sensing_range(id))) ++depth;
   }
   return depth;
 }

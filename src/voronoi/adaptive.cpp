@@ -34,7 +34,7 @@ bool region_touches_ring(const std::vector<OrderKCell>& cells, Vec2 center,
                          double rho) {
   double maxd = 0.0;
   for (const OrderKCell& c : cells)
-    for (Vec2 v : c.poly) maxd = std::max(maxd, geom::dist(center, v));
+    maxd = std::max(maxd, geom::max_dist(center, c.poly));
   return !(maxd < 0.5 * rho * (1.0 - 1e-9));
 }
 

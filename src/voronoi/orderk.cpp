@@ -18,13 +18,6 @@ using geom::Vec2;
 
 namespace {
 
-// Max distance from `ref` to any vertex of the ring.
-double max_vertex_dist(const Ring& ring, Vec2 ref) {
-  double m = 0.0;
-  for (Vec2 v : ring) m = std::max(m, geom::dist(ref, v));
-  return m;
-}
-
 // ---------------------------------------------------------- cell engine ----
 //
 // One order-k cell is the window clipped against bisectors with out-sites
@@ -63,12 +56,39 @@ struct CellScratch {
   std::vector<int> labels, next_labels;  // one per edge of cur / next
   std::vector<Swap> cuts, touches;       // reset per cell
   std::vector<std::pair<double, int>> cand;  // (dist2 to ref, site index)
+  std::vector<Vec2> gen_pts;                 // generators other than ref
+  // The window's rv for the last ref seen. A dominating-region BFS keeps
+  // one ref while its window is a polygon around it, whose equidistant
+  // vertices would each cost a hypot per cell.
+  Vec2 window_ref{std::nan(""), std::nan("")};
+  double window_rv = 0;
 };
 
+// The pruning state. rv, the max distance from ref to any current cell
+// vertex, is exact only on demand: the pruning test decides from the max
+// squared distance, and only a gather radius or an unsure test needs rv's
+// bits.
 struct CellState {
-  Vec2 ref;          // first generator: reference for ordering and pruning
-  double dmax_h = 0; // max distance from ref to any generator
-  double rv = 0;     // max distance from ref to any current cell vertex
+  Vec2 ref;           // first generator: reference for ordering and pruning
+  double dmax_h = 0;  // max distance from ref to any generator
+  double reach2 = 0;  // (2 sqrt(rv2) + dmax_h)^2, the pruning bound squared
+  double rv = 0;      // valid when rv_known
+  bool rv_known = false;
+
+  // rv2: max dist2 from ref to any current cell vertex.
+  void set_ring(double rv2) {
+    const double reach = 2.0 * std::sqrt(rv2) + dmax_h;
+    reach2 = reach * reach;
+    rv_known = false;
+  }
+
+  double exact_rv(const Ring& cur) {
+    if (!rv_known) {
+      rv = geom::max_dist(ref, cur);
+      rv_known = true;
+    }
+    return rv;
+  }
 };
 
 // Load the window into scratch.cur and derive the pruning state. Returns
@@ -85,19 +105,39 @@ bool init_cell(const std::vector<Vec2>& sites, const std::vector<int>& gens,
     return false;
   }
   st.ref = sites[static_cast<std::size_t>(gens.front())];
-  st.dmax_h = 0.0;
-  for (int h : gens)
-    st.dmax_h =
-        std::max(st.dmax_h, geom::dist(sites[static_cast<std::size_t>(h)], st.ref));
-  st.rv = max_vertex_dist(s.cur, st.ref);
+  // ref itself adds only the max's starting 0.
+  s.gen_pts.clear();
+  for (auto h = gens.begin() + 1; h != gens.end(); ++h)
+    s.gen_pts.push_back(sites[static_cast<std::size_t>(*h)]);
+  st.dmax_h = geom::max_dist(st.ref, s.gen_pts);
+  st.set_ring(geom::max_dist2(st.ref, s.cur));
+  if (!(st.ref == s.window_ref)) {
+    s.window_ref = st.ref;
+    s.window_rv = geom::max_dist(st.ref, s.cur);
+  }
+  st.rv = s.window_rv;
+  st.rv_known = true;
   perf::counters().dist2_evals += gens.size() + s.cur.size();
   return true;
 }
 
+// The pruning test dist(u_j, ref) - rv > rv + dmax_h, bit for bit, decided
+// from s = dist2(u_j, ref) against reach2 outside the kDistFilter margin.
+// sqrt(rv2) is within ~4 ulps of rv, and the sums, the subtraction and the
+// squares round by a few more ulps of 2 rv + dmax_h (all terms are
+// non-negative): some 20 ulps in all, far inside that margin.
+bool beyond_bound(double s, Vec2 uj, const Ring& cur, CellState& st) {
+  if (const int c = geom::compare_squares(s, st.reach2)) return c > 0;
+  ++perf::counters().exact_fallbacks;
+  const double rv = st.exact_rv(cur);
+  return geom::dist(uj, st.ref) - rv > rv + st.dmax_h;
+}
+
 // Clip scratch.cur against the out-sites cand[from..to) (in the order
-// given; both paths supply ascending (dist2, index)). Returns true when the
-// scan stopped early — the pruning bound fired or the cell emptied — which
-// proves no out-site later in the canonical order can cut the cell.
+// given; both paths supply ascending (dist2, index), and every key is
+// dist2(u_j, ref)). Returns true when the scan stopped early — the pruning
+// bound fired or the cell emptied — which proves no out-site later in the
+// canonical order can cut the cell.
 bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
                   const std::vector<std::pair<double, int>>& cand,
                   std::size_t from, std::size_t to, CellScratch& s,
@@ -110,27 +150,19 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
     // dist(v, u_h) <= rv + dmax_h. If the former exceeds the latter for the
     // nearest remaining out-site, no later out-site can cut either.
     ++pc.dist2_evals;
-    if (geom::dist(uj, st.ref) - st.rv > st.rv + st.dmax_h) return true;
+    if (beyond_bound(cand[a].first, uj, s.cur, st)) return true;
     const int j = cand[a].second;
     bool cut = false;
     for (int h : gens) {
-      const HalfPlane hp =
-          geom::bisector_halfplane(sites[static_cast<std::size_t>(h)], uj);
+      const Vec2 uh = sites[static_cast<std::size_t>(h)];
       // Quick reject: does the bisector actually cut the current cell?
-      // `touch`: some vertex lies on it (within kEps).
-      bool all_inside = true, touch = false;
-      for (Vec2 v : s.cur) {
-        const double d = hp.signed_dist(v);
-        if (d > geom::kEps) {
-          all_inside = false;
-          break;
-        }
-        touch |= d >= -geom::kEps;
-      }
-      if (all_inside) {
-        if (touch) s.touches.push_back(Swap{h, j});
+      // kTouch: some vertex lies on it (within kEps).
+      const geom::RingSide side = geom::bisector_side(uh, uj, s.cur);
+      if (side != geom::RingSide::kCut) {
+        if (side == geom::RingSide::kTouch) s.touches.push_back(Swap{h, j});
         continue;
       }
+      const HalfPlane hp = geom::bisector_halfplane(uh, uj);
       s.cuts.push_back(Swap{h, j});
       geom::EdgeLabels labels{s.labels, s.next_labels,
                               static_cast<int>(s.cuts.size()) - 1};
@@ -141,7 +173,7 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
       if (s.cur.empty()) break;
     }
     if (cut) {
-      st.rv = max_vertex_dist(s.cur, st.ref);
+      st.set_ring(geom::max_dist2(st.ref, s.cur));
       pc.dist2_evals += s.cur.size();
     }
   }
@@ -179,7 +211,7 @@ void cell_brute(const std::vector<Vec2>& sites, const std::vector<int>& gens,
 void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
                const std::vector<int>& gens, CellScratch& s, CellState& st) {
   const std::size_t n_out = sites.size() - gens.size();
-  double bound = 2.0 * st.rv + st.dmax_h;
+  double bound = 2.0 * st.exact_rv(s.cur) + st.dmax_h;
   double radius = std::min(bound, st.dmax_h + grid.cell_size());
   std::size_t processed = 0;
   while (true) {
@@ -198,7 +230,7 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
       ++perf::counters().kernel_fallbacks;
       return;
     }
-    bound = 2.0 * st.rv + st.dmax_h;
+    bound = 2.0 * st.exact_rv(s.cur) + st.dmax_h;
     if (radius >= bound) return;  // no ungathered site can pass the bound
     radius = std::min(radius * 2.0, bound);
   }
@@ -354,12 +386,10 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
       if (label != kWindowEdge)
         cross(scratch.cuts[static_cast<std::size_t>(label)]);
     for (const Swap& t : scratch.touches) {
-      const HalfPlane hp =
-          geom::bisector_halfplane(sites[static_cast<std::size_t>(t.h)],
-                                   sites[static_cast<std::size_t>(t.j)]);
-      if (std::any_of(cell.begin(), cell.end(), [&](Vec2 v) {
-            return hp.signed_dist(v) >= -geom::kEps;
-          }))
+      // Some vertex at signed distance >= -kEps.
+      if (geom::bisector_side(sites[static_cast<std::size_t>(t.h)],
+                              sites[static_cast<std::size_t>(t.j)],
+                              cell) != geom::RingSide::kInside)
         cross(t);
     }
 
@@ -432,10 +462,13 @@ Ring order_k_cell(const std::vector<Vec2>& sites,
   CellScratch s;
   CellState st;
   if (!init_cell(sites, gens, window, s, st)) return {};
-  // Honour the caller-provided order exactly; the keys are unused.
+  // Honour the caller-provided order exactly; the keys feed the pruning
+  // test only.
   s.cand.clear();
   s.cand.reserve(others_sorted.size());
-  for (int j : others_sorted) s.cand.emplace_back(0.0, j);
+  for (int j : others_sorted)
+    s.cand.emplace_back(
+        geom::dist2(sites[static_cast<std::size_t>(j)], st.ref), j);
   clip_against(sites, gens, s.cand, 0, s.cand.size(), s, st);
   return std::move(s.cur);
 }

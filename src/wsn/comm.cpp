@@ -91,7 +91,7 @@ std::vector<int> CommModel::gather(NodeId i, double rho, int ttl,
   for (int j : targets) {
     if (j == i) continue;
     // The strict test: the grid query over-approximates with <=.
-    if (geom::dist(net_->position(j), ui) < rho) {
+    if (geom::dist_lt(net_->position(j), ui, rho)) {
       s.member[static_cast<std::size_t>(j)] = epoch;
       ++wanted;
     }

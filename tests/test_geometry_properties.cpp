@@ -2,11 +2,19 @@
 // the invariants every higher layer silently relies on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
+
+#include "common/perf_counters.hpp"
 #include "common/rng.hpp"
 #include "geometry/circle.hpp"
 #include "geometry/convex.hpp"
+#include "geometry/halfplane.hpp"
 #include "geometry/polygon.hpp"
 #include "geometry/welzl.hpp"
+#include "voronoi/sites.hpp"
 
 namespace laacad::geom {
 namespace {
@@ -108,6 +116,116 @@ TEST_P(GeomSweep, CircleCircleIntersectionsOnBothCircles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeomSweep, ::testing::Range(0, 12));
+
+// ------------------------------------------- bisector ring classifier ----
+//
+// bisector_side must give bisector_side_exact's answer on every ring; the
+// cases below sit where the filter's band matters.
+
+// v with each coordinate moved by kx / ky ulps.
+Vec2 nudge(Vec2 v, int kx, int ky) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (; kx > 0; --kx) v.x = std::nextafter(v.x, inf);
+  for (; kx < 0; ++kx) v.x = std::nextafter(v.x, -inf);
+  for (; ky > 0; --ky) v.y = std::nextafter(v.y, inf);
+  for (; ky < 0; ++ky) v.y = std::nextafter(v.y, -inf);
+  return v;
+}
+
+struct SideCheck {
+  long cases = 0, mismatches = 0;
+  long seen[3] = {0, 0, 0};  // per RingSide
+  std::string first;
+
+  void check(Vec2 keep, Vec2 other, const Ring& ring) {
+    ++cases;
+    const RingSide want = bisector_side_exact(keep, other, ring);
+    ++seen[static_cast<int>(want)];
+    if (bisector_side(keep, other, ring) == want || mismatches++ > 0) return;
+    std::ostringstream os;
+    os.precision(17);
+    os << "keep=" << keep << " other=" << other << " ring:";
+    for (Vec2 v : ring) os << ' ' << v;
+    first = os.str();
+  }
+};
+
+TEST(BisectorSide, MatchesExactScanOnAndNearTheBisector) {
+  laacad::Rng rng(2024);
+  SideCheck c;
+  // Offsets along the normal: on the line, at the +-kEps thresholds, and
+  // well inside / outside.
+  const double offsets[] = {0.0, kEps, -kEps, 2 * kEps, -2 * kEps, 1e-3, -1e-3};
+  for (int t = 0; t < 20'000; ++t) {
+    const double scale = std::pow(10.0, rng.uniform(-2.0, 4.0));
+    const Vec2 keep{rng.uniform(0, scale), rng.uniform(0, scale)};
+    const Vec2 other{rng.uniform(0, scale), rng.uniform(0, scale)};
+    if (dist(keep, other) < 1e-6 * scale) continue;
+    const HalfPlane hp = bisector_halfplane(keep, other);
+    Ring ring;
+    const int n = 3 + t % 4;
+    for (int a = 0; a < n; ++a) {
+      const double along = rng.uniform(-scale, scale);
+      const double off = offsets[rng.uniform_int(0, 6)];
+      const int kx = rng.uniform_int(-4, 4), ky = rng.uniform_int(-4, 4);
+      ring.push_back(nudge(hp.point + hp.tangent() * along + hp.normal * off,
+                           kx, ky));
+    }
+    c.check(keep, other, ring);
+    // The same ring with every vertex pushed inside: only the -kEps band
+    // (the touch test) is in play.
+    for (Vec2& v : ring) v -= hp.normal * (kEps + std::abs(hp.signed_dist(v)));
+    c.check(keep, other, ring);
+  }
+  EXPECT_EQ(c.mismatches, 0) << c.first;
+  EXPECT_GT(c.seen[static_cast<int>(RingSide::kInside)], 100);
+  EXPECT_GT(c.seen[static_cast<int>(RingSide::kTouch)], 100);
+  EXPECT_GT(c.seen[static_cast<int>(RingSide::kCut)], 100);
+}
+
+TEST(BisectorSide, MatchesExactScanOnSeparatedCoLocatedSites) {
+  laacad::Rng rng(2025);
+  SideCheck c;
+  for (int t = 0; t < 200; ++t) {
+    // Stacks of coincident sites, pulled apart by separate_sites.
+    std::vector<Vec2> sites;
+    for (int g = 0; g < 3; ++g) {
+      const Vec2 at{rng.uniform(0, 100), rng.uniform(0, 100)};
+      for (int m = 0; m < 2 + t % 3; ++m) sites.push_back(at);
+    }
+    sites = vor::separate_sites(std::move(sites));
+    for (std::size_t h = 0; h < sites.size(); ++h)
+      for (std::size_t j = 0; j < sites.size(); ++j) {
+        if (h == j) continue;
+        // A small ring around the pair, and the sites themselves.
+        const Vec2 mid = midpoint(sites[h], sites[j]);
+        const double r = std::pow(10.0, rng.uniform(-9.0, 1.0));
+        c.check(sites[h], sites[j],
+                {mid + Vec2{r, 0}, mid + Vec2{0, r}, mid - Vec2{r, 0},
+                 mid - Vec2{0, r}});
+        c.check(sites[h], sites[j], sites);
+      }
+  }
+  EXPECT_EQ(c.mismatches, 0) << c.first;
+  EXPECT_GT(c.cases, 1000);
+}
+
+TEST(BisectorSide, SeparationBelowKEpsTakesTheExactPath) {
+  // |e| < kEps: the exact normal is normalized()'s (0,0), so every signed
+  // distance is 0 and the ring touches.
+  const Vec2 keep{5, 5};
+  const Vec2 other = keep + Vec2{3e-10, 4e-10};
+  const Ring ring = {{0, 0}, {10, 0}, {10, 10}, {0, 10}};
+  auto& pc = laacad::perf::counters();
+  const std::uint64_t before = pc.exact_fallbacks;
+  EXPECT_EQ(bisector_side_exact(keep, other, ring), RingSide::kTouch);
+  EXPECT_EQ(bisector_side(keep, other, ring), RingSide::kTouch);
+  EXPECT_EQ(pc.exact_fallbacks, before + 1);
+  // Just above the 2 kEps cutoff the filter decides on its own.
+  const Vec2 far = keep + Vec2{3e-9, 0};
+  EXPECT_EQ(bisector_side(keep, far, ring), bisector_side_exact(keep, far, ring));
+  EXPECT_EQ(pc.exact_fallbacks, before + 1);
+}
 
 }  // namespace
 }  // namespace laacad::geom

@@ -439,6 +439,7 @@ TEST(CounterScopeTest, TotalsExactForAnyThreadCount) {
     EXPECT_EQ(pooled.grid_queries, serial.grid_queries);
     EXPECT_EQ(pooled.cells_built, serial.cells_built);
     EXPECT_EQ(pooled.kernel_fallbacks, serial.kernel_fallbacks);
+    EXPECT_EQ(pooled.exact_fallbacks, serial.exact_fallbacks);
   }
 }
 

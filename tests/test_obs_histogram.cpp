@@ -142,6 +142,53 @@ TEST(HistogramTest, OracleAgreementOnMixedSamples) {
   }
 }
 
+// values_at resolves several quantiles in one cumulative scan; each answer
+// must equal the single-quantile value_at, and the percentile block it
+// feeds must keep its bytes.
+TEST(HistogramTest, OnePassRanksEqualValueAt) {
+  const std::vector<double> qs = {0.0, 0.01, 0.5, 0.5, 0.9, 0.99,
+                                  0.999, 1.0, 2.0};
+  const auto check = [&](const Histogram& h, const char* what) {
+    std::vector<std::uint64_t> got(qs.size(), 7);
+    h.values_at(qs, got);
+    for (std::size_t i = 0; i < qs.size(); ++i)
+      EXPECT_EQ(got[i], h.value_at(qs[i])) << what << " q " << qs[i];
+
+    std::ostringstream want;
+    JsonWriter w(want, /*indent=*/0);
+    const auto us = [&](double q) {
+      return h.empty() ? std::nan("")
+                       : static_cast<double>(h.value_at(q)) / 1000.0;
+    };
+    w.begin_object();
+    w.kv("count", h.count());
+    w.kv("p50_us", us(0.50));
+    w.kv("p90_us", us(0.90));
+    w.kv("p99_us", us(0.99));
+    w.kv("p999_us", us(0.999));
+    w.kv("max_us", h.empty() ? std::nan("")
+                             : static_cast<double>(h.max()) / 1000.0);
+    w.kv("mean_us", h.mean_ns() / 1000.0);
+    w.end_object();
+    EXPECT_EQ(percentiles_json(h), want.str()) << what;
+  };
+
+  check(Histogram{}, "empty");
+  Histogram one;
+  one.record(1234);
+  check(one, "one sample");
+  Histogram over;
+  over.record(Buckets::kMaxTrackable + 5);
+  over.record(Buckets::kMaxTrackable + 12345);
+  check(over, "overflow only");
+  for (const std::uint64_t seed : {3ull, 11ull, 42ull}) {
+    Histogram h;
+    for (const std::uint64_t s : sample_mix(seed, 1 + static_cast<int>(seed) * 97))
+      h.record(s);
+    check(h, "random");
+  }
+}
+
 TEST(HistogramTest, MergeOrderInvariance) {
   const std::vector<std::uint64_t> samples = sample_mix(3, 3000);
   // Shard into 5 chunks, merge under three different trees.

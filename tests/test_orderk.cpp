@@ -489,6 +489,30 @@ TEST(GridKernel, HalvesDistanceEvalsOnFig6Config) {
   }
 }
 
+// The filtered distance predicates must decide nearly every comparison
+// without hypot: on a fixed 2 000-site uniform configuration the exact
+// path runs at most once per 1 000 dist2 evaluations. Deterministic, so it
+// gates exactly.
+TEST(GridKernel, ExactFallbacksStayRareOnUniformSites) {
+  laacad::Rng rng(2000);
+  std::vector<Vec2> sites;
+  for (int i = 0; i < 2000; ++i)
+    sites.push_back({rng.uniform(0, 2000), rng.uniform(0, 2000)});
+  sites = separate_sites(sites);
+  const Ring window = {{0, 0}, {2000, 0}, {2000, 2000}, {0, 2000}};
+  const wsn::SpatialGrid grid(sites, 50.0);
+  auto& pc = laacad::perf::counters();
+  pc.reset();
+  std::size_t cells = 0;
+  for (int i = 0; i < 2000; i += 4)
+    cells += dominating_region_cells(sites, grid, i, 2, window).size();
+  EXPECT_GT(cells, 500u);
+  EXPECT_GT(pc.dist2_evals, 0u);
+  EXPECT_LE(pc.exact_fallbacks * 1000, pc.dist2_evals)
+      << "exact_fallbacks=" << pc.exact_fallbacks
+      << " dist2_evals=" << pc.dist2_evals;
+}
+
 // -------------------------------------------- full-diagram enumeration ----
 
 TEST(EnumerateCells, PartitionOfWindow) {

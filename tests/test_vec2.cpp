@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/perf_counters.hpp"
 #include "geometry/vec2.hpp"
 
 namespace laacad::geom {
@@ -94,6 +102,148 @@ TEST(Vec2, StreamOutput) {
   std::ostringstream os;
   os << Vec2{1.5, -2.0};
   EXPECT_EQ(os.str(), "(1.5, -2)");
+}
+
+// ------------------------------------------------ filtered predicates ----
+//
+// Each predicate must return exactly what its hypot expression returns.
+// Mismatches are counted and the first one reported, so a 10^6-case sweep
+// costs one assertion.
+
+double max_dist_reference(Vec2 ref, const std::vector<Vec2>& pts) {
+  double m = 0.0;
+  for (Vec2 p : pts) m = std::max(m, dist(ref, p));
+  return m;
+}
+
+struct PredicateCheck {
+  long mismatches = 0;
+  std::string first;
+
+  void pair(Vec2 a, Vec2 b, double r) {
+    const bool lt = dist_lt(a, b, r), le = dist_le(a, b, r);
+    if (lt != (dist(a, b) < r) || le != (dist(a, b) <= r))
+      note("dist_lt/dist_le", a, b, r);
+  }
+  void triple(Vec2 p, Vec2 q, Vec2 v) {
+    if (closer(p, q, v) != (dist(p, v) < dist(q, v)))
+      note("closer", p, q, v.x);
+  }
+  void ring(Vec2 ref, const std::vector<Vec2>& pts) {
+    const double got = max_dist(ref, pts), want = max_dist_reference(ref, pts);
+    if (std::memcmp(&got, &want, sizeof got) != 0)
+      note("max_dist", ref, pts.empty() ? ref : pts.front(), got);
+  }
+  void note(const char* what, Vec2 a, Vec2 b, double r) {
+    if (mismatches++ > 0) return;
+    std::ostringstream os;
+    os.precision(17);
+    os << what << " a=" << a << " b=" << b << " r=" << r;
+    first = os.str();
+  }
+};
+
+// r and its 1..4-ulp neighbours on either side of dist(a, b).
+void check_around(PredicateCheck& c, Vec2 a, Vec2 b) {
+  const double d = dist(a, b);
+  c.pair(a, b, d);
+  double up = d, down = d;
+  for (int ulp = 1; ulp <= 4; ++ulp) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    c.pair(a, b, up);
+    c.pair(a, b, down);
+  }
+}
+
+TEST(DistPredicates, MatchHypotOnAMillionSeededCases) {
+  std::mt19937_64 gen(0x5eed0001ULL);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_real_distribution<double> exponent(-3.0, 4.0);
+  PredicateCheck c;
+  for (int t = 0; t < 1'000'000; ++t) {
+    const double scale = std::pow(10.0, exponent(gen));
+    const Vec2 a{unit(gen) * scale, unit(gen) * scale};
+    const Vec2 b{unit(gen) * scale, unit(gen) * scale};
+    const double d = dist(a, b);
+    switch (t % 4) {
+      case 0: c.pair(a, b, std::abs(unit(gen)) * 3.0 * scale); break;
+      case 1: c.pair(a, b, d * (1.0 + 2e-12 * unit(gen))); break;
+      case 2: check_around(c, a, b); break;
+      default: {
+        // q at nearly p's distance from v: the closer filter's margin.
+        const Vec2 v = b;
+        const Vec2 q = v + (a - v).rotated(3.0 * unit(gen)) *
+                               (1.0 + 4e-12 * unit(gen));
+        c.triple(a, q, v);
+        c.triple(q, a, v);
+        c.triple(a, b, Vec2{unit(gen) * scale, unit(gen) * scale});
+      }
+    }
+    if (t % 8 == 0) {
+      std::vector<Vec2> pts(1 + t % 12);
+      for (Vec2& p : pts) p = {unit(gen) * scale, unit(gen) * scale};
+      c.ring(a, pts);
+    }
+  }
+  EXPECT_EQ(c.mismatches, 0) << c.first;
+}
+
+TEST(DistPredicates, MatchHypotOnAdversarialCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  PredicateCheck c;
+  const std::vector<Vec2> points = {
+      {0, 0},        {3, 4},          {-3, 4},           {1e-160, 0},
+      {0, 1e-160},   {3e-160, 4e-160}, {1e160, 0},       {-3e160, 4e160},
+      {1e-300, 1e-300}, {5e-324, 0},  {nan, 0},          {0, nan},
+      {inf, 0},      {-inf, 1},       {inf, nan},        {inf, -inf},
+      {123.456, -7.89}, {1e154, 1e154}, {1e-154, 1e-154}};
+  const std::vector<double> radii = {0.0,   -0.0, -1.0,   1e-300, 1e-160,
+                                     1e-100, 1.0, 5.0,    1e100,  1e160,
+                                     inf,   -inf, nan,    std::nextafter(5.0, 6.0)};
+  for (Vec2 a : points)
+    for (Vec2 b : points) {
+      check_around(c, a, b);
+      for (double r : radii) c.pair(a, b, r);
+      for (Vec2 v : points) c.triple(a, b, v);
+      c.ring(a, {b});
+      c.ring(a, {b, a, b});
+      c.ring(a, points);
+    }
+  // Zero vectors, and equal distances from v.
+  c.pair({2, 2}, {2, 2}, 0.0);
+  c.triple({2, 2}, {2, 2}, {2, 2});
+  c.triple({0, 5}, {5, 0}, {0, 0});
+  c.triple({3, 4}, {4, 3}, {0, 0});
+  c.ring({1, 1}, {});
+  c.ring({1, 1}, {{1, 1}, {1, 1}});
+  // The two largest vertices of a ring within an ulp of each other.
+  std::mt19937_64 gen(0x5eed0002ULL);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int t = 0; t < 20'000; ++t) {
+    const Vec2 ref{unit(gen) * 100, unit(gen) * 100};
+    const double d = 1.0 + 99.0 * std::abs(unit(gen));
+    const Vec2 dir = Vec2{unit(gen), unit(gen)}.normalized();
+    std::vector<Vec2> ring = {ref + dir * d,
+                              ref + dir.perp() * std::nextafter(d, 200.0),
+                              ref - dir * (d * 0.5)};
+    c.ring(ref, ring);
+    ring[1] = ref + dir.rotated(1.0 + unit(gen)) * d;
+    c.ring(ref, ring);
+  }
+  EXPECT_EQ(c.mismatches, 0) << c.first;
+}
+
+TEST(DistPredicates, ExactPathIsCounted) {
+  auto& pc = laacad::perf::counters();
+  const std::uint64_t before = pc.exact_fallbacks;
+  EXPECT_TRUE(dist_lt({0, 0}, {3, 4}, 6.0));   // decided by the filter
+  EXPECT_FALSE(dist_lt({0, 0}, {3, 4}, 4.0));
+  EXPECT_EQ(pc.exact_fallbacks, before);
+  EXPECT_FALSE(dist_lt({0, 0}, {3, 4}, 5.0));  // inside the margin
+  EXPECT_TRUE(dist_le({0, 0}, {3, 4}, 5.0));
+  EXPECT_EQ(pc.exact_fallbacks, before + 2);
 }
 
 }  // namespace
