@@ -1,11 +1,8 @@
 // campaign_fleet — run one campaign as a fleet of local shard processes
 // and merge their manifests into the single-process outputs.
 //
-// Usage:
-//   campaign_fleet <campaign-file> --shards N [--workers W] [--runner PATH]
-//                  [--max-restarts K] [--resume] [--merge-only]
-//                  [--manifest-dir DIR] [--json PATH] [--csv PATH]
-//                  [--manifest PATH] [--quiet] [--heartbeat] [--trace PATH]
+// Usage: campaign_fleet <campaign-file> --shards N [options]; --help lists
+// them.
 //
 // Spawns one `campaign_runner --shard i/N` process per shard (fork/exec of
 // the binary next to this one unless --runner overrides), streams each
@@ -27,11 +24,9 @@
 // Exit status: 0 all trials ok, 1 merge succeeded but trials failed, 2
 // infrastructure failure (bad spec, crashed-out shard, merge validation).
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
-#include "common/specparse.hpp"
+#include "common/cli.hpp"
 #include "dist/fleet.hpp"
 #include "obs/trace.hpp"
 
@@ -40,28 +35,6 @@
 #endif
 
 namespace {
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s <campaign-file> --shards N [--workers W] [--runner PATH]\n"
-      "          [--max-restarts K] [--resume] [--merge-only]\n"
-      "          [--manifest-dir DIR] [--json PATH] [--csv PATH]\n"
-      "          [--manifest PATH] [--quiet]\n"
-      "  --shards N        shard processes to spawn (and manifests to merge)\n"
-      "  --workers W       per-shard trial parallelism (0 = hardware)\n"
-      "  --runner PATH     campaign_runner binary (default: next to this one)\n"
-      "  --max-restarts K  crash restarts allowed per shard (default 2)\n"
-      "  --resume          pass --resume to the first launch of every shard\n"
-      "  --merge-only      skip launching; merge existing shard manifests\n"
-      "  --manifest-dir DIR  where shard manifests live (default: cwd)\n"
-      "  --json/--csv/--manifest PATH  merged output paths\n"
-      "  --heartbeat       shards emit JSON heartbeats; the supervisor\n"
-      "                    consumes them and emits fleet-level heartbeats\n"
-      "                    (stderr) instead of scraping stdout\n"
-      "  --trace PATH      write a Chrome trace-event JSON with one span\n"
-      "                    per shard lifecycle (spawn to reap)\n",
-      argv0);
-}
 
 /// The runner lives next to this binary in every supported layout (one
 /// build tree, one install prefix, one rsync'd directory).
@@ -84,52 +57,36 @@ std::string sibling_runner(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using laacad::specparse::parse_int;
   laacad::dist::FleetOptions opt;
   std::string trace_path;
-  try {
-    for (int a = 1; a < argc; ++a) {
-      const std::string flag = argv[a];
-      auto next_value = [&](const char* what) -> const char* {
-        if (a + 1 >= argc) {
-          std::fprintf(stderr, "%s expects a value\n", what);
-          std::exit(2);
-        }
-        return argv[++a];
-      };
-      if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
-      else if (flag == "--quiet") opt.quiet = true;
-      else if (flag == "--heartbeat") opt.heartbeat = true;
-      else if (flag == "--trace") trace_path = next_value("--trace");
-      else if (flag == "--resume") opt.resume = true;
-      else if (flag == "--merge-only") opt.merge_only = true;
-      else if (flag == "--shards")
-        opt.shards = parse_int(next_value("--shards"), 0, flag, 0);
-      else if (flag == "--workers")
-        opt.workers = parse_int(next_value("--workers"), 0, flag, 0);
-      else if (flag == "--max-restarts")
-        opt.max_restarts =
-            parse_int(next_value("--max-restarts"), 0, flag, 0);
-      else if (flag == "--runner") opt.runner = next_value("--runner");
-      else if (flag == "--manifest-dir")
-        opt.manifest_dir = next_value("--manifest-dir");
-      else if (flag == "--json") opt.json_path = next_value("--json");
-      else if (flag == "--csv") opt.csv_path = next_value("--csv");
-      else if (flag == "--manifest")
-        opt.merged_manifest_path = next_value("--manifest");
-      else if (!flag.empty() && flag[0] == '-') {
-        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-        usage(argv[0]);
-        return 2;
-      } else if (opt.campaign_path.empty()) opt.campaign_path = flag;
-      else { usage(argv[0]); return 2; }
-    }
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "campaign_fleet: %s\n",
-                 laacad::specparse::without_line(e.what()).c_str());
-    return 2;
-  }
-  if (opt.campaign_path.empty()) { usage(argv[0]); return 2; }
+  laacad::cli::Parser cli("campaign_fleet");
+  cli.positional("campaign-file", /*required=*/true, &opt.campaign_path)
+      .flag("--shards", "N",
+            "shard processes to spawn (and manifests to merge)", &opt.shards,
+            0)
+      .flag("--workers", "W", "per-shard trial parallelism (0 = hardware)",
+            &opt.workers, 0)
+      .flag("--runner", "PATH", "campaign_runner (default: next to this one)",
+            &opt.runner)
+      .flag("--max-restarts", "K",
+            "crash restarts allowed per shard (default 2)", &opt.max_restarts,
+            0)
+      .flag("--resume", "pass --resume to each shard's first launch",
+            &opt.resume)
+      .flag("--merge-only", "launch nothing; merge existing shard manifests",
+            &opt.merge_only)
+      .flag("--manifest-dir", "DIR", "where shard manifests live (default .)",
+            &opt.manifest_dir)
+      .flag("--json", "PATH", "merged aggregates", &opt.json_path)
+      .flag("--csv", "PATH", "merged trial log", &opt.csv_path)
+      .flag("--manifest", "PATH", "merged, row-sorted journal",
+            &opt.merged_manifest_path)
+      .flag("--quiet", "relay no shard output", &opt.quiet)
+      .flag("--heartbeat", "consume shard heartbeats; emit fleet ones",
+            &opt.heartbeat)
+      .flag("--trace", "PATH", "Chrome trace JSON, one span per shard",
+            &trace_path);
+  if (const auto status = cli.parse(argc, argv)) return *status;
   if (opt.runner.empty()) opt.runner = sibling_runner(argv[0]);
   if (!trace_path.empty()) laacad::obs::start_trace(trace_path);
   const int status = laacad::dist::run_fleet(opt);

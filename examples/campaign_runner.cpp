@@ -1,11 +1,7 @@
 // campaign_runner — expand a declarative parameter-sweep campaign into a
 // trial matrix, shard it across workers, and emit aggregate metrics.
 //
-// Usage:
-//   campaign_runner <campaign-file> [--workers N] [--resume]
-//                   [--json PATH] [--csv PATH] [--manifest PATH]
-//                   [--shard i/N] [--dry-run] [--quiet]
-//                   [--trace PATH] [--heartbeat]
+// Usage: campaign_runner <campaign-file> [options]; --help lists them.
 //
 // The campaign format is documented in src/campaign/spec.hpp and the
 // README; shipped examples live in campaigns/. Outputs (defaults derive
@@ -24,15 +20,13 @@
 // also spawns local shard fleets; cross-host runs rsync the manifests and
 // merge with --merge-only). Per-shard --resume works unchanged.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "campaign/scheduler.hpp"
-#include "common/specparse.hpp"
+#include "common/cli.hpp"
 #include "common/sysinfo.hpp"
 #include "common/table.hpp"
 #include "dist/partition.hpp"
@@ -40,29 +34,6 @@
 #include "obs/trace.hpp"
 
 namespace {
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s <campaign-file> [--workers N] [--resume]\n"
-      "          [--json PATH] [--csv PATH] [--manifest PATH]\n"
-      "          [--shard i/N] [--dry-run] [--quiet]\n"
-      "  --workers N   threads (0 = hardware): a pool across trials, or the\n"
-      "                engine's own when one trial is pending; outputs are\n"
-      "                byte-identical for every value\n"
-      "  --resume      skip trials already journaled in the manifest\n"
-      "  --json PATH   aggregate output (default BENCH_campaign_<name>.json)\n"
-      "  --csv PATH    trial log (default BENCH_campaign_<name>_trials.csv)\n"
-      "  --manifest PATH  journal path (default BENCH_campaign_<name>.manifest)\n"
-      "  --shard i/N   run only this stride partition of the trial matrix,\n"
-      "                journal to BENCH_campaign_<name>.shard-i-of-N.manifest,\n"
-      "                emit no aggregates (merge shards with campaign_fleet)\n"
-      "  --dry-run     print the expanded trial matrix and exit\n"
-      "  --trace PATH  write a Chrome trace-event JSON timeline (per-trial\n"
-      "                spans, engine round stages); BENCH outputs are\n"
-      "                byte-identical with or without it\n"
-      "  --heartbeat   emit one-line JSON progress heartbeats on stderr\n",
-      argv0);
-}
 
 std::string describe_point(
     const std::vector<std::pair<std::string, std::string>>& values) {
@@ -81,56 +52,36 @@ int main(int argc, char** argv) {
 
   std::string path, json_path, csv_path, manifest_path, trace_path;
   campaign::CampaignOptions opt;
-  bool dry_run = false, quiet = false, shard_given = false;
-  bool heartbeat = false;
-  try {
-    for (int a = 1; a < argc; ++a) {
-      const std::string flag = argv[a];
-      auto next_value = [&](const char* what) -> const char* {
-        if (a + 1 >= argc) {
-          std::fprintf(stderr, "%s expects a value\n", what);
-          std::exit(2);
-        }
-        return argv[++a];
-      };
-      if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
-      else if (flag == "--quiet") quiet = true;
-      else if (flag == "--dry-run") dry_run = true;
-      else if (flag == "--resume") opt.resume = true;
-      else if (flag == "--workers")
-        opt.workers =
-            specparse::parse_int(next_value("--workers"), 0, flag, 0);
-      else if (flag == "--trace") trace_path = next_value("--trace");
-      else if (flag == "--heartbeat") heartbeat = true;
-      else if (flag == "--json") json_path = next_value("--json");
-      else if (flag == "--csv") csv_path = next_value("--csv");
-      else if (flag == "--manifest") manifest_path = next_value("--manifest");
-      else if (flag == "--shard") {
-        try {
-          opt.shard = dist::parse_shard(next_value("--shard"));
-          shard_given = true;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "--shard: %s\n", e.what());
-          return 2;
-        }
-      }
-      else if (!flag.empty() && flag[0] == '-') {
-        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-        usage(argv[0]);
-        return 2;
-      } else if (path.empty()) path = flag;
-      else { usage(argv[0]); return 2; }
-    }
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "campaign_runner: %s\n",
-                 specparse::without_line(e.what()).c_str());
-    return 2;
-  }
-  if (path.empty()) { usage(argv[0]); return 2; }
-
   // Any explicit --shard — including the degenerate 0/1 a one-shard fleet
   // passes — selects journal-only mode; aggregates belong to the merge.
-  const bool sharded = shard_given;
+  bool dry_run = false, quiet = false, sharded = false;
+  bool heartbeat = false;
+  cli::Parser cli("campaign_runner");
+  cli.positional("campaign-file", /*required=*/true, &path)
+      .flag("--workers", "N",
+            "threads (0 = hardware); outputs never change", &opt.workers, 0)
+      .flag("--resume", "skip trials already journaled in the manifest",
+            &opt.resume)
+      .flag("--json", "PATH", "aggregates (default BENCH_campaign_<name>.json)",
+            &json_path)
+      .flag("--csv", "PATH",
+            "trial log (default BENCH_campaign_<name>_trials.csv)", &csv_path)
+      .flag("--manifest", "PATH",
+            "journal (default BENCH_campaign_<name>.manifest)", &manifest_path)
+      .flag("--shard", "i/N",
+            "run one stride partition; journal only, no aggregates",
+            [&](const std::string& value) {
+              opt.shard = dist::parse_shard(value);
+              sharded = true;
+            })
+      .flag("--dry-run", "print the expanded trial matrix and exit", &dry_run)
+      .flag("--quiet", "print no progress or summary", &quiet)
+      .flag("--trace", "PATH", "Chrome trace-event JSON; outputs never change",
+            &trace_path)
+      .flag("--heartbeat", "stream JSON progress heartbeats to stderr",
+            &heartbeat);
+  if (const auto status = cli.parse(argc, argv)) return *status;
+
   if (sharded && (!json_path.empty() || !csv_path.empty())) {
     std::fprintf(stderr,
                  "--shard runs emit no aggregates (--json/--csv): merge "

@@ -14,41 +14,18 @@
 #include <iostream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "lint/linter.hpp"
 #include "lint/policy.hpp"
-
-namespace {
-
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " [--policy FILE] [ROOT]\n";
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string policy_path;
   std::string root = "src";
-  bool root_set = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--policy") {
-      if (++i >= argc) return usage(argv[0]);
-      policy_path = argv[i];
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag '" << arg << "'\n";
-      return usage(argv[0]);
-    } else if (!root_set) {
-      root = arg;
-      root_set = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  laacad::cli::Parser cli("laacad_lint");
+  cli.positional("ROOT", /*required=*/false, &root)
+      .flag("--policy", "FILE", "rule policy (default: ROOT/../.lint-policy)",
+            &policy_path);
+  if (const auto status = cli.parse(argc, argv)) return *status;
 
   try {
     namespace fs = std::filesystem;

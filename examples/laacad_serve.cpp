@@ -1,10 +1,7 @@
 // laacad_serve — the serving daemon: a CoverageService fed by a
 // line-oriented JSON protocol over stdio or a loopback TCP socket.
 //
-// Serve mode (default):
-//   laacad_serve [--scn PATH] [--stdio | --port P] [--log PATH]
-//                [--state PATH] [--threads N] [--publish-every N]
-//                [--trace PATH] [--heartbeat] [--quiet]
+// Serve mode (the default; `laacad_serve --help` lists the flags):
 //
 //   Loads the base spec (default: scenarios/serve_base.scn, embedded at
 //   build time; the spec's timeline must be empty), starts
@@ -15,22 +12,20 @@
 //   a replayable scenario file; --state dumps the canonical final state
 //   document after shutdown.
 //
-// Replay mode:
-//   laacad_serve --replay LOG --state PATH [--threads N]
+// Replay mode (--replay LOG --state PATH [--threads N]):
 //
 //   Runs LOG (an event log, or any scenario file) through the batch
 //   ScenarioRunner and writes the same canonical state document. For any
 //   serve session:  serve --log L --state A; replay L --state B; cmp A B
 //   — byte-identical, at any thread count.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "common/specparse.hpp"
+#include "common/cli.hpp"
 #include "embedded_specs.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
@@ -40,29 +35,6 @@
 namespace {
 
 using namespace laacad;
-
-void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--scn PATH] [--stdio | --port P] [--log PATH]\n"
-      "          [--state PATH] [--threads N] [--publish-every N]\n"
-      "          [--trace PATH] [--heartbeat] [--quiet]\n"
-      "       %s --replay LOG --state PATH [--threads N]\n"
-      "  --scn PATH        base spec (default: embedded serve_base; the\n"
-      "                    timeline must be empty — events arrive live)\n"
-      "  --stdio           serve requests from stdin to stdout (default)\n"
-      "  --port P          serve a loopback TCP listener instead (0 =\n"
-      "                    ephemeral; the bound port is printed to stderr)\n"
-      "  --log PATH        append accepted events to a replayable log\n"
-      "  --state PATH      dump the canonical state document on shutdown\n"
-      "  --threads N       engine threads (0 = hardware); bits never change\n"
-      "  --publish-every N mid-phase snapshot cadence (0 = phase ends only)\n"
-      "  --trace PATH      Chrome trace JSON (request/round/publish spans)\n"
-      "  --heartbeat       stream {\"hb\":\"serve\",...} lines to stderr at\n"
-      "                    every phase end\n"
-      "  --replay LOG      batch-replay an event log and exit\n",
-      argv0, argv0);
-}
 
 struct Options {
   std::string scn_path;
@@ -149,46 +121,32 @@ int replay_main(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "laacad_serve: %s needs a value\n",
-                       arg.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--scn") opt.scn_path = next();
-      else if (arg == "--replay") opt.replay_path = next();
-      else if (arg == "--log") opt.log_path = next();
-      else if (arg == "--state") opt.state_path = next();
-      else if (arg == "--trace") opt.trace_path = next();
-      else if (arg == "--stdio") opt.port = -1;
-      else if (arg == "--port")
-        opt.port = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--threads")
-        opt.threads = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--publish-every")
-        opt.publish_every = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--heartbeat") opt.heartbeat = true;
-      else if (arg == "--quiet") opt.quiet = true;
-      else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
-      } else {
-        std::fprintf(stderr, "laacad_serve: unknown argument %s\n",
-                     arg.c_str());
-        usage(argv[0]);
-        return 2;
-      }
-    }
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "laacad_serve: %s\n",
-                 specparse::without_line(e.what()).c_str());
-    return 2;
-  }
+  cli::Parser cli("laacad_serve");
+  cli.flag("--scn", "PATH", "base spec (default: embedded serve_base)",
+           &opt.scn_path)
+      .flag("--stdio", "serve stdin to stdout (the default)",
+            [&opt](const std::string&) { opt.port = -1; })
+      .flag("--port", "P", "serve loopback TCP instead (0 = ephemeral)",
+            &opt.port, 0)
+      .flag("--log", "PATH", "append accepted events to a replayable log",
+            &opt.log_path)
+      .flag("--state", "PATH", "dump the canonical state document at exit",
+            &opt.state_path)
+      .flag("--threads", "N",
+            "engine threads (0 = hardware); bits never change", &opt.threads,
+            0)
+      .flag("--publish-every", "N",
+            "mid-phase snapshot cadence (0 = phase ends only)",
+            &opt.publish_every, 0)
+      .flag("--trace", "PATH", "Chrome trace JSON (request/round/publish)",
+            &opt.trace_path)
+      .flag("--heartbeat",
+            "heartbeat to stderr each moving round and phase end",
+            &opt.heartbeat)
+      .flag("--quiet", "print no summary on stderr", &opt.quiet)
+      .flag("--replay", "LOG", "batch-replay LOG into --state PATH and exit",
+            &opt.replay_path);
+  if (const auto status = cli.parse(argc, argv)) return *status;
 
   try {
     return opt.replay_path.empty() ? serve_main(opt) : replay_main(opt);

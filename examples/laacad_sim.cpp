@@ -3,14 +3,7 @@
 // optionally dump SVG/CSV artifacts. Intended as the "downstream user"
 // entry point.
 //
-// Usage:
-//   laacad_sim [--k N] [--nodes N] [--seed S] [--alpha A] [--epsilon E]
-//              [--rounds R] [--gamma G] [--domain square|lshape|cross]
-//              [--side METRES] [--hole]
-//              [--deploy uniform|corner|gaussian|stacked]
-//              [--backend global|localized|auto] [--max-hops H]
-//              [--noise SIGMA] [--threads T] [--svg PREFIX] [--csv FILE]
-//              [--trace FILE] [--heartbeat] [--quiet]
+// Run `laacad_sim --help` for the flags.
 //
 // Every flag that names a scenario setting (--k, --nodes, --rounds, ...,
 // --seed, --threads) is parsed by the .scn grammar (scenario::set_key /
@@ -20,12 +13,11 @@
 // accepts runs here too.
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/specparse.hpp"
 #include "common/table.hpp"
@@ -51,72 +43,6 @@ struct Options {
   bool quiet = false;
 };
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--k N] [--nodes N] [--seed S] [--alpha A] [--epsilon E]\n"
-      "          [--rounds R] [--gamma G] [--domain square|lshape|cross]\n"
-      "          [--side M] [--hole]\n"
-      "          [--deploy uniform|corner|gaussian|stacked]\n"
-      "          [--backend global|localized|auto] [--max-hops H] [--noise S]\n"
-      "          [--threads T] [--svg PREFIX] [--csv FILE] [--trace FILE]\n"
-      "          [--heartbeat] [--quiet]\n",
-      argv0);
-}
-
-/// Applies one valued flag. Throws std::runtime_error on an unknown flag or
-/// a malformed value.
-void set_flag(ScenarioSpec& spec, Options& opt, const std::string& flag,
-              const std::string& value) {
-  using namespace laacad;
-  // Flags that set a scenario key, parsed exactly as a .scn file parses it.
-  static const std::map<std::string, std::string> kKeyFlags = {
-      {"--k", "k"}, {"--nodes", "nodes"}, {"--alpha", "alpha"},
-      {"--epsilon", "epsilon"}, {"--rounds", "max_rounds"},
-      {"--gamma", "gamma"}, {"--domain", "domain"}, {"--side", "side"},
-      {"--deploy", "deploy"}, {"--backend", "backend"},
-      {"--max-hops", "max_hops"}, {"--noise", "noise"}};
-  if (flag == "--seed") {
-    spec.seed = specparse::parse_uint64(value, 0, "seed");
-  } else if (flag == "--threads") {
-    spec.num_threads = specparse::parse_int(value, 0, "threads");
-  } else if (flag == "--svg") {
-    opt.svg_prefix = value;
-  } else if (flag == "--csv") {
-    opt.csv_path = value;
-  } else if (flag == "--trace") {
-    opt.trace_path = value;
-  } else if (const auto it = kKeyFlags.find(flag); it != kKeyFlags.end()) {
-    scenario::set_key(spec, it->second, value, 0);
-  } else {
-    throw std::runtime_error("unknown flag");
-  }
-}
-
-/// Returns false for --help. Throws std::runtime_error naming the flag on
-/// an unknown flag or a missing or malformed value.
-bool parse(int argc, char** argv, ScenarioSpec& spec, Options& opt) {
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    if (flag == "--help" || flag == "-h") return false;
-    if (flag == "--quiet") {
-      opt.quiet = true;
-    } else if (flag == "--heartbeat") {
-      opt.heartbeat = true;
-    } else if (flag == "--hole") {
-      spec.hole = true;
-    } else {
-      try {
-        if (a + 1 >= argc) throw std::runtime_error("needs a value");
-        set_flag(spec, opt, flag, argv[++a]);
-      } catch (const std::runtime_error& e) {
-        throw std::runtime_error(flag + ": " +
-                                 laacad::specparse::without_line(e.what()));
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,14 +52,50 @@ int main(int argc, char** argv) {
   spec.nodes = 60;
   spec.side = 500.0;
   Options opt;
+  // A flag that sets a scenario key is parsed exactly as a .scn file
+  // parses that key.
+  const auto key = [&spec](const char* name) {
+    return [&spec, name](const std::string& value) {
+      scenario::set_key(spec, name, value, 0);
+    };
+  };
+  cli::Parser cli("laacad_sim");
+  cli.flag("--k", "N", "coverage degree", key("k"))
+      .flag("--nodes", "N", "node count", key("nodes"))
+      .flag("--seed", "S", "RNG seed",
+            [&spec](const std::string& value) {
+              spec.seed = specparse::parse_uint64(value, 0, "seed");
+            })
+      .flag("--alpha", "A", "movement step, in (0, 1]", key("alpha"))
+      .flag("--epsilon", "E", "movement threshold (m)", key("epsilon"))
+      .flag("--rounds", "R", "round cap per phase", key("max_rounds"))
+      .flag("--gamma", "G", "transmission range (m; 0 = auto)", key("gamma"))
+      .flag("--domain", "square|lshape|cross", "domain shape", key("domain"))
+      .flag("--side", "M", "domain side length (m)", key("side"))
+      .flag("--hole", "punch the canned obstacle", &spec.hole)
+      .flag("--deploy", "uniform|corner|gaussian|stacked",
+            "initial deployment", key("deploy"))
+      .flag("--backend", "global|localized|auto", "region solver",
+            key("backend"))
+      .flag("--max-hops", "H", "localized gather hop cap", key("max_hops"))
+      .flag("--noise", "SIGMA", "position noise sigma (m)", key("noise"))
+      .flag("--threads", "T", "engine threads (0 = hardware)",
+            [&spec](const std::string& value) {
+              spec.num_threads = specparse::parse_int(value, 0, "threads");
+            })
+      .flag("--svg", "PREFIX", "write PREFIX_{initial,final,partition}.svg",
+            &opt.svg_prefix)
+      .flag("--csv", "FILE", "write per-round metrics", &opt.csv_path)
+      .flag("--trace", "FILE", "write a Chrome trace-event JSON",
+            &opt.trace_path)
+      .flag("--heartbeat", "stream one JSON heartbeat per round to stderr",
+            &opt.heartbeat)
+      .flag("--quiet", "print no summary table", &opt.quiet);
+  if (const auto status = cli.parse(argc, argv)) return *status;
   // Domain, deployment, gamma and backend come from the scenario engine's
   // setup path, so every spec the grammar accepts runs here too.
   scenario::World world;
   try {
-    if (!parse(argc, argv, spec, opt)) {
-      usage(argv[0]);
-      return 2;
-    }
     world = scenario::build_world(spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "laacad_sim: %s\n", e.what());

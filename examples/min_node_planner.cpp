@@ -9,6 +9,7 @@
 
 #include "baselines/ammari.hpp"
 #include "baselines/regular.hpp"
+#include "common/cli.hpp"
 #include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "coverage/critical.hpp"
@@ -16,16 +17,15 @@
 
 namespace {
 
-/// argv[i] as a number > 0 named `key`, or `fallback` when absent.
-double positive_arg(int argc, char** argv, int i, const char* key,
-                    double fallback) {
-  if (argc <= i) return fallback;
-  const double v = laacad::specparse::parse_double(argv[i], 0, key);
-  if (!(v > 0.0))
-    laacad::specparse::fail(0, std::string("'") + key +
-                                   "' expects a number > 0, got '" + argv[i] +
-                                   "'");
-  return v;
+/// A positional argument's parser: a number > 0 named `key`.
+laacad::cli::Callback positive(const char* key, double* target) {
+  return [key, target](const std::string& value) {
+    *target = laacad::specparse::parse_double(value, 0, key);
+    if (!(*target > 0.0))
+      laacad::specparse::fail(0, std::string("'") + key +
+                                     "' expects a number > 0, got '" + value +
+                                     "'");
+  };
 }
 
 }  // namespace
@@ -33,9 +33,17 @@ double positive_arg(int argc, char** argv, int i, const char* key,
 int main(int argc, char** argv) try {
   using namespace laacad;
 
-  const int k = argc > 1 ? specparse::parse_int(argv[1], 0, "k", 1) : 2;
-  const double rs = positive_arg(argc, argv, 2, "r_s", 25.0);
-  const double side = positive_arg(argc, argv, 3, "side", 150.0);
+  int k = 2;
+  double rs = 25.0;
+  double side = 150.0;
+  cli::Parser cli("min_node_planner");
+  cli.positional("k", /*required=*/false,
+                 [&k](const std::string& value) {
+                   k = specparse::parse_int(value, 0, "k", 1);
+                 })
+      .positional("r_s", /*required=*/false, positive("r_s", &rs))
+      .positional("side", /*required=*/false, positive("side", &side));
+  if (const auto status = cli.parse(argc, argv)) return *status;
 
   wsn::Domain domain = wsn::Domain::rectangle(side, side);
   Rng rng(17);

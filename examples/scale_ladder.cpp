@@ -7,9 +7,7 @@
 // (dist2 evaluations, grid queries) that machine-independent perf gates
 // key on. Results land in BENCH_scale_ladder.json.
 //
-// Usage:
-//   scale_ladder [--campaign PATH] [--max-nodes N] [--budget PATH]
-//                [--json PATH] [--trial-threads N] [--trace PATH] [--quiet]
+// Run `scale_ladder --help` for the flags.
 //
 // --max-nodes caps which rungs run: the ctest entry
 // scale_ladder_within_budget climbs to 10^5 (10^4 in Debug) with
@@ -42,8 +40,9 @@
 
 #include "campaign/ladder_budget.hpp"
 #include "campaign/scheduler.hpp"
+#include "common/cli.hpp"
+#include "common/json_writer.hpp"
 #include "common/perf_counters.hpp"
-#include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
 #include "embedded_specs.hpp"
 #include "obs/heartbeat.hpp"
@@ -68,27 +67,6 @@ struct RungRow {
   std::uint64_t grid_queries = 0;
 };
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--campaign PATH] [--max-nodes N] [--budget PATH]\n"
-      "          [--json PATH] [--trial-threads N] [--trace PATH]\n"
-      "          [--heartbeat] [--quiet]\n"
-      "  --campaign PATH   ladder campaign file (default:\n"
-      "                    campaigns/scale_ladder.cmp, embedded)\n"
-      "  --max-nodes N     skip rungs larger than N nodes\n"
-      "  --budget PATH     budget file; dist2 budgets always enforced\n"
-      "                    (counters are exact at any thread count),\n"
-      "                    wall/RSS only with LAACAD_ENFORCE_BUDGET set\n"
-      "  --json PATH       output (default BENCH_scale_ladder.json)\n"
-      "  --trial-threads N engine threads inside each rung (0 = hardware);\n"
-      "                    output bits never change\n"
-      "  --trace PATH      per-rung Chrome trace JSON (suffix _n<nodes>)\n"
-      "                    plus a per-stage breakdown in the summary\n"
-      "  --heartbeat       stream one {\"hb\":\"ladder\",...} line per\n"
-      "                    finished rung to stderr (fleet monitor schema)\n",
-      argv0);
-}
-
 /// TRACE path for one rung: "_n<nodes>" before the extension, so a ladder
 /// run leaves TRACE_ladder_n1000.json, TRACE_ladder_n10000.json, ...
 std::string rung_trace_path(const std::string& base, long long n) {
@@ -108,21 +86,27 @@ void write_json(const std::string& path, const std::vector<RungRow>& rows,
     std::cerr << "scale_ladder: cannot write " << path << "\n";
     return;
   }
-  out << "{\n  \"name\": \"scale_ladder\",\n  \"trial_threads\": "
-      << trial_threads << ",\n  \"wall_budgets_enforced\": "
-      << (enforce_env ? "true" : "false") << ",\n  \"rungs\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RungRow& r = rows[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"ok\": "
-        << (r.ok ? "true" : "false") << ", \"rounds\": " << r.rounds
-        << ", \"wall_ms\": " << r.wall_ms
-        << ", \"wall_ms_per_round\": " << r.wall_ms_per_round
-        << ", \"peak_rss_bytes\": " << r.peak_rss
-        << ", \"dist2_evals\": " << r.dist2_evals
-        << ", \"grid_queries\": " << r.grid_queries
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  JsonWriter w(out);
+  w.begin_object();
+  w.kv("name", "scale_ladder");
+  w.kv("trial_threads", trial_threads);
+  w.kv("wall_budgets_enforced", enforce_env);
+  w.key("rungs").begin_array();
+  for (const RungRow& r : rows) {
+    w.begin_object();
+    w.kv("nodes", static_cast<std::int64_t>(r.nodes));
+    w.kv("ok", r.ok);
+    w.kv("rounds", r.rounds);
+    w.kv("wall_ms", r.wall_ms);
+    w.kv("wall_ms_per_round", r.wall_ms_per_round);
+    w.kv("peak_rss_bytes", r.peak_rss);
+    w.kv("dist2_evals", r.dist2_evals);
+    w.kv("grid_queries", r.grid_queries);
+    w.end_object();
   }
-  out << "  ]\n}\n";
+  w.end_array();
+  w.end_object();
+  out << '\n';
 }
 
 }  // namespace
@@ -132,45 +116,30 @@ int main(int argc, char** argv) {
   std::string budget_path;
   std::string json_path = "BENCH_scale_ladder.json";
   std::string trace_path;
-  long long max_nodes = -1;
+  int max_nodes = -1;
   int trial_threads = 1;
   bool heartbeat = false;
   bool quiet = false;
-
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::cerr << "scale_ladder: " << arg << " needs a value\n";
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--campaign") campaign_path = next();
-      else if (arg == "--max-nodes")
-        max_nodes = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--budget") budget_path = next();
-      else if (arg == "--json") json_path = next();
-      else if (arg == "--trial-threads")
-        trial_threads = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--trace") trace_path = next();
-      else if (arg == "--heartbeat") heartbeat = true;
-      else if (arg == "--quiet") quiet = true;
-      else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
-      } else {
-        std::cerr << "scale_ladder: unknown argument " << arg << "\n";
-        usage(argv[0]);
-        return 2;
-      }
-    }
-  } catch (const std::runtime_error& e) {
-    std::cerr << "scale_ladder: " << specparse::without_line(e.what())
-              << "\n";
-    return 2;
-  }
+  cli::Parser cli("scale_ladder");
+  cli.flag("--campaign", "PATH",
+           "ladder campaign (default: embedded scale_ladder.cmp)",
+           &campaign_path)
+      .flag("--max-nodes", "N", "skip rungs larger than N nodes", &max_nodes,
+            0)
+      .flag("--budget", "PATH",
+            "budget file; wall/RSS caps need LAACAD_ENFORCE_BUDGET",
+            &budget_path)
+      .flag("--json", "PATH", "output (default BENCH_scale_ladder.json)",
+            &json_path)
+      .flag("--trial-threads", "N",
+            "engine threads per rung (0 = hardware); bits never change",
+            &trial_threads, 0)
+      .flag("--trace", "PATH", "per-rung Chrome trace JSON (suffix _n<nodes>)",
+            &trace_path)
+      .flag("--heartbeat", "one JSON heartbeat per finished rung to stderr",
+            &heartbeat)
+      .flag("--quiet", "print no per-rung summary", &quiet);
+  if (const auto status = cli.parse(argc, argv)) return *status;
 
   try {
     const campaign::CampaignSpec spec =
@@ -213,7 +182,7 @@ int main(int argc, char** argv) {
       const long long n = std::atoll(value.c_str());
       if (max_nodes >= 0 && n > max_nodes) {
         if (!quiet)
-          std::printf("rung n=%-8lld skipped (--max-nodes %lld)\n", n,
+          std::printf("rung n=%-8lld skipped (--max-nodes %d)\n", n,
                       max_nodes);
         continue;
       }

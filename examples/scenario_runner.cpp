@@ -1,42 +1,24 @@
 // scenario_runner — execute a declarative dynamic-network scenario and emit
 // BENCH_*.json metrics.
 //
-// Usage:
-//   scenario_runner <scenario-file> [--threads T] [--json PATH]
-//                   [--trace PATH] [--quiet]
+// Usage: scenario_runner <scenario-file> [options]; --help lists them.
 //
 // The scenario file format is documented in src/scenario/spec.hpp and the
 // README; shipped examples live in scenarios/. By default the metrics land
 // in BENCH_scenario_<name>.json in the working directory. Exit status is 0
 // when the final redeployment restored full k-coverage.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
-#include "common/specparse.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace {
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s <scenario-file> [--threads T] [--json PATH] [--trace PATH] "
-      "[--dry-run] [--quiet]\n"
-      "  --threads T  override the spec's thread count (0 = hardware);\n"
-      "               metrics are byte-identical for every value\n"
-      "  --json PATH  metrics output (default BENCH_scenario_<name>.json)\n"
-      "  --trace PATH write a Chrome trace-event JSON timeline (phase,\n"
-      "               event, and engine round-stage spans); the BENCH json\n"
-      "               is byte-identical with or without it\n"
-      "  --dry-run    parse + validate only; print the event timeline\n",
-      argv0);
-}
 
 /// --dry-run: the spec parsed and validated; show what would execute.
 void print_timeline(const laacad::scenario::ScenarioSpec& spec) {
@@ -69,46 +51,19 @@ int main(int argc, char** argv) {
   std::string path, json_path, trace_path;
   int threads = -1;  // -1 = keep the spec's value
   bool quiet = false, dry_run = false;
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
-    else if (flag == "--quiet") quiet = true;
-    else if (flag == "--dry-run") dry_run = true;
-    else if (flag == "--threads") {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "--threads expects a value\n");
-        return 2;
-      }
-      try {
-        threads = specparse::parse_int(argv[++a], 0, flag, 0);
-      } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "scenario_runner: %s\n",
-                     specparse::without_line(e.what()).c_str());
-        return 2;
-      }
-    }
-    else if (flag == "--json") {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "--json expects a value\n");
-        return 2;
-      }
-      json_path = argv[++a];
-    }
-    else if (flag == "--trace") {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "--trace expects a value\n");
-        return 2;
-      }
-      trace_path = argv[++a];
-    }
-    else if (!flag.empty() && flag[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      usage(argv[0]);
-      return 2;
-    } else if (path.empty()) path = flag;
-    else { usage(argv[0]); return 2; }
-  }
-  if (path.empty()) { usage(argv[0]); return 2; }
+  cli::Parser cli("scenario_runner");
+  cli.positional("scenario-file", /*required=*/true, &path)
+      .flag("--threads", "T",
+            "engine threads (0 = hardware); metrics never change", &threads,
+            0)
+      .flag("--json", "PATH", "metrics (default BENCH_scenario_<name>.json)",
+            &json_path)
+      .flag("--trace", "PATH", "Chrome trace-event JSON; metrics never change",
+            &trace_path)
+      .flag("--dry-run", "parse and validate only; print the timeline",
+            &dry_run)
+      .flag("--quiet", "print no summary", &quiet);
+  if (const auto status = cli.parse(argc, argv)) return *status;
 
   scenario::ScenarioResult result;
   try {

@@ -1,8 +1,6 @@
 // serve_bench — open-loop load generator for laacad_serve.
 //
-//   serve_bench [--wl PATH] [--out PATH] [--scn PATH] [--threads N]
-//               [--requests N] [--rate R] [--connections C] [--seed S]
-//               [--quiet]
+//   serve_bench [options]     (--help lists them)
 //
 // Replays a declarative `.wl` workload (bench/workloads/*.wl; default:
 // serve_mix.wl, embedded at build time) over real loopback TCP and writes
@@ -19,14 +17,13 @@
 // were tallied (ctest treats a nonzero error count as failure), 2 on usage
 // or setup problems, including a malformed or out-of-range flag value.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
-#include "common/specparse.hpp"
+#include "common/cli.hpp"
 #include "embedded_specs.hpp"
 #include "scenario/spec.hpp"
 #include "serve/bench.hpp"
@@ -35,25 +32,7 @@
 #include "serve/workload.hpp"
 
 namespace {
-
 using namespace laacad;
-
-void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--wl PATH] [--out PATH] [--scn PATH] [--threads N]\n"
-      "          [--requests N] [--rate R] [--connections C] [--seed S]\n"
-      "          [--quiet]\n"
-      "  --wl PATH         workload file (default: embedded serve_mix)\n"
-      "  --out PATH        report path (default: BENCH_serve_latency.json)\n"
-      "  --scn PATH        base spec for the in-process server, and the\n"
-      "                    side length query coordinates draw from\n"
-      "  --threads N       engine threads for the in-process server\n"
-      "  --requests/--rate/--connections/--seed\n"
-      "                    override the corresponding workload fields\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,45 +41,25 @@ int main(int argc, char** argv) {
   std::optional<double> rate;
   std::optional<std::uint64_t> seed;
   bool quiet = false;
-
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "serve_bench: %s needs a value\n",
-                       arg.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--wl") wl_path = next();
-      else if (arg == "--out") out_path = next();
-      else if (arg == "--scn") scn_path = next();
-      else if (arg == "--threads")
-        threads = specparse::parse_int(next(), 0, arg, 0);
-      else if (arg == "--requests")
-        requests = specparse::parse_int(next(), 0, arg, 1);
-      else if (arg == "--rate") rate = specparse::parse_double(next(), 0, arg);
-      else if (arg == "--connections")
-        connections = specparse::parse_int(next(), 0, arg, 1);
-      else if (arg == "--seed") seed = specparse::parse_uint64(next(), 0, arg);
-      else if (arg == "--quiet") quiet = true;
-      else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
-      } else {
-        std::fprintf(stderr, "serve_bench: unknown argument %s\n",
-                     arg.c_str());
-        usage(argv[0]);
-        return 2;
-      }
-    }
-    if (rate && !(*rate >= 0.0))
-      specparse::fail(0, "'--rate' expects a number >= 0");
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "serve_bench: %s\n",
-                 specparse::without_line(e.what()).c_str());
+  cli::Parser cli("serve_bench");
+  cli.flag("--wl", "PATH", "workload (default: embedded serve_mix)", &wl_path)
+      .flag("--out", "PATH", "report (default BENCH_serve_latency.json)",
+            &out_path)
+      .flag("--scn", "PATH", "in-process server's base spec; sets query side",
+            &scn_path)
+      .flag("--threads", "N", "engine threads for the in-process server",
+            &threads, 0)
+      .flag("--requests", "N", "override the workload's request count",
+            &requests, 1)
+      .flag("--rate", "R", "override the workload's rate (0 = closed loop)",
+            &rate)
+      .flag("--connections", "C", "override the workload's connection count",
+            &connections, 1)
+      .flag("--seed", "S", "override the workload's seed", &seed)
+      .flag("--quiet", "print no summary on stderr", &quiet);
+  if (const auto status = cli.parse(argc, argv)) return *status;
+  if (rate && !(*rate >= 0.0)) {
+    std::fprintf(stderr, "serve_bench: '--rate' expects a number >= 0\n");
     return 2;
   }
 

@@ -145,6 +145,14 @@ int TcpServer::serve() {
       ::close(fd);
       break;
     }
+    if (conns.size() >= kMaxConnections) {
+      write_all(fd, error_response("server has " +
+                                   std::to_string(kMaxConnections) +
+                                   " connections open; closing connection") +
+                        "\n");
+      ::close(fd);
+      continue;
+    }
     Connection& conn = conns.emplace_back();
     conn.fd = fd;
     conn.worker = std::thread([this, fd, &conn, &handled, &shutting_down,

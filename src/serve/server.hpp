@@ -25,6 +25,13 @@ int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out);
 /// without bound. Real requests are a few hundred bytes.
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
+/// Most connections a TcpServer serves at once; each holds a thread. Past
+/// it a new connection gets one protocol-error line and is closed, so a
+/// peer that opens connections without end cannot grow the daemon's
+/// threads without bound. Real clients use far fewer: serve_mix.wl opens
+/// 2, and perfbench's serving probe nproc - 3.
+inline constexpr std::size_t kMaxConnections = 256;
+
 /// Newline-delimited reader over a raw socket fd, shared by the daemon's
 /// connections and serve_bench's clients. It reads only when no complete
 /// line is buffered, so the buffer holds at most one partial line plus one
@@ -70,8 +77,9 @@ class TcpServer {
 
   /// Accept-and-serve until a client sends shutdown. Each connection gets
   /// a thread, joined at the next accept after the connection ends;
-  /// requests within a connection are handled in order. Blocks; returns
-  /// the total number of requests handled.
+  /// requests within a connection are handled in order. A connection past
+  /// kMaxConnections live ones gets one error line and is closed. Blocks;
+  /// returns the total number of requests handled.
   int serve();
 
  private:

@@ -52,8 +52,9 @@ struct ServeConfig {
   /// running (0 = publish only at phase ends). Mid-phase snapshots carry
   /// the previous finalize's sensing ranges.
   int publish_every = 1;
-  /// Emit `{"hb":"serve",...}` heartbeat lines to stderr at every phase
-  /// end (the /health schema, streamed).
+  /// Emit `{"hb":"serve",...}` heartbeat lines to stderr after every round
+  /// that moves a node and at every phase end (the /health schema,
+  /// streamed).
   bool heartbeat = false;
 };
 

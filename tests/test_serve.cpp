@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -672,6 +673,81 @@ TEST(Protocol, TcpFinishedConnectionsAreReaped) {
   accept_thread.join();
   EXPECT_LT(growth_kib, 256L * 1024) << "VmSize grew by " << growth_kib
                                      << " KiB over 1000 connections";
+}
+
+/// Send `request` on `fd` and read one response line; "" on a socket
+/// error or EOF.
+std::string ask_line(int fd, const std::string& request) {
+  if (::send(fd, request.data(), request.size(), 0) !=
+      static_cast<ssize_t>(request.size()))
+    return "";
+  LineReader reader(fd);
+  std::string line;
+  return reader.next(&line) == LineReader::Status::kLine ? line : "";
+}
+
+// A peer that opens connections without end must not grow the daemon's
+// threads without bound: past kMaxConnections live connections a new one
+// gets one protocol-error line and an orderly close, the held ones keep
+// being served, and a slot frees once one of them closes.
+TEST(Protocol, TcpConnectionsPastTheCapGetOneErrorThenEof) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  TcpServer server(svc, /*port=*/0);
+  std::thread accept_thread([&] { server.serve(); });
+
+  const std::string health = "{\"op\":\"health\"}\n";
+  const auto answers_health = [&](int fd) {
+    const std::string reply = ask_line(fd, health);
+    return !reply.empty() && reply.find("\"error\"") == std::string::npos;
+  };
+  // Each held connection answers once before the next opens, so all of
+  // them are live server-side when the extra one arrives.
+  std::vector<int> held;
+  for (std::size_t i = 0; i < kMaxConnections; ++i) {
+    held.push_back(connect_loopback(server.port()));
+    ASSERT_GE(held.back(), 0) << "connection " << i;
+    ASSERT_TRUE(answers_health(held.back())) << "connection " << i;
+  }
+
+  const int extra = connect_loopback(server.port());
+  ASSERT_GE(extra, 0);
+  std::string reply;
+  EXPECT_TRUE(read_to_eof(extra, &reply));
+  ::close(extra);
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  bool ok = true;
+  EXPECT_TRUE(flatjson::get_bool(reply, "ok", &ok));
+  EXPECT_FALSE(ok);
+  std::string error;
+  EXPECT_TRUE(flatjson::get_string(reply, "error", &error));
+  EXPECT_NE(error.find("connections open"), std::string::npos) << error;
+
+  for (std::size_t i = 0; i < held.size(); ++i)
+    EXPECT_TRUE(answers_health(held[i])) << "held connection " << i;
+
+  // Closing one held connection frees its slot once its worker sees the
+  // EOF; until then a new connection may still be turned away.
+  ::close(held.back());
+  held.pop_back();
+  bool served = false;
+  for (int attempt = 0; attempt < 500 && !served; ++attempt) {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    served = answers_health(fd);
+    ::close(fd);
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served) << "no slot freed after a held connection closed";
+
+  std::string stopping = ask_line(held.front(), "{\"op\":\"shutdown\"}\n");
+  for (const int fd : held) ::close(fd);
+  accept_thread.join();
+  bool flag = false;
+  EXPECT_TRUE(flatjson::get_bool(stopping, "stopping", &flag) && flag)
+      << stopping;
 }
 
 // ---------------------------------------------------- concurrency (TSan) ----
