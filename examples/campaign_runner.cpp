@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
 
   if (sharded && (!json_path.empty() || !csv_path.empty())) {
     std::fprintf(stderr,
-                 "--shard runs emit no aggregates (--json/--csv): merge "
-                 "the shard manifests with campaign_fleet instead\n");
+                 "campaign_runner: --shard runs emit no aggregates "
+                 "(--json/--csv): merge the shard manifests with "
+                 "campaign_fleet instead\n");
     return 2;
   }
 
@@ -189,13 +190,15 @@ int main(int argc, char** argv) {
 
   std::ofstream json_out(json_path);
   if (!json_out) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    std::fprintf(stderr, "campaign_runner: cannot write %s\n",
+                 json_path.c_str());
     return 2;
   }
   result.write_json(json_out);
   std::ofstream csv_out(csv_path);
   if (!csv_out) {
-    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+    std::fprintf(stderr, "campaign_runner: cannot write %s\n",
+                 csv_path.c_str());
     return 2;
   }
   result.write_csv(csv_out);

@@ -82,10 +82,7 @@ std::string rung_trace_path(const std::string& base, long long n) {
 void write_json(const std::string& path, const std::vector<RungRow>& rows,
                 int trial_threads, bool enforce_env) {
   std::ofstream out(path);
-  if (!out) {
-    std::cerr << "scale_ladder: cannot write " << path << "\n";
-    return;
-  }
+  if (!out) throw std::runtime_error("cannot write " + path);
   JsonWriter w(out);
   w.begin_object();
   w.kv("name", "scale_ladder");

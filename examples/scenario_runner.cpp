@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
     json_path = "BENCH_scenario_" + result.spec.name + ".json";
   std::ofstream out(json_path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    std::fprintf(stderr, "scenario_runner: cannot write %s\n",
+                 json_path.c_str());
     return 2;
   }
   result.write_json(out);

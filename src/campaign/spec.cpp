@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "common/specparse.hpp"
 
@@ -15,19 +14,12 @@ namespace laacad::campaign {
 namespace {
 
 using specparse::fail;
-using specparse::parse_int;
-using specparse::parse_uint64;
-using specparse::tokenize;
 
-/// Probe-apply an axis value so a malformed sweep fails at parse time, not
-/// thousands of trials into a run.
-void check_axis_value(const std::string& key, const std::string& value,
-                      int line) {
-  if (key == "scenario") return;  // file existence is checked at trial time
-  scenario::ScenarioSpec scratch;
-  if (!scenario::set_key(scratch, key, value, line))
-    fail(line, "'" + key + "' is not a sweepable scenario key");
-}
+/// The campaign-level `key value` keys; every other key is a physical
+/// scenario key (scenario::set_key) or `sweep`.
+constexpr specparse::Key<CampaignSpec> kCampaignKeys[] = {
+    {"name", &CampaignSpec::name}, {"trials", &CampaignSpec::trials},
+    {"seed", &CampaignSpec::seed}, {"scenario", &CampaignSpec::scenario_file}};
 
 /// FNV-1a 64 over a canonical serialization.
 std::uint64_t fnv1a(const std::string& s) {
@@ -39,58 +31,44 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-}  // namespace
-
 CampaignSpec parse_campaign(std::istream& in) {
   CampaignSpec spec;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;
+  specparse::for_each_line(in, [&](const std::vector<std::string>& toks,
+                                   int line) {
     const std::string& key = toks[0];
-
     if (key == "sweep") {
       if (toks.size() < 3)
-        fail(lineno, "sweep needs a key and at least one value: "
-                     "sweep <key> <v1> [v2 ...]");
+        fail(line, "sweep needs a key and at least one value: "
+                   "sweep <key> <v1> [v2 ...]");
       Axis axis;
       axis.key = toks[1];
       axis.values.assign(toks.begin() + 2, toks.end());
-      axis.line = lineno;
       for (const Axis& existing : spec.axes)
         if (existing.key == axis.key)
-          fail(lineno, "axis '" + axis.key + "' swept twice");
+          fail(line, "axis '" + axis.key + "' swept twice");
+      // Probe-apply each value so a malformed sweep fails now, not trials
+      // later; a scenario file is checked when a trial loads it.
+      scenario::ScenarioSpec probe;
       for (const std::string& v : axis.values)
-        check_axis_value(axis.key, v, lineno);
+        if (axis.key != "scenario" &&
+            !scenario::set_key(probe, axis.key, v, line))
+          fail(line, "'" + axis.key + "' is not a sweepable scenario key");
       spec.axes.push_back(std::move(axis));
-      continue;
+      return;
     }
-
-    if (toks.size() != 2)
-      fail(lineno, "expected 'key value', got " +
-                       std::to_string(toks.size()) + " tokens");
-    const std::string& val = toks[1];
-    if (key == "name") {
-      spec.name = val;
-    } else if (key == "trials") {
-      spec.trials = parse_int(val, lineno, key);
-    } else if (key == "seed") {
-      spec.seed = parse_uint64(val, lineno, key);
-    } else if (key == "scenario") {
-      spec.scenario_file = val;
-    } else if (scenario::set_key(spec.base, key, val, lineno)) {
-      spec.base_overrides.emplace_back(key, val);
-    } else {
-      // `threads` lands here on purpose: execution shape belongs to the
-      // scheduler (--workers), never to the campaign identity.
-      fail(lineno, "unknown campaign key '" + key + "'");
-    }
-  }
+    const std::string& val = specparse::value_of(toks, line);
+    if (specparse::set_key(kCampaignKeys, spec, key, val, line)) return;
+    // `threads` is unknown on purpose: execution shape belongs to the
+    // scheduler (--workers), never to the campaign identity.
+    if (!scenario::set_key(spec.base, key, val, line))
+      fail(line, "unknown campaign key '" + key + "'");
+    spec.base_overrides.emplace_back(key, val);
+  });
   validate(spec);
   return spec;
 }
+
+}  // namespace
 
 CampaignSpec parse_campaign_string(const std::string& text) {
   std::istringstream ss(text);
@@ -98,18 +76,12 @@ CampaignSpec parse_campaign_string(const std::string& text) {
 }
 
 CampaignSpec load_campaign_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open campaign file: " + path);
-  CampaignSpec spec = parse_campaign(in);
+  CampaignSpec spec;
+  specparse::read_file(
+      path, "campaign", [&](std::istream& in) { spec = parse_campaign(in); },
+      &spec.name);
   const auto slash = path.find_last_of("/\\");
   spec.dir = slash == std::string::npos ? "" : path.substr(0, slash);
-  if (spec.name == "unnamed") {
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    if (auto dot = base.find_last_of('.'); dot != std::string::npos)
-      base.resize(dot);
-    if (!base.empty()) spec.name = base;
-  }
   return spec;
 }
 
@@ -180,17 +152,9 @@ std::uint64_t fingerprint(const CampaignSpec& spec) {
   // Canonical serialization of everything that determines the trial matrix.
   // num_threads is excluded by construction (it is not part of the spec).
   std::ostringstream ss;
-  const auto num = [](double v) { return JsonWriter::number_to_string(v); };
-  const scenario::ScenarioSpec& b = spec.base;
-  ss << "campaign.v1\n"
-     << spec.name << '\n'
-     << spec.trials << ' ' << spec.seed << '\n'
-     << b.domain << ' ' << num(b.side) << ' ' << b.hole << ' ' << b.deploy
-     << ' ' << b.nodes << ' ' << b.k << ' ' << num(b.alpha) << ' '
-     << num(b.epsilon) << ' ' << b.max_rounds << ' ' << num(b.gamma) << ' '
-     << b.backend << ' ' << b.max_hops << ' ' << num(b.noise) << ' '
-     << num(b.battery) << ' ' << num(b.grid_resolution) << '\n'
-     << "scenario " << spec.scenario_file << '\n';
+  ss << "campaign.v2\n"
+     << specparse::format_keys(kCampaignKeys, spec)
+     << scenario::format_spec_header(spec.base);
   for (const auto& [key, value] : spec.base_overrides)
     ss << "override " << key << ' ' << value << '\n';
   for (const Axis& axis : spec.axes) {

@@ -6,7 +6,8 @@
 // expands it into a reproducible trial matrix that the CampaignScheduler
 // shards across workers.
 //
-// The on-disk format is line-oriented `key value` pairs like scenarios/:
+// The on-disk format is line-oriented `key value` pairs like scenarios/,
+// read by common/specparse:
 //
 //   # alpha ablation, 3 seeds per point
 //   name     alpha_ablation
@@ -33,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,7 +47,6 @@ namespace laacad::campaign {
 struct Axis {
   std::string key;
   std::vector<std::string> values;
-  int line = 0;  ///< source line, for error messages
 };
 
 struct CampaignSpec {
@@ -75,16 +74,14 @@ struct TrialPoint {
   std::vector<std::pair<std::string, std::string>> values;
 };
 
-/// Parse a campaign from a stream. Throws std::runtime_error with a
-/// "line N: ..." message on malformed input; unknown keys are errors.
-CampaignSpec parse_campaign(std::istream& in);
-
-/// Parse from an in-memory string (tests, embedded benches).
+/// Parse a campaign. Throws std::runtime_error with a "line N: ..." message
+/// on malformed input; unknown keys are errors.
 CampaignSpec parse_campaign_string(const std::string& text);
 
 /// Load and parse a campaign file; the file name (sans directory and
 /// extension) overrides `name` when the spec does not set one, and the
-/// file's directory becomes `dir` for scenario path resolution.
+/// file's directory becomes `dir` for scenario path resolution. Errors read
+/// "<path>: line N: ...".
 CampaignSpec load_campaign_file(const std::string& path);
 
 /// Sanity checks shared by parser and scheduler: trials >= 1, unique

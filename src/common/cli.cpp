@@ -8,30 +8,6 @@
 
 namespace laacad::cli {
 
-namespace detail {
-
-void parse_value(const std::string&, const std::string& value,
-                 std::string* out, int) {
-  *out = value;
-}
-
-void parse_value(const std::string& flag, const std::string& value, int* out,
-                 int min) {
-  *out = specparse::parse_int(value, 0, flag, min);
-}
-
-void parse_value(const std::string& flag, const std::string& value,
-                 std::uint64_t* out, int) {
-  *out = specparse::parse_uint64(value, 0, flag);
-}
-
-void parse_value(const std::string& flag, const std::string& value,
-                 double* out, int) {
-  *out = specparse::parse_double(value, 0, flag);
-}
-
-}  // namespace detail
-
 namespace {
 
 /// Where the help column starts; a longer flag puts its help on the next

@@ -21,7 +21,6 @@
 // is not a digit, so a negative number is a positional.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -29,34 +28,13 @@
 #include <string>
 #include <vector>
 
+#include "common/specparse.hpp"
+
 namespace laacad::cli {
 
 /// Receives a flag's value ("" for a switch) or a positional argument. An
 /// exception it throws ends parsing with exit status 2.
 using Callback = std::function<void(const std::string&)>;
-
-namespace detail {
-
-/// The typed targets' parsers: the specparse scalar parsers with the flag
-/// as key. `min` bounds ints only.
-void parse_value(const std::string& flag, const std::string& value,
-                 std::string* out, int min);
-void parse_value(const std::string& flag, const std::string& value, int* out,
-                 int min);
-void parse_value(const std::string& flag, const std::string& value,
-                 std::uint64_t* out, int min);
-void parse_value(const std::string& flag, const std::string& value,
-                 double* out, int min);
-
-template <class T>
-void parse_value(const std::string& flag, const std::string& value,
-                 std::optional<T>* out, int min) {
-  T parsed{};
-  parse_value(flag, value, &parsed, min);
-  *out = parsed;
-}
-
-}  // namespace detail
 
 class Parser {
  public:
@@ -75,14 +53,15 @@ class Parser {
   Parser& flag(std::string name, std::string metavar, std::string help,
                Callback apply);
 
-  /// A valued flag parsed into `*target`: std::string, int (at least
-  /// `min`), std::uint64_t or double, or a std::optional of one, which
-  /// stays empty unless the flag is given.
+  /// A valued flag parsed into `*target` with specparse::parse_as:
+  /// std::string, int (at least `min`), std::uint64_t or double, or a
+  /// std::optional of one, which stays empty unless the flag is given.
   template <class T>
   Parser& flag(std::string name, std::string metavar, std::string help,
                T* target, int min = std::numeric_limits<int>::min()) {
     Callback apply = [name, target, min](const std::string& value) {
-      detail::parse_value(name, value, target, min);
+      using Value = decltype(held(target));
+      *target = specparse::parse_as<Value>(value, 0, name, min);
     };
     return add(std::move(name), std::move(metavar), std::move(help),
                std::move(apply), /*typed=*/true);
@@ -111,6 +90,12 @@ class Parser {
     bool required = false;
     Callback apply;
   };
+
+  /// The type a typed target holds (never called).
+  template <class T>
+  static T held(T*);
+  template <class T>
+  static T held(std::optional<T>*);
 
   Parser& add(std::string name, std::string metavar, std::string help,
               Callback apply, bool typed);

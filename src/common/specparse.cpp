@@ -1,8 +1,12 @@
 #include "common/specparse.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <fstream>
+#include <istream>
 #include <stdexcept>
+
+#include "common/json_writer.hpp"
 
 namespace laacad::specparse {
 
@@ -11,12 +15,15 @@ void fail(int line, const std::string& what) {
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
+  // The whitespace of `std::istream >> std::string` in the C locale.
+  constexpr const char* kSpace = " \t\n\v\f\r";
   std::vector<std::string> out;
-  std::istringstream ss(line);
-  std::string tok;
-  while (ss >> tok) {
-    if (tok[0] == '#') break;  // trailing comment
-    out.push_back(tok);
+  for (auto i = line.find_first_not_of(kSpace);
+       i != std::string::npos && line[i] != '#';  // '#': trailing comment
+       i = line.find_first_not_of(kSpace, i)) {
+    const auto end = line.find_first_of(kSpace, i);
+    out.push_back(line.substr(i, end - i));
+    i = end;
   }
   return out;
 }
@@ -73,11 +80,64 @@ bool parse_bool(const std::string& s, int line, const std::string& key) {
   fail(line, "'" + key + "' expects a boolean, got '" + s + "'");
 }
 
+std::string format_value(const std::string& v) { return v; }
+std::string format_value(int v) { return std::to_string(v); }
+std::string format_value(std::uint64_t v) { return std::to_string(v); }
+std::string format_value(double v) { return JsonWriter::number_to_string(v); }
+std::string format_value(bool v) { return v ? "true" : "false"; }
+
 std::string without_line(const std::string& what) {
   const auto colon = what.find(": ");
   return what.rfind("line ", 0) == 0 && colon != std::string::npos
              ? what.substr(colon + 2)
              : what;
+}
+
+const std::string& value_of(const std::vector<std::string>& toks, int line) {
+  if (toks.size() != 2)
+    fail(line, "expected 'key value', got " + std::to_string(toks.size()) +
+                   " tokens");
+  return toks[1];
+}
+
+void for_each_line(std::istream& in, const LineFn& on_line) {
+  using Traits = std::istream::traits_type;
+  std::streambuf* buf = in.rdbuf();
+  std::string text;
+  int line = 0;
+  for (bool more = true; more;) {
+    // std::getline's split, stopped at the cap.
+    auto c = buf->sbumpc();
+    for (; c != Traits::eof() && c != '\n'; c = buf->sbumpc()) {
+      if (text.size() == kMaxLineBytes)
+        fail(line + 1, "line longer than kMaxLineBytes (" +
+                           std::to_string(kMaxLineBytes) + " bytes)");
+      text.push_back(Traits::to_char_type(c));
+    }
+    more = c == '\n';
+    if (!more && text.empty()) break;
+    ++line;
+    const std::vector<std::string> toks = tokenize(text);
+    text.clear();
+    if (!toks.empty()) on_line(toks, line);
+  }
+}
+
+void read_file(const std::string& path, const std::string& kind,
+               const std::function<void(std::istream&)>& parse,
+               std::string* name) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + kind + " file: " + path);
+  try {
+    parse(in);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+  if (name == nullptr || *name != "unnamed") return;
+  // npos + 1 == 0: a path without a directory keeps its first character.
+  std::string stem = path.substr(path.find_last_of("/\\") + 1);
+  stem.resize(std::min(stem.size(), stem.find_last_of('.')));
+  if (!stem.empty()) *name = stem;
 }
 
 }  // namespace laacad::specparse

@@ -1,9 +1,6 @@
 #include "lint/policy.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "common/specparse.hpp"
 
@@ -51,16 +48,12 @@ Policy::Policy() : base_(default_base()) {}
 
 Policy Policy::parse(std::istream& in) {
   Policy p;
-  std::string raw;
-  int line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    const auto toks = specparse::tokenize(raw);
-    if (toks.empty()) continue;
+  specparse::for_each_line(in, [&](const std::vector<std::string>& toks,
+                                   int line) {
     if (toks[0] == "base") {
       p.base_ = check_rules(toks, 1, line);
     } else if (toks[0] == "extra" || toks[0] == "allow") {
-      if (toks.size() < 2 || toks[1].empty())
+      if (toks.size() < 2)
         specparse::fail(line, "'" + toks[0] + "' needs a path prefix");
       Entry e;
       e.prefix = toks[1];
@@ -71,18 +64,15 @@ Policy Policy::parse(std::istream& in) {
       specparse::fail(line, "unknown policy directive '" + toks[0] +
                                 "' (want base/extra/allow)");
     }
-  }
+  });
   return p;
 }
 
 Policy Policy::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open policy file '" + path + "'");
-  try {
-    return parse(in);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  Policy p;
+  specparse::read_file(path, "policy",
+                       [&](std::istream& in) { p = parse(in); });
+  return p;
 }
 
 std::vector<std::string> Policy::rules_for(const std::string& rel_path) const {

@@ -1,7 +1,6 @@
 #include "scenario/spec.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -15,11 +14,33 @@ namespace laacad::scenario {
 namespace {
 
 using specparse::fail;
-using specparse::parse_bool;
 using specparse::parse_double;
 using specparse::parse_int;
-using specparse::parse_uint64;
 using specparse::tokenize;
+using Key = specparse::Key<ScenarioSpec>;
+
+/// The physical keys: the experiment's configuration, and the only keys a
+/// campaign may fix or sweep (set_key).
+constexpr Key kPhysicalKeys[] = {
+    {"domain", &ScenarioSpec::domain},   {"side", &ScenarioSpec::side},
+    {"hole", &ScenarioSpec::hole},       {"deploy", &ScenarioSpec::deploy},
+    {"nodes", &ScenarioSpec::nodes},     {"k", &ScenarioSpec::k},
+    {"alpha", &ScenarioSpec::alpha},     {"epsilon", &ScenarioSpec::epsilon},
+    {"max_rounds", &ScenarioSpec::max_rounds},
+    {"gamma", &ScenarioSpec::gamma},     {"backend", &ScenarioSpec::backend},
+    {"max_hops", &ScenarioSpec::max_hops},
+    {"noise", &ScenarioSpec::noise},     {"flooding", &ScenarioSpec::flooding},
+    {"battery", &ScenarioSpec::battery},
+    {"grid_resolution", &ScenarioSpec::grid_resolution}};
+
+/// Identity keys: part of the experiment, so format_spec_header writes
+/// them, but never swept (a campaign derives each trial's seed).
+constexpr Key kIdentityKeys[] = {{"name", &ScenarioSpec::name},
+                                 {"seed", &ScenarioSpec::seed}};
+
+/// Execution and output details: parsed, never written.
+constexpr Key kExecutionKeys[] = {{"threads", &ScenarioSpec::num_threads},
+                                  {"history", &ScenarioSpec::history}};
 
 /// `name=value` pairs trailing an event line.
 std::unordered_map<std::string, std::string> parse_args(
@@ -144,84 +165,34 @@ Event parse_event(const std::vector<std::string>& toks, int line) {
   return ev;
 }
 
-}  // namespace
-
-const char* to_string(EventType t) {
-  switch (t) {
-    case EventType::kFailNodes: return "fail_nodes";
-    case EventType::kDrainBattery: return "drain_battery";
-    case EventType::kAddNodes: return "add_nodes";
-    case EventType::kResizeBoundary: return "resize_boundary";
-    case EventType::kJamRegion: return "jam_region";
-  }
-  return "?";
-}
-
-bool set_key(ScenarioSpec& spec, const std::string& key,
-             const std::string& val, int line) {
-  if (key == "domain") spec.domain = val;
-  else if (key == "side") spec.side = parse_double(val, line, key);
-  else if (key == "hole") spec.hole = parse_bool(val, line, key);
-  else if (key == "deploy") spec.deploy = val;
-  else if (key == "nodes") spec.nodes = parse_int(val, line, key);
-  else if (key == "k") spec.k = parse_int(val, line, key);
-  else if (key == "alpha") spec.alpha = parse_double(val, line, key);
-  else if (key == "epsilon") spec.epsilon = parse_double(val, line, key);
-  else if (key == "max_rounds") spec.max_rounds = parse_int(val, line, key);
-  else if (key == "gamma") spec.gamma = parse_double(val, line, key);
-  else if (key == "backend") spec.backend = val;
-  else if (key == "max_hops") spec.max_hops = parse_int(val, line, key);
-  else if (key == "noise") spec.noise = parse_double(val, line, key);
-  else if (key == "flooding") spec.flooding = val;
-  else if (key == "battery") spec.battery = parse_double(val, line, key);
-  else if (key == "grid_resolution")
-    spec.grid_resolution = parse_double(val, line, key);
-  else return false;
-  return true;
-}
-
 ScenarioSpec parse_scenario(std::istream& in) {
   ScenarioSpec spec;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;
+  specparse::for_each_line(in, [&](const std::vector<std::string>& toks,
+                                   int line) {
     const std::string& key = toks[0];
     if (key == "event") {
-      spec.events.push_back(parse_event(toks, lineno));
-      continue;
+      spec.events.push_back(parse_event(toks, line));
+      return;
     }
     if (key == "obstacle") {
       if (toks.size() != 5)
-        fail(lineno, "obstacle needs four bbox fractions: "
-                     "obstacle <x0> <y0> <x1> <y1>");
+        fail(line, "obstacle needs four bbox fractions: "
+                   "obstacle <x0> <y0> <x1> <y1>");
       ObstacleRect rect;
-      rect.lo = {parse_double(toks[1], lineno, "x0"),
-                 parse_double(toks[2], lineno, "y0")};
-      rect.hi = {parse_double(toks[3], lineno, "x1"),
-                 parse_double(toks[4], lineno, "y1")};
-      rect.line = lineno;
-      if (!(rect.lo.x < rect.hi.x) || !(rect.lo.y < rect.hi.y))
-        fail(lineno, "obstacle rectangle is empty (need x0 < x1 and y0 < y1)");
-      if (rect.lo.x < 0.0 || rect.lo.y < 0.0 || rect.hi.x > 1.0 ||
-          rect.hi.y > 1.0)
-        fail(lineno, "obstacle coordinates are bbox fractions in [0,1]");
+      rect.lo = {parse_double(toks[1], line, "x0"),
+                 parse_double(toks[2], line, "y0")};
+      rect.hi = {parse_double(toks[3], line, "x1"),
+                 parse_double(toks[4], line, "y1")};
+      rect.line = line;  // validate() checks the rectangle
       spec.obstacles.push_back(rect);
-      continue;
+      return;
     }
-    if (toks.size() != 2)
-      fail(lineno, "expected 'key value', got " +
-                       std::to_string(toks.size()) + " tokens");
-    const std::string& val = toks[1];
-    if (key == "name") spec.name = val;
-    else if (key == "seed") spec.seed = parse_uint64(val, lineno, key);
-    else if (key == "threads") spec.num_threads = parse_int(val, lineno, key);
-    else if (key == "history") spec.history = parse_bool(val, lineno, key);
-    else if (!set_key(spec, key, val, lineno))
-      fail(lineno, "unknown key '" + key + "'");
-  }
+    const std::string& val = specparse::value_of(toks, line);
+    if (!set_key(spec, key, val, line) &&
+        !specparse::set_key(kIdentityKeys, spec, key, val, line) &&
+        !specparse::set_key(kExecutionKeys, spec, key, val, line))
+      fail(line, "unknown key '" + key + "'");
+  });
 
   // at-round events must be non-decreasing in file order, or the "fire in
   // file order" contract would deadlock on an unreachable round.
@@ -237,23 +208,34 @@ ScenarioSpec parse_scenario(std::istream& in) {
   return spec;
 }
 
+}  // namespace
+
+const char* to_string(EventType t) {
+  switch (t) {
+    case EventType::kFailNodes: return "fail_nodes";
+    case EventType::kDrainBattery: return "drain_battery";
+    case EventType::kAddNodes: return "add_nodes";
+    case EventType::kResizeBoundary: return "resize_boundary";
+    case EventType::kJamRegion: return "jam_region";
+  }
+  return "?";
+}
+
+bool set_key(ScenarioSpec& spec, const std::string& key,
+             const std::string& val, int line) {
+  return specparse::set_key(kPhysicalKeys, spec, key, val, line);
+}
+
 ScenarioSpec parse_scenario_string(const std::string& text) {
   std::istringstream ss(text);
   return parse_scenario(ss);
 }
 
 ScenarioSpec load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open scenario file: " + path);
-  ScenarioSpec spec = parse_scenario(in);
-  if (spec.name == "unnamed") {
-    auto slash = path.find_last_of("/\\");
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    if (auto dot = base.find_last_of('.'); dot != std::string::npos)
-      base.resize(dot);
-    if (!base.empty()) spec.name = base;
-  }
+  ScenarioSpec spec;
+  specparse::read_file(
+      path, "scenario", [&](std::istream& in) { spec = parse_scenario(in); },
+      &spec.name);
   return spec;
 }
 
@@ -298,30 +280,13 @@ std::string format_spec_header(const ScenarioSpec& spec) {
       spec.name.empty() || spec.name[0] == '#')
     throw std::runtime_error("scenario name '" + spec.name +
                              "' cannot round-trip through the spec format");
-  std::ostringstream out;
-  const auto num = [](double v) { return JsonWriter::number_to_string(v); };
-  out << "name " << spec.name << '\n';
-  out << "domain " << spec.domain << '\n';
-  out << "side " << num(spec.side) << '\n';
-  out << "hole " << (spec.hole ? "true" : "false") << '\n';
+  std::string out = specparse::format_keys(kIdentityKeys, spec) +
+                    specparse::format_keys(kPhysicalKeys, spec);
+  const auto num = [](double v) { return specparse::format_value(v); };
   for (const ObstacleRect& rect : spec.obstacles)
-    out << "obstacle " << num(rect.lo.x) << ' ' << num(rect.lo.y) << ' '
-        << num(rect.hi.x) << ' ' << num(rect.hi.y) << '\n';
-  out << "deploy " << spec.deploy << '\n';
-  out << "nodes " << spec.nodes << '\n';
-  out << "k " << spec.k << '\n';
-  out << "alpha " << num(spec.alpha) << '\n';
-  out << "epsilon " << num(spec.epsilon) << '\n';
-  out << "max_rounds " << spec.max_rounds << '\n';
-  out << "gamma " << num(spec.gamma) << '\n';
-  out << "backend " << spec.backend << '\n';
-  out << "max_hops " << spec.max_hops << '\n';
-  out << "noise " << num(spec.noise) << '\n';
-  out << "flooding " << spec.flooding << '\n';
-  out << "seed " << spec.seed << '\n';
-  out << "battery " << num(spec.battery) << '\n';
-  out << "grid_resolution " << num(spec.grid_resolution) << '\n';
-  return out.str();
+    out += "obstacle " + num(rect.lo.x) + ' ' + num(rect.lo.y) + ' ' +
+           num(rect.hi.x) + ' ' + num(rect.hi.y) + '\n';
+  return out;
 }
 
 Event parse_event_body(const std::string& text) {
@@ -380,11 +345,13 @@ void validate(const ScenarioSpec& spec) {
   if (spec.flooding != "ideal" && spec.flooding != "ttl")
     bad("unknown flooding '" + spec.flooding + "' (ideal or ttl)");
   for (const ObstacleRect& rect : spec.obstacles) {
+    const std::string obstacle =
+        "obstacle (spec line " + std::to_string(rect.line) + ") ";
     if (!(rect.lo.x < rect.hi.x) || !(rect.lo.y < rect.hi.y))
-      bad("obstacle rectangle is empty (need x0 < x1 and y0 < y1)");
+      bad(obstacle + "rectangle is empty (need x0 < x1 and y0 < y1)");
     if (rect.lo.x < 0.0 || rect.lo.y < 0.0 || rect.hi.x > 1.0 ||
         rect.hi.y > 1.0)
-      bad("obstacle coordinates are bbox fractions in [0,1]");
+      bad(obstacle + "coordinates are bbox fractions in [0,1]");
   }
 }
 

@@ -8,7 +8,7 @@
 // re-establish k-coverage.
 //
 // The on-disk format is deliberately tiny — line-oriented `key value` pairs
-// plus `event` lines, no external parser dependency:
+// plus `event` and `obstacle` lines, read by common/specparse:
 //
 //   # cascading failures over a 300 m square
 //   name     cascade
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -140,29 +139,29 @@ struct ScenarioSpec {
 bool set_key(ScenarioSpec& spec, const std::string& key,
              const std::string& value, int line);
 
-/// Parse a scenario from a stream. Throws std::runtime_error with a
-/// "line N: ..." message on malformed input; unknown keys are errors (a
-/// typo silently ignored would corrupt an experiment).
-ScenarioSpec parse_scenario(std::istream& in);
-
-/// Parse from an in-memory string (tests, embedded benches).
+/// Parse a scenario. Throws std::runtime_error with a "line N: ..." message
+/// on malformed input; unknown keys are errors (a typo silently ignored
+/// would corrupt an experiment).
 ScenarioSpec parse_scenario_string(const std::string& text);
 
 /// Load and parse a scenario file; the file name (sans directory and
-/// extension) overrides `name` when the spec does not set one.
+/// extension) overrides `name` when the spec does not set one. Errors read
+/// "<path>: line N: ...".
 ScenarioSpec load_scenario_file(const std::string& path);
 
 /// Serialize one event as a spec-format line ("event round=N type k=v ...",
-/// no trailing newline) that round-trips exactly through parse_scenario.
+/// no trailing newline) that round-trips exactly through parse_scenario_string.
 /// The serving daemon's event log is the spec header plus these lines.
 std::string format_event(const Event& ev);
 
-/// Serialize the physical + identity configuration of `spec` (every key the
-/// file format knows except events, `threads`, and `history` — execution and
-/// output details are not part of the experiment) as spec lines. Parsing the
-/// result reproduces the spec field-for-field; appending format_event lines
-/// reproduces the timeline. Names containing whitespace cannot round-trip
-/// through the token-based format and are rejected.
+/// Serialize the identity and physical configuration of `spec` (name,
+/// seed, the physical keys, then obstacle lines; not events, `threads` or
+/// `history` — execution and output details are not part of the
+/// experiment) as spec lines written from the parser's key tables. Parsing
+/// the result reproduces the spec field-for-field; appending format_event
+/// lines reproduces the timeline. A campaign fingerprint hashes its base
+/// config's header. Names containing whitespace cannot round-trip through
+/// the token-based format and are rejected.
 std::string format_spec_header(const ScenarioSpec& spec);
 
 /// Parse an event *body* — "<type> [name=value ...]", with no `event`

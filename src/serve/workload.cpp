@@ -1,6 +1,5 @@
 #include "serve/workload.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,10 +13,21 @@ namespace laacad::serve {
 namespace {
 
 using specparse::fail;
-using specparse::parse_double;
-using specparse::parse_int;
-using specparse::parse_uint64;
-using specparse::tokenize;
+using Key = specparse::Key<WorkloadSpec>;
+
+/// The `key value` keys.
+constexpr Key kKeys[] = {
+    {"name", &WorkloadSpec::name}, {"requests", &WorkloadSpec::requests, 1},
+    {"rate", &WorkloadSpec::rate},
+    {"connections", &WorkloadSpec::connections, 1},
+    {"seed", &WorkloadSpec::seed}, {"knn_k", &WorkloadSpec::knn_k, 1}};
+
+/// The verbs of a `mix verb=weight ...` line.
+constexpr Key kMixVerbs[] = {{"knn", &WorkloadSpec::mix_knn, 0},
+                             {"coverage", &WorkloadSpec::mix_coverage, 0},
+                             {"load", &WorkloadSpec::mix_load, 0},
+                             {"stats", &WorkloadSpec::mix_stats, 0},
+                             {"health", &WorkloadSpec::mix_health, 0}};
 
 /// Split "key=value", failing with the line number when malformed.
 std::pair<std::string, std::string> split_kv(const std::string& token,
@@ -33,15 +43,9 @@ void parse_mix(WorkloadSpec* spec, const std::vector<std::string>& tokens,
   spec->mix_knn = spec->mix_coverage = spec->mix_load = spec->mix_stats =
       spec->mix_health = 0;
   for (std::size_t t = 1; t < tokens.size(); ++t) {
-    const auto [verb, weight_str] = split_kv(tokens[t], line);
-    const int weight = parse_int(weight_str, line, "mix " + verb);
-    if (weight < 0) fail(line, "mix weight must be >= 0: " + tokens[t]);
-    if (verb == "knn") spec->mix_knn = weight;
-    else if (verb == "coverage") spec->mix_coverage = weight;
-    else if (verb == "load") spec->mix_load = weight;
-    else if (verb == "stats") spec->mix_stats = weight;
-    else if (verb == "health") spec->mix_health = weight;
-    else fail(line, "unknown mix verb '" + verb + "'");
+    const auto [verb, weight] = split_kv(tokens[t], line);
+    if (!specparse::set_key(kMixVerbs, *spec, verb, weight, line))
+      fail(line, "unknown mix verb '" + verb + "'");
   }
 }
 
@@ -52,8 +56,7 @@ void parse_churn(WorkloadSpec* spec, const std::vector<std::string>& tokens,
   const auto [key, value] = split_kv(tokens[1], line);
   if (key != "every") fail(line, "churn needs every=N first, got " + key);
   ChurnSpec c;
-  c.every = parse_int(value, line, "churn every");
-  if (c.every < 1) fail(line, "churn every must be >= 1");
+  c.every = specparse::parse_int(value, line, "churn every", 1);
   std::string body;
   for (std::size_t t = 2; t < tokens.size(); ++t) {
     if (t > 2) body += ' ';
@@ -70,45 +73,22 @@ void parse_churn(WorkloadSpec* spec, const std::vector<std::string>& tokens,
   spec->churn.push_back(std::move(c));
 }
 
-}  // namespace
-
-WorkloadSpec parse_workload_string(const std::string& text) {
+WorkloadSpec parse_workload(std::istream& in) {
   WorkloadSpec spec;
-  std::istringstream in(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const std::vector<std::string> tokens = tokenize(raw);
-    if (tokens.empty()) continue;
+  specparse::for_each_line(in, [&](const std::vector<std::string>& tokens,
+                                   int line) {
     const std::string& key = tokens[0];
     if (key == "mix") {
-      parse_mix(&spec, tokens, line_no);
-      continue;
+      parse_mix(&spec, tokens, line);
+    } else if (key == "churn") {
+      parse_churn(&spec, tokens, line);
+    } else if (!specparse::set_key(kKeys, spec, key,
+                                   specparse::value_of(tokens, line), line)) {
+      fail(line, "unknown workload key '" + key + "'");
     }
-    if (key == "churn") {
-      parse_churn(&spec, tokens, line_no);
-      continue;
-    }
-    if (tokens.size() != 2)
-      fail(line_no, "expected '" + key + " <value>'");
-    const std::string& value = tokens[1];
-    if (key == "name") spec.name = value;
-    else if (key == "requests") spec.requests = parse_int(value, line_no, key);
-    else if (key == "rate") spec.rate = parse_double(value, line_no, key);
-    else if (key == "connections")
-      spec.connections = parse_int(value, line_no, key);
-    else if (key == "seed") spec.seed = parse_uint64(value, line_no, key);
-    else if (key == "knn_k") spec.knn_k = parse_int(value, line_no, key);
-    else fail(line_no, "unknown workload key '" + key + "'");
-  }
-  if (spec.requests < 1)
-    throw std::runtime_error("workload: requests must be >= 1");
+  });
   if (spec.rate < 0.0)
     throw std::runtime_error("workload: rate must be >= 0");
-  if (spec.connections < 1)
-    throw std::runtime_error("workload: connections must be >= 1");
-  if (spec.knn_k < 1) throw std::runtime_error("workload: knn_k must be >= 1");
   if (spec.mix_knn + spec.mix_coverage + spec.mix_load + spec.mix_stats +
           spec.mix_health <=
       0)
@@ -116,32 +96,29 @@ WorkloadSpec parse_workload_string(const std::string& text) {
   return spec;
 }
 
+}  // namespace
+
+WorkloadSpec parse_workload_string(const std::string& text) {
+  std::istringstream in(text);
+  return parse_workload(in);
+}
+
 WorkloadSpec load_workload_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open workload file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    return parse_workload_string(buf.str());
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  WorkloadSpec spec;
+  specparse::read_file(path, "workload", [&](std::istream& in) {
+    spec = parse_workload(in);
+  });
+  return spec;
 }
 
 std::string format_workload(const WorkloadSpec& spec) {
-  std::ostringstream out;
-  out << "name        " << spec.name << '\n';
-  out << "requests    " << spec.requests << '\n';
-  out << "rate        " << JsonWriter::number_to_string(spec.rate) << '\n';
-  out << "connections " << spec.connections << '\n';
-  out << "seed        " << spec.seed << '\n';
-  out << "knn_k       " << spec.knn_k << '\n';
-  out << "mix         knn=" << spec.mix_knn
-      << " coverage=" << spec.mix_coverage << " load=" << spec.mix_load
-      << " stats=" << spec.mix_stats << " health=" << spec.mix_health << '\n';
+  std::string out = specparse::format_keys(kKeys, spec) + "mix";
+  for (const Key& k : kMixVerbs)
+    out.append(" ").append(k.name).append("=").append(k.value(spec));
+  out += '\n';
   for (const ChurnSpec& c : spec.churn)
-    out << "churn       every=" << c.every << ' ' << c.body << '\n';
-  return out.str();
+    out += "churn every=" + std::to_string(c.every) + ' ' + c.body + '\n';
+  return out;
 }
 
 std::vector<ScheduledRequest> expand_schedule(const WorkloadSpec& spec,

@@ -1,8 +1,8 @@
 // Declarative query+churn workloads for the serving daemon — the `.wl`
 // format replayed by serve_bench (bench/workloads/*.wl).
 //
-// Line-oriented like the scenario/campaign specs (same tokenizer, same
-// "line N:" errors):
+// Line-oriented like the scenario/campaign specs (the same common/specparse
+// reader, the same "line N:" errors):
 //
 //   name        serve_mix          # workload name (artifact naming)
 //   requests    2000               # scheduled query requests (fixed count)
@@ -64,8 +64,8 @@ struct ScheduledRequest {
 WorkloadSpec parse_workload_string(const std::string& text);
 WorkloadSpec load_workload_file(const std::string& path);
 
-/// Echo the spec back in canonical `.wl` form (config-echo for reports;
-/// parse(format(spec)) == spec field-for-field).
+/// Echo the spec back in canonical `.wl` form, written from the parser's
+/// key tables: parse(format(spec)) == spec field-for-field.
 std::string format_workload(const WorkloadSpec& spec);
 
 /// Expand the full deterministic request schedule: `spec.requests` queries

@@ -422,6 +422,26 @@ TEST(CampaignResume, MismatchedManifestIsRejected) {
                std::runtime_error);
 }
 
+TEST(CampaignResume, FingerprintCoversEveryPhysicalBaseKey) {
+  // The base config is hashed from the scenario key table itself, so a
+  // base changed without a matching override line (as a program building
+  // a spec in memory does) still changes the campaign's identity.
+  const CampaignSpec spec = parse_campaign_string(kSmallCampaign);
+  const std::uint64_t fp = fingerprint(spec);
+  const std::vector<std::pair<std::string, std::string>> changes = {
+      {"domain", "cross"},  {"side", "301"},       {"hole", "true"},
+      {"deploy", "corner"}, {"nodes", "99"},       {"k", "3"},
+      {"alpha", "0.25"},    {"epsilon", "0.75"},   {"max_rounds", "7"},
+      {"gamma", "12.5"},    {"backend", "auto"},   {"max_hops", "4"},
+      {"noise", "0.125"},   {"flooding", "ttl"},   {"battery", "9"},
+      {"grid_resolution", "2.5"}};
+  for (const auto& [key, value] : changes) {
+    CampaignSpec changed = spec;
+    ASSERT_TRUE(scenario::set_key(changed.base, key, value, 0)) << key;
+    EXPECT_NE(fingerprint(changed), fp) << key;
+  }
+}
+
 TEST(CampaignResume, FreshRunTruncatesStaleManifest) {
   const std::string path = testing::TempDir() + "campaign_stale.manifest";
   run_campaign(kSmallCampaign, 1, path);
