@@ -2,36 +2,11 @@
 
 #include <cmath>
 
-#include "wsn/deployment.hpp"
-
 namespace laacad::base {
 
 double ammari_min_nodes(double area, double r, int k) {
   return 6.0 * static_cast<double>(k) * area /
          ((4.0 * M_PI - 3.0 * std::sqrt(3.0)) * r * r);
-}
-
-std::vector<geom::Vec2> ammari_lens_deployment(const wsn::Domain& domain,
-                                               double r, int k, Rng& rng,
-                                               double spacing_factor) {
-  const double spacing = spacing_factor * r;
-  const int per_vertex = (k + 2) / 3;  // ceil(k/3): each point sees >= 3 vertices
-  std::vector<geom::Vec2> anchors;
-  const geom::BBox bb = domain.bbox().inflated(spacing * 0.5);
-  const double row_h = spacing * std::sqrt(3.0) / 2.0;
-  int row = 0;
-  for (double y = bb.lo.y; y <= bb.hi.y; y += row_h, ++row) {
-    const double x0 = bb.lo.x + (row % 2 ? spacing / 2.0 : 0.0);
-    for (double x = x0; x <= bb.hi.x; x += spacing) {
-      const geom::Vec2 p{x, y};
-      if (domain.contains(p)) {
-        anchors.push_back(p);
-      } else if (domain.dist_to_boundary(p) <= spacing) {
-        anchors.push_back(domain.project_inside(p));
-      }
-    }
-  }
-  return wsn::stacked(anchors, per_vertex, rng, 1e-3);
 }
 
 }  // namespace laacad::base

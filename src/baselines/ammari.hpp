@@ -4,31 +4,13 @@
 //   N*_k = 6 k |A| / ((4 pi - 3 sqrt 3) r^2)
 //
 // nodes to k-cover an area |A| at sensing range r (k >= 3) — the quantity
-// Table II of the LAACAD paper evaluates. We provide the formula plus a
-// constructive lens-style deployment for empirical comparison: a triangular
-// grid with side r (the Reuleaux width) carrying k nodes per vertex, which
-// k-covers the plane because every point of a side-r triangular lattice is
-// within r of at least three lattice vertices.
+// Table II of the LAACAD paper evaluates.
 #pragma once
-
-#include <vector>
-
-#include "common/rng.hpp"
-#include "wsn/domain.hpp"
 
 namespace laacad::base {
 
 /// Node count required by the Ammari-Das Reuleaux-lens scheme to k-cover
 /// `area` at range r (k >= 3 in their derivation; formula evaluated as-is).
 double ammari_min_nodes(double area, double r, int k);
-
-/// Constructive lens-style deployment: triangular lattice of side
-/// `spacing_factor` * r with ceil(k/3) nodes per vertex (every point of the
-/// plane is within r of >= 3 vertices of a side-r triangular lattice, so
-/// vertex multiplicity m yields 3m-coverage). Boundary anchors are projected
-/// into the domain.
-std::vector<geom::Vec2> ammari_lens_deployment(const wsn::Domain& domain,
-                                               double r, int k, Rng& rng,
-                                               double spacing_factor = 0.95);
 
 }  // namespace laacad::base

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "wsn/deployment.hpp"
-
 namespace laacad::base {
 
 namespace {
@@ -20,30 +18,6 @@ double bai_min_nodes_2cov(double area, double r) {
 
 double stacked_min_nodes(double area, double r, int k) {
   return static_cast<double>(k) * kershner_min_nodes(area, r);
-}
-
-std::vector<geom::Vec2> stacked_triangular_deployment(
-    const wsn::Domain& domain, double r, int k, Rng& rng,
-    double spacing_factor) {
-  const double spacing = spacing_factor * kSqrt3 * r;
-  // Lay the lattice over the bbox (not just the domain) and project outside
-  // anchors onto the domain so its boundary strip is not left uncovered.
-  std::vector<geom::Vec2> anchors;
-  const geom::BBox bb = domain.bbox().inflated(spacing * 0.5);
-  const double row_h = spacing * kSqrt3 / 2.0;
-  int row = 0;
-  for (double y = bb.lo.y; y <= bb.hi.y; y += row_h, ++row) {
-    const double x0 = bb.lo.x + (row % 2 ? spacing / 2.0 : 0.0);
-    for (double x = x0; x <= bb.hi.x; x += spacing) {
-      const geom::Vec2 p{x, y};
-      if (domain.contains(p)) {
-        anchors.push_back(p);
-      } else if (domain.dist_to_boundary(p) <= spacing) {
-        anchors.push_back(domain.project_inside(p));
-      }
-    }
-  }
-  return wsn::stacked(anchors, k, rng, 1e-3);
 }
 
 }  // namespace laacad::base

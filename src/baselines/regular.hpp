@@ -9,11 +9,6 @@
 //   node-count form N* = 4|A| / (3 sqrt(3) R*^2).
 #pragma once
 
-#include <vector>
-
-#include "common/rng.hpp"
-#include "wsn/domain.hpp"
-
 namespace laacad::base {
 
 /// Minimum node count for 1-coverage of `area` at sensing range r
@@ -28,14 +23,5 @@ double bai_min_nodes_2cov(double area, double r);
 /// optimal 1-cover (known optimal for k = 2, an upper-bound construction
 /// otherwise).
 double stacked_min_nodes(double area, double r, int k);
-
-/// Constructive stacked deployment: a triangular lattice with spacing
-/// `spacing_factor` * sqrt(3) * r covering the domain, k co-located nodes
-/// per lattice point (jittered by ~1 mm). Points outside the domain are
-/// projected onto it so boundary strips stay covered. spacing_factor < 1
-/// compensates boundary effects.
-std::vector<geom::Vec2> stacked_triangular_deployment(
-    const wsn::Domain& domain, double r, int k, Rng& rng,
-    double spacing_factor = 0.95);
 
 }  // namespace laacad::base

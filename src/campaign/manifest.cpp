@@ -144,7 +144,8 @@ std::map<int, TrialResult> replay_manifest_rows(std::istream& in,
                                                 int total_trials) {
   std::map<int, TrialResult> rows;
   std::string line;
-  while (std::getline(in, line)) {
+  // An overlong line ends the replay like any other torn row.
+  while (specparse::read_line(in, line) == specparse::LineRead::kLine) {
     std::istringstream ss(line);
     std::string tag;
     int trial = -1, ok = 0;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/specparse.hpp"
+
 namespace laacad::campaign {
 
 ResultStore::ResultStore(std::string path, ManifestHeader header, bool resume)
@@ -12,7 +14,9 @@ ResultStore::ResultStore(std::string path, ManifestHeader header, bool resume)
   if (resume) {
     std::ifstream in(path_);
     std::string line;
-    if (in && std::getline(in, line)) {
+    // An overlong first line holds kMaxLineBytes bytes, so it is neither
+    // the header nor a prefix of it: it is refused below.
+    if (specparse::read_line(in, line) != specparse::LineRead::kEnd) {
       // The exact header this store writes: replay the journal. Anything
       // else is torn, foreign, or garbage — disambiguated below.
       if (line == expected_header) {
@@ -32,9 +36,8 @@ ResultStore::ResultStore(std::string path, ManifestHeader header, bool resume)
         const bool strict_prefix =
             line.size() < expected_header.size() &&
             expected_header.compare(0, line.size(), line) == 0;
-        std::string rest;
         const bool trailing_content =
-            static_cast<bool>(std::getline(in, rest));
+            in.peek() != std::ifstream::traits_type::eof();
         if (!strict_prefix || trailing_content) {
           if (const auto found = parse_manifest_header(line))
             throw std::runtime_error(

@@ -100,25 +100,29 @@ const std::string& value_of(const std::vector<std::string>& toks, int line) {
   return toks[1];
 }
 
-void for_each_line(std::istream& in, const LineFn& on_line) {
+LineRead read_line(std::istream& in, std::string& text,
+                   std::size_t max_bytes) {
   using Traits = std::istream::traits_type;
   std::streambuf* buf = in.rdbuf();
+  text.clear();
+  auto c = buf->sbumpc();
+  if (c == Traits::eof()) return LineRead::kEnd;
+  for (; c != Traits::eof() && c != '\n'; c = buf->sbumpc()) {
+    if (text.size() == max_bytes) return LineRead::kOverlong;
+    text.push_back(Traits::to_char_type(c));
+  }
+  return LineRead::kLine;
+}
+
+void for_each_line(std::istream& in, const LineFn& on_line) {
   std::string text;
-  int line = 0;
-  for (bool more = true; more;) {
-    // std::getline's split, stopped at the cap.
-    auto c = buf->sbumpc();
-    for (; c != Traits::eof() && c != '\n'; c = buf->sbumpc()) {
-      if (text.size() == kMaxLineBytes)
-        fail(line + 1, "line longer than kMaxLineBytes (" +
-                           std::to_string(kMaxLineBytes) + " bytes)");
-      text.push_back(Traits::to_char_type(c));
-    }
-    more = c == '\n';
-    if (!more && text.empty()) break;
-    ++line;
+  for (int line = 1;; ++line) {
+    const LineRead read = read_line(in, text);
+    if (read == LineRead::kEnd) return;
+    if (read == LineRead::kOverlong)
+      fail(line, "line longer than kMaxLineBytes (" +
+                     std::to_string(kMaxLineBytes) + " bytes)");
     const std::vector<std::string> toks = tokenize(text);
-    text.clear();
     if (!toks.empty()) on_line(toks, line);
   }
 }

@@ -68,11 +68,22 @@ std::string without_line(const std::string& what);
 /// The value of a `key value` line; fail()s on any other token count.
 const std::string& value_of(const std::vector<std::string>& toks, int line);
 
+/// What read_line found.
+enum class LineRead { kLine, kEnd, kOverlong };
+
+/// std::getline with a cap: the next line of `in` into `text` without its
+/// '\n' (kLine; a last line without one counts), or kEnd when no byte is
+/// left. A line longer than `max_bytes` is kOverlong after reading at most
+/// one byte past `max_bytes` of it; `text` then holds its first
+/// `max_bytes` bytes and `in` stands inside the line.
+LineRead read_line(std::istream& in, std::string& text,
+                   std::size_t max_bytes = kMaxLineBytes);
+
 /// Receives one line's tokens (never empty) and its 1-based number.
 using LineFn = std::function<void(const std::vector<std::string>&, int)>;
 
 /// Calls `on_line` for each line of `in` that holds a token, in order.
-/// Reads at most one byte past kMaxLineBytes of a line before refusing it.
+/// Refuses a line longer than kMaxLineBytes (read with read_line).
 void for_each_line(std::istream& in, const LineFn& on_line);
 
 /// Hands the file at `path` to `parse`, prefixing "<path>: " to any error

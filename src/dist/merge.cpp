@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "campaign/manifest.hpp"
+#include "common/specparse.hpp"
 
 namespace laacad::dist {
 
@@ -28,8 +29,12 @@ ShardFile load_shard(const std::string& path, const ManifestHeader& expected) {
   ShardFile shard;
   shard.path = path;
   std::string line;
-  if (!std::getline(in, line)) fail("shard manifest " + path + " is empty");
-  const auto header = campaign::parse_manifest_header(line);
+  const specparse::LineRead first = specparse::read_line(in, line);
+  if (first == specparse::LineRead::kEnd)
+    fail("shard manifest " + path + " is empty");
+  const auto header = first == specparse::LineRead::kLine
+                          ? campaign::parse_manifest_header(line)
+                          : std::nullopt;
   if (!header)
     fail("shard manifest " + path + " has an unrecognized header line");
   // Identity first: a fingerprint mismatch means this file journals a

@@ -21,14 +21,6 @@ double signed_area(const Ring& ring) {
 
 double area(const Ring& ring) { return std::abs(signed_area(ring)); }
 
-double perimeter(const Ring& ring) {
-  const std::size_t n = ring.size();
-  if (n < 2) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += dist(ring[i], ring[(i + 1) % n]);
-  return s;
-}
-
 Vec2 centroid(const Ring& ring) {
   const std::size_t n = ring.size();
   if (n == 0) return {0, 0};
@@ -108,21 +100,6 @@ Vec2 project_to_boundary(const Ring& ring, Vec2 p) {
     }
   }
   return result;
-}
-
-std::optional<std::pair<std::size_t, double>> farthest_vertex(const Ring& ring,
-                                                              Vec2 p) {
-  if (ring.empty()) return std::nullopt;
-  std::size_t arg = 0;
-  double best = -1.0;
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const double d = dist(p, ring[i]);
-    if (d > best) {
-      best = d;
-      arg = i;
-    }
-  }
-  return std::make_pair(arg, best);
 }
 
 void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,

@@ -5,7 +5,6 @@
 // positive area.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "geometry/halfplane.hpp"
@@ -40,8 +39,6 @@ double signed_area(const Ring& ring);
 /// |signed_area|.
 double area(const Ring& ring);
 
-double perimeter(const Ring& ring);
-
 /// Area centroid. Falls back to the vertex mean for (near-)degenerate rings.
 Vec2 centroid(const Ring& ring);
 
@@ -59,11 +56,6 @@ double dist_to_boundary(const Ring& ring, Vec2 p);
 
 /// Nearest point on the ring's boundary to p.
 Vec2 project_to_boundary(const Ring& ring, Vec2 p);
-
-/// Index of the vertex farthest from p, with its distance. Empty ring yields
-/// nullopt.
-std::optional<std::pair<std::size_t, double>> farthest_vertex(const Ring& ring,
-                                                              Vec2 p);
 
 /// One Sutherland–Hodgman clipping step: the part of `ring` inside `hp`.
 /// Exact for a convex subject; for a non-convex subject the result is the

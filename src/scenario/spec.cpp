@@ -293,9 +293,15 @@ Event parse_event_body(const std::string& text) {
   std::vector<std::string> toks = {"event", "converged"};
   const auto body = tokenize(text);
   toks.insert(toks.end(), body.begin(), body.end());
+  // A body has no line: errors carry no "line 0: " prefix.
   if (toks.size() < 3)
-    specparse::fail(0, "event body needs a type: <type> [name=value ...]");
-  return parse_event(toks, 0);
+    throw std::runtime_error(
+        "event body needs a type: <type> [name=value ...]");
+  try {
+    return parse_event(toks, 0);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(specparse::without_line(e.what()));
+  }
 }
 
 void validate(const ScenarioSpec& spec) {

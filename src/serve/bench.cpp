@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <deque>
 #include <mutex>
@@ -25,12 +24,6 @@ namespace laacad::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
-  const auto d =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
-  return d > 0 ? static_cast<std::uint64_t>(d) : 0;
-}
 
 int op_index(const std::string& op) {
   for (std::size_t i = 0; i < kBenchOps.size(); ++i)
@@ -56,17 +49,6 @@ int connect_to(int port) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// A response is a protocol success if it says so — except `health`, whose

@@ -10,15 +10,16 @@
 
 namespace laacad::serve {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
+std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
+                         std::chrono::steady_clock::time_point b) {
   const auto d =
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Common prologue of snapshot-backed responses.
 void snapshot_header(JsonWriter& w, const Snapshot& snap) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "serve/service.hpp"
@@ -36,6 +37,10 @@ struct HandleResult {
   std::string response;  ///< one line, no trailing newline
   HandleAction action = HandleAction::kRespond;
 };
+
+/// Nanoseconds from `a` to `b`; 0 when `b` is not later.
+std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
+                         std::chrono::steady_clock::time_point b);
 
 /// The one-line {"ok":false,"error":<what>} response every error takes.
 std::string error_response(const std::string& what);

@@ -17,12 +17,31 @@
 #include <string>
 #include <thread>
 
+#include "common/specparse.hpp"
+
 namespace laacad::serve {
+
+namespace {
+
+/// The one error line a transport sends before it drops a session whose
+/// request line exceeds kMaxRequestLineBytes.
+std::string overlong_line_response() {
+  return error_response("request line exceeds " +
+                        std::to_string(kMaxRequestLineBytes) +
+                        " bytes; closing connection");
+}
+
+}  // namespace
 
 int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out) {
   int handled = 0;
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    const specparse::LineRead read =
+        specparse::read_line(in, line, kMaxRequestLineBytes);
+    if (read == specparse::LineRead::kOverlong)
+      out << overlong_line_response() << '\n' << std::flush;
+    if (read != specparse::LineRead::kLine) break;
     if (line.empty()) continue;
     const HandleResult result =
         handle_line(svc, line, std::chrono::steady_clock::now());
@@ -93,10 +112,6 @@ LineReader::Status LineReader::next(std::string* line) {
   }
 }
 
-namespace {
-
-/// Loop until every byte is written: short writes (large stats/coverage
-/// responses against a small socket buffer) and EINTR are both resumed.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -107,8 +122,6 @@ bool write_all(int fd, const std::string& data) {
   }
   return true;
 }
-
-}  // namespace
 
 int TcpServer::serve() {
   std::atomic<int> handled{0};
@@ -168,10 +181,7 @@ int TcpServer::serve() {
       for (;;) {
         const LineReader::Status status = reader.next(&line);
         if (status == LineReader::Status::kOverlong)
-          write_all(fd, error_response("request line exceeds " +
-                                       std::to_string(kMaxRequestLineBytes) +
-                                       " bytes; closing connection") +
-                            "\n");
+          write_all(fd, overlong_line_response() + "\n");
         if (status != LineReader::Status::kLine) break;
         if (line.empty()) continue;
         const HandleResult result = handle_line(svc_, line, reader.arrival());

@@ -14,15 +14,17 @@
 
 namespace laacad::serve {
 
-/// Serve requests from `in` to `out` until EOF or a shutdown op, then stop
-/// the service (drain + final phase). Returns the number of requests
-/// handled.
+/// Serve requests from `in` to `out` until EOF, a shutdown op or a line
+/// past kMaxRequestLineBytes (answered with one error line, as on TCP),
+/// then stop the service (drain + final phase). Returns the number of
+/// requests handled.
 int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out);
 
 /// Longest request line, in bytes without its newline, a TCP connection
-/// may send. Past it the connection gets one protocol-error line and is
-/// closed, so a peer that never sends '\n' cannot grow daemon memory
-/// without bound. Real requests are a few hundred bytes.
+/// or a stdio session may send. Past it the session gets one
+/// protocol-error line and is closed, so a peer that never sends '\n'
+/// cannot grow daemon memory without bound. Real requests are a few
+/// hundred bytes.
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 /// Most connections a TcpServer serves at once; each holds a thread. Past
@@ -31,6 +33,11 @@ inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 /// threads without bound. Real clients use far fewer: serve_mix.wl opens
 /// 2, and perfbench's serving probe nproc - 3.
 inline constexpr std::size_t kMaxConnections = 256;
+
+/// Writes all of `data` to `fd`, resuming short writes (a large stats or
+/// coverage response against a small socket buffer) and EINTR; false on
+/// any other write error.
+bool write_all(int fd, const std::string& data);
 
 /// Newline-delimited reader over a raw socket fd, shared by the daemon's
 /// connections and serve_bench's clients. It reads only when no complete
@@ -83,8 +90,6 @@ class TcpServer {
   int serve();
 
  private:
-  void handle_connection(int fd);
-
   CoverageService& svc_;
   int listen_fd_ = -1;
   int port_ = 0;

@@ -63,22 +63,4 @@ bool render_order_k_partition(const std::string& path,
   return canvas.save(path);
 }
 
-bool render_dominating_region(const std::string& path,
-                              const wsn::Network& net, wsn::NodeId i, int k) {
-  SvgCanvas canvas(net.domain().bbox().inflated(10.0));
-  draw_domain(canvas, net.domain());
-  const auto sites = vor::separate_sites(net.positions());
-  const auto cells = vor::dominating_region_cells(
-      sites, i, k, geom::box_ring(net.domain().bbox()));
-  Style region;
-  region.fill = "#2ca02c";
-  region.opacity = 0.35;
-  region.stroke = "#2ca02c";
-  for (const vor::OrderKCell& cell : cells) canvas.polygon(cell.poly, region);
-  for (wsn::NodeId j = 0; j < net.size(); ++j) {
-    canvas.dot(net.position(j), 2.0, j == i ? "#d62728" : "#555555");
-  }
-  return canvas.save(path);
-}
-
 }  // namespace laacad::viz

@@ -18,9 +18,4 @@ bool render_deployment(const std::string& path, const wsn::Network& net);
 bool render_order_k_partition(const std::string& path,
                               const wsn::Network& net, int k);
 
-/// One node's dominating region (Fig. 2 style): region pieces highlighted,
-/// other nodes dimmed.
-bool render_dominating_region(const std::string& path,
-                              const wsn::Network& net, wsn::NodeId i, int k);
-
 }  // namespace laacad::viz

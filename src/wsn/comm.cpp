@@ -134,10 +134,4 @@ std::vector<int> CommModel::gather(NodeId i, double rho, int ttl,
   return out;
 }
 
-bool CommModel::connected() const {
-  if (net_->size() == 0) return true;
-  const std::vector<int> d = hop_distances(0);
-  return std::none_of(d.begin(), d.end(), [](int x) { return x < 0; });
-}
-
 }  // namespace laacad::wsn

@@ -54,9 +54,6 @@ class CommModel {
     return adjacency_[static_cast<std::size_t>(i)];
   }
 
-  /// True when the whole network is one connected component.
-  bool connected() const;
-
   const Network& network() const { return *net_; }
 
  private:

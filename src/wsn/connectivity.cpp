@@ -46,14 +46,4 @@ ConnectivityReport analyze_connectivity(const Network& net,
   return rep;
 }
 
-std::vector<int> nodes_within_sensing_range(const Network& net) {
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(net.size()));
-  for (NodeId i = 0; i < net.size(); ++i) {
-    out.push_back(static_cast<int>(
-        net.nodes_within(net.position(i), net.sensing_range(i)).size()));
-  }
-  return out;
-}
-
 }  // namespace laacad::wsn

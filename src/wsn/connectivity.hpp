@@ -30,9 +30,4 @@ struct ConnectivityReport {
 ConnectivityReport analyze_connectivity(const Network& net,
                                         double radio_range);
 
-/// Number of nodes within each node's *sensing* range (including itself):
-/// under k-coverage this is >= k for every node (the node's own position
-/// must be k-covered). Returns the per-node counts.
-std::vector<int> nodes_within_sensing_range(const Network& net);
-
 }  // namespace laacad::wsn

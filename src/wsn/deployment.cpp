@@ -100,18 +100,6 @@ std::vector<Vec2> triangular_lattice(const Domain& domain, double spacing) {
   return out;
 }
 
-std::vector<Vec2> square_lattice(const Domain& domain, double spacing) {
-  std::vector<Vec2> out;
-  const geom::BBox bb = domain.bbox().inflated(spacing);
-  for (double y = bb.lo.y; y <= bb.hi.y; y += spacing) {
-    for (double x = bb.lo.x; x <= bb.hi.x; x += spacing) {
-      const Vec2 p{x, y};
-      if (domain.contains(p)) out.push_back(p);
-    }
-  }
-  return out;
-}
-
 std::vector<Vec2> stacked(const std::vector<Vec2>& anchors, int k, Rng& rng,
                           double jitter) {
   std::vector<Vec2> out;

@@ -52,9 +52,6 @@ std::vector<geom::Vec2> deploy_gaussian(const Domain& domain, int n,
 std::vector<geom::Vec2> triangular_lattice(const Domain& domain,
                                            double spacing);
 
-/// Square lattice with the given spacing.
-std::vector<geom::Vec2> square_lattice(const Domain& domain, double spacing);
-
 /// k nodes per anchor point, jittered by `jitter` so co-located generators
 /// remain numerically distinct.
 std::vector<geom::Vec2> stacked(const std::vector<geom::Vec2>& anchors, int k,

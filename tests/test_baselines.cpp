@@ -3,7 +3,6 @@
 #include "baselines/ammari.hpp"
 #include "baselines/movement.hpp"
 #include "baselines/regular.hpp"
-#include "coverage/critical.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::base {
@@ -28,34 +27,6 @@ TEST(Formulas, AmmariCount) {
   // Linear in k.
   EXPECT_NEAR(ammari_min_nodes(1e4, 5.0, 6), 2.0 * ammari_min_nodes(1e4, 5.0, 3),
               1e-9);
-}
-
-TEST(StackedTriangular, AchievesKCoverage) {
-  wsn::Domain d = wsn::Domain::rectangle(100, 100);
-  Rng rng(91);
-  const double r = 20.0;
-  for (int k : {1, 2, 3}) {
-    auto pts = stacked_triangular_deployment(d, r, k, rng);
-    std::vector<geom::Circle> disks;
-    for (geom::Vec2 p : pts) disks.push_back({p, r});
-    EXPECT_TRUE(cov::is_k_covered(d, disks, k)) << "k=" << k;
-    // Node count within ~2.2x of the boundary-free optimum (boundary
-    // effects on a small domain are significant).
-    EXPECT_LE(pts.size(), 2.2 * stacked_min_nodes(d.area(), r, k) + 4 * k)
-        << "k=" << k;
-  }
-}
-
-TEST(AmmariLens, AchievesKCoverage) {
-  wsn::Domain d = wsn::Domain::rectangle(100, 100);
-  Rng rng(92);
-  const double r = 20.0;
-  for (int k : {3, 4, 6}) {
-    auto pts = ammari_lens_deployment(d, r, k, rng);
-    std::vector<geom::Circle> disks;
-    for (geom::Vec2 p : pts) disks.push_back({p, r});
-    EXPECT_TRUE(cov::is_k_covered(d, disks, k)) << "k=" << k;
-  }
 }
 
 TEST(Movement, ChebyshevBeatsVorOnMinMaxObjective) {

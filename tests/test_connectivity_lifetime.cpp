@@ -53,7 +53,10 @@ TEST(Connectivity, KCoverageImpliesConnectivityClaim) {
 
   // Every node's own position is k-covered, so at least k nodes (itself
   // included) sit within its sensing range.
-  for (int c : wsn::nodes_within_sensing_range(net)) EXPECT_GE(c, 2);
+  for (wsn::NodeId i = 0; i < net.size(); ++i)
+    EXPECT_GE(net.nodes_within(net.position(i), net.sensing_range(i)).size(),
+              2u)
+        << "node " << i;
 }
 
 // -------------------------------------------------------------- lifetime --

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/manifest.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/store.hpp"
+#include "common/specparse.hpp"
+#include "counting_buf.hpp"
 #include "dist/merge.hpp"
 #include "dist/partition.hpp"
 
@@ -76,6 +88,26 @@ TEST(ManifestCodec, HeaderRoundTripsWithAndWithoutShard) {
       "laacad.campaign.manifest.v1 fp=zz trials=1 metrics=1"));
   EXPECT_FALSE(campaign::parse_manifest_header(
       "laacad.campaign.manifest.v1 fp=1 trials=1 metrics=1 shard=9/3"));
+}
+
+// A row longer than kMaxLineBytes ends the replay like a torn tail, even
+// one that would parse, and the reader stops one chunk past the cap.
+TEST(ManifestCodec, ReplayStopsAtAnOverlongRowLikeATornTail) {
+  using specparse::kMaxLineBytes;
+  campaign::TrialResult row;
+  row.trial = 0;
+  row.ok = true;
+  row.metrics.assign(campaign::metric_names().size(), 1.5);
+  const std::string first = campaign::format_manifest_row(row) + "\n";
+  row.trial = 1;
+  row.error = std::string(2 * kMaxLineBytes, 'e');
+  test::CountingBuf buf(64 * kMaxLineBytes,
+                        first + campaign::format_manifest_row(row) + "\n");
+  std::istream in(&buf);
+  const auto rows = campaign::replay_manifest_rows(in, 4);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.begin()->first, 0);
+  EXPECT_LE(buf.taken, first.size() + kMaxLineBytes + 256);
 }
 
 // ------------------------------------------------- shard + merge pipeline --
@@ -461,6 +493,97 @@ TEST(ShardedStore, ResumeRefusesToOverwriteNonManifestFiles) {
                std::runtime_error);
   EXPECT_EQ(read_file(path), content);  // untouched
   std::remove(path.c_str());
+}
+
+/// Writes `prefix`, then up to `filler` bytes of 'x' with no newline, into
+/// a FIFO at `path` while `read` runs, and returns how many bytes the FIFO
+/// accepted before `read` closed it: what the reader took plus at most one
+/// pipe buffer.
+std::size_t bytes_fed_through_fifo(const std::string& path,
+                                   const std::string& prefix,
+                                   std::size_t filler,
+                                   const std::function<void()>& read) {
+  std::remove(path.c_str());
+  if (::mkfifo(path.c_str(), 0600) != 0) {
+    ADD_FAILURE() << "mkfifo " << path;
+    return 0;
+  }
+  std::atomic<bool> opened{false};
+  std::size_t fed = 0;
+  std::thread writer([&] {
+    // Writing after the reader closed raises SIGPIPE on this thread; keep
+    // it blocked so the write fails with EPIPE instead.
+    sigset_t pipe;
+    sigemptyset(&pipe);
+    sigaddset(&pipe, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe, nullptr);
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    opened = true;
+    if (fd < 0) return;
+    const std::string data = prefix + std::string(filler, 'x');
+    while (fed < data.size()) {
+      const ssize_t n = ::write(fd, data.data() + fed,
+                                std::min<std::size_t>(4096, data.size() - fed));
+      if (n <= 0) break;
+      fed += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  read();
+  // A reader that never opened the FIFO leaves the writer blocked in open().
+  if (!opened) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+  }
+  writer.join();
+  std::remove(path.c_str());
+  return fed;
+}
+
+// Resuming reads a journal's first line with a cap: a file whose first line
+// never ends is refused after at most kMaxLineBytes, as is one whose torn
+// header is followed by such a line.
+TEST(ShardedStore, ResumeReadsAnOverlongFirstLineOnlyToTheCap) {
+  using specparse::kMaxLineBytes;
+  const auto spec = campaign::parse_campaign_string(kDistCampaign);
+  campaign::ManifestHeader header;
+  header.fingerprint = campaign::fingerprint(spec);
+  header.trials = 4;
+  header.metrics = static_cast<int>(campaign::metric_names().size());
+  const std::string path = tmp_path("overlong.manifest");
+  for (const std::string prefix : {"", "laacad.campaign.mani\n"}) {
+    SCOPED_TRACE("prefix '" + prefix + "'");
+    std::string error;
+    const std::size_t fed =
+        bytes_fed_through_fifo(path, prefix, 64 * kMaxLineBytes, [&] {
+          try {
+            campaign::ResultStore store(path, header, /*resume=*/true);
+          } catch (const std::runtime_error& e) {
+            error = e.what();
+          }
+        });
+    EXPECT_NE(error.find("is not a campaign manifest"), std::string::npos)
+        << error;
+    EXPECT_LT(fed, 4 * kMaxLineBytes);
+  }
+}
+
+TEST(ManifestMerge, OverlongShardHeaderIsRefusedAtTheCap) {
+  using specparse::kMaxLineBytes;
+  const auto spec = campaign::parse_campaign_string(kDistCampaign);
+  const std::string path = tmp_path("overlong_shard.manifest");
+  std::string error;
+  const std::size_t fed =
+      bytes_fed_through_fifo(path, "", 64 * kMaxLineBytes, [&] {
+        try {
+          merge_manifests(spec, {path}, tmp_path("overlong_merged.manifest"));
+        } catch (const std::runtime_error& e) {
+          error = e.what();
+        }
+      });
+  EXPECT_NE(error.find("unrecognized header line"), std::string::npos)
+      << error;
+  EXPECT_LT(fed, 4 * kMaxLineBytes);
 }
 
 TEST(ShardedStore, ShardedResultRefusesToSerialize) {

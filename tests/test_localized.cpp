@@ -6,6 +6,7 @@
 #include "laacad/localized.hpp"
 #include "voronoi/adaptive.hpp"
 #include "voronoi/sites.hpp"
+#include "wsn/connectivity.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::core {
@@ -26,7 +27,7 @@ TEST(Localized, InteriorNodeMatchesGlobalRegion) {
   Rng rng(61);
   wsn::Network net(&d, wsn::deploy_uniform(d, 120, rng), 30.0);
   const wsn::CommModel comm(net);
-  ASSERT_TRUE(comm.connected());
+  ASSERT_TRUE(wsn::analyze_connectivity(net, net.gamma()).connected());
 
   auto sites = vor::separate_sites(net.positions());
   const wsn::SpatialGrid grid(sites, 30.0);

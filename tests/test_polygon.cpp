@@ -26,10 +26,6 @@ TEST(Polygon, MakeCcwFixesOrientation) {
   EXPECT_GT(signed_area(sq), 0.0);
 }
 
-TEST(Polygon, PerimeterSquare) {
-  EXPECT_NEAR(perimeter(unit_square()), 4.0, 1e-12);
-}
-
 TEST(Polygon, CentroidSquare) {
   Vec2 c = centroid(unit_square());
   EXPECT_NEAR(c.x, 0.5, 1e-12);
@@ -150,14 +146,6 @@ TEST(Polygon, DistToBoundaryAndProjection) {
   Vec2 p = project_to_boundary(sq, {2.0, 0.5});
   EXPECT_NEAR(p.x, 1.0, 1e-12);
   EXPECT_NEAR(p.y, 0.5, 1e-12);
-}
-
-TEST(Polygon, FarthestVertex) {
-  auto fv = farthest_vertex(unit_square(), {0, 0});
-  ASSERT_TRUE(fv.has_value());
-  EXPECT_EQ(fv->first, 2u);  // (1,1)
-  EXPECT_NEAR(fv->second, std::sqrt(2.0), 1e-12);
-  EXPECT_FALSE(farthest_vertex({}, {0, 0}).has_value());
 }
 
 TEST(ClipRing, HalfSquare) {

@@ -25,54 +25,5 @@ TEST(DistPointSegment, Basic) {
   EXPECT_NEAR(dist_point_segment({-4, 3}, {0, 0}, {10, 0}), 5.0, 1e-12);
 }
 
-TEST(LineIntersection, CrossingLines) {
-  auto p = line_intersection({0, 0}, {1, 1}, {0, 2}, {1, -1});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(p->x, 1.0, 1e-12);
-  EXPECT_NEAR(p->y, 1.0, 1e-12);
-}
-
-TEST(LineIntersection, ParallelReturnsNullopt) {
-  EXPECT_FALSE(line_intersection({0, 0}, {1, 0}, {0, 1}, {2, 0}).has_value());
-}
-
-TEST(SegmentIntersection, ProperCrossing) {
-  auto p = segment_intersection({0, 0}, {2, 2}, {0, 2}, {2, 0});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(p->x, 1.0, 1e-12);
-  EXPECT_NEAR(p->y, 1.0, 1e-12);
-}
-
-TEST(SegmentIntersection, DisjointSegments) {
-  EXPECT_FALSE(segment_intersection({0, 0}, {1, 0}, {0, 1}, {1, 1}));
-  // Lines cross but outside the segment extents.
-  EXPECT_FALSE(segment_intersection({0, 0}, {1, 1}, {3, 0}, {4, -5}));
-}
-
-TEST(SegmentIntersection, TouchingAtEndpointCounts) {
-  auto p = segment_intersection({0, 0}, {1, 1}, {1, 1}, {2, 0});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(p->x, 1.0, 1e-9);
-  EXPECT_NEAR(p->y, 1.0, 1e-9);
-}
-
-TEST(SegmentIntersection, CollinearOverlapReportsAPoint) {
-  auto p = segment_intersection({0, 0}, {4, 0}, {2, 0}, {6, 0});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(dist_point_segment(*p, {0, 0}, {4, 0}), 0.0, 1e-9);
-  EXPECT_NEAR(dist_point_segment(*p, {2, 0}, {6, 0}), 0.0, 1e-9);
-}
-
-TEST(SegmentIntersection, CollinearDisjointReturnsNullopt) {
-  EXPECT_FALSE(segment_intersection({0, 0}, {1, 0}, {2, 0}, {3, 0}));
-}
-
-TEST(SegmentStruct, LengthMidpointDirection) {
-  Segment s{{0, 0}, {3, 4}};
-  EXPECT_DOUBLE_EQ(s.length(), 5.0);
-  EXPECT_EQ(s.midpoint(), Vec2(1.5, 2.0));
-  EXPECT_NEAR(s.direction().norm(), 1.0, 1e-15);
-}
-
 }  // namespace
 }  // namespace laacad::geom

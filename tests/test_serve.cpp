@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/flatjson.hpp"
+#include "counting_buf.hpp"
 #include "coverage/grid_checker.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -432,7 +433,12 @@ TEST(Protocol, SessionAnswersEveryOp) {
       ask(svc, R"({"op":"event","spec":"explode count=1"})");
   EXPECT_TRUE(flatjson::get_bool(bad_event, "ok", &flag));
   EXPECT_FALSE(flag);
+  // An event body has no line number, so its errors carry no "line 0: ".
   EXPECT_TRUE(flatjson::get_string(bad_event, "error", &op));
+  EXPECT_EQ(op, "unknown event type 'explode'");
+  EXPECT_TRUE(flatjson::get_string(
+      ask(svc, R"({"op":"event","spec":" "})"), "error", &op));
+  EXPECT_EQ(op, "event body needs a type: <type> [name=value ...]");
 
   const std::string unknown = ask(svc, R"({"op":"frobnicate"})");
   EXPECT_TRUE(flatjson::get_bool(unknown, "ok", &flag));
@@ -467,6 +473,32 @@ TEST(Protocol, StdioTransportRunsAScriptedSession) {
   ASSERT_EQ(lines.size(), 4u);
   bool flag = false;
   EXPECT_TRUE(flatjson::get_bool(lines[3], "stopping", &flag) && flag);
+}
+
+// On stdio too a peer that never sends '\n' cannot grow the daemon's
+// memory: the line past kMaxRequestLineBytes earns the one error line TCP
+// sends, and the session stops as at EOF.
+TEST(Protocol, StdioOverlongLineGetsOneErrorThenStops) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+
+  const std::string health = "{\"op\":\"health\"}\n";
+  test::CountingBuf buf(64 * kMaxRequestLineBytes, health);
+  std::istream in(&buf);
+  std::ostringstream out;
+  EXPECT_EQ(serve_stdio(svc, in, out), 1);
+  EXPECT_FALSE(svc.running());
+  // One buffer chunk past the cap at most.
+  EXPECT_LE(buf.taken, health.size() + kMaxRequestLineBytes + 256);
+
+  std::vector<std::string> lines;
+  std::istringstream split(out.str());
+  for (std::string l; std::getline(split, l);) lines.push_back(l);
+  ASSERT_EQ(lines.size(), 2u) << out.str().substr(0, 200);
+  EXPECT_EQ(lines[1], error_response("request line exceeds 65536 bytes; "
+                                     "closing connection"));
 }
 
 /// A blocking socket connected to loopback `port`, or -1. A server that

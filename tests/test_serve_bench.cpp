@@ -95,6 +95,12 @@ TEST(Workload, ParseErrorsNameTheLine) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("requests"), std::string::npos);
   }
+  try {
+    parse_workload_string("churn every=5 explode x=1\n");
+    FAIL() << "unknown churn event accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "line 1: churn body: unknown event type 'explode'");
+  }
 }
 
 // ------------------------------------------------- schedule expansion ----

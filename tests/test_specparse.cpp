@@ -11,12 +11,12 @@
 #include <functional>
 #include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "campaign/spec.hpp"
 #include "common/specparse.hpp"
+#include "counting_buf.hpp"
 #include "scenario/spec.hpp"
 #include "serve/workload.hpp"
 
@@ -73,28 +73,6 @@ TEST(SpecReader, KeyValueLinesHoldExactlyTwoTokens) {
             "line 1: expected 'key value', got 1 tokens");
 }
 
-/// A streambuf serving `size` bytes of 'x' and counting how many were read.
-class CountingBuf : public std::streambuf {
- public:
-  explicit CountingBuf(std::size_t size) : left_(size) {}
-  std::size_t taken = 0;
-
- protected:
-  int_type underflow() override {
-    if (left_ == 0) return traits_type::eof();
-    const std::size_t n = std::min(left_, sizeof(chunk_));
-    std::fill(chunk_, chunk_ + n, 'x');
-    left_ -= n;
-    taken += n;
-    setg(chunk_, chunk_, chunk_ + n);
-    return traits_type::to_int_type(chunk_[0]);
-  }
-
- private:
-  std::size_t left_;
-  char chunk_[256];
-};
-
 TEST(SpecReader, StopsReadingAtTheLineCap) {
   EXPECT_EQ(read_lines("k " + std::string(kMaxLineBytes - 2, '1') + "\nx"),
             (std::vector<std::string>{
@@ -103,7 +81,7 @@ TEST(SpecReader, StopsReadingAtTheLineCap) {
       error_of([] { read_lines("a\n" + std::string(kMaxLineBytes + 1, 'y')); }),
       "line 2: line longer than kMaxLineBytes (65536 bytes)");
 
-  CountingBuf buf(64 * kMaxLineBytes);
+  test::CountingBuf buf(64 * kMaxLineBytes);
   std::istream in(&buf);
   EXPECT_NE(error_of([&] {
               specparse::for_each_line(

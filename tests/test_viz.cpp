@@ -62,16 +62,14 @@ TEST(Render, DeploymentAndPartitionSmoke) {
 
   const std::string p1 = "/tmp/laacad_render_dep.svg";
   const std::string p2 = "/tmp/laacad_render_vor.svg";
-  const std::string p3 = "/tmp/laacad_render_dom.svg";
   EXPECT_TRUE(render_deployment(p1, net));
   EXPECT_TRUE(render_order_k_partition(p2, net, 2));
-  EXPECT_TRUE(render_dominating_region(p3, net, 0, 2));
   // The partition rendering contains many cells; the file should be
   // substantial and well-formed.
   const std::string s = slurp(p2);
   EXPECT_GT(s.size(), 2000u);
   EXPECT_NE(s.find("</svg>"), std::string::npos);
-  for (const auto& p : {p1, p2, p3}) std::filesystem::remove(p);
+  for (const auto& p : {p1, p2}) std::filesystem::remove(p);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "voronoi/sites.hpp"
 #include "wsn/boundary.hpp"
 #include "wsn/comm.hpp"
+#include "wsn/connectivity.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/energy.hpp"
 #include "wsn/localization.hpp"
@@ -339,14 +340,6 @@ TEST(Deployment, TriangularLatticeSpacing) {
   EXPECT_NEAR(dmin, 10.0, 0.5);
 }
 
-TEST(Deployment, SquareLatticeCount) {
-  Domain d = Domain::rectangle(100, 100);
-  auto pts = square_lattice(d, 10.0);
-  // ~11x11 grid.
-  EXPECT_GE(pts.size(), 100u);
-  EXPECT_LE(pts.size(), 145u);
-}
-
 TEST(Deployment, StackedPlacesKPerAnchor) {
   Rng rng(5);
   auto pts = stacked({{0, 0}, {10, 10}}, 3, rng, 1e-3);
@@ -367,7 +360,7 @@ TEST(Comm, HopDistancesLinearChain) {
   EXPECT_EQ(hd[2], 2);
   EXPECT_EQ(hd[3], 3);
   EXPECT_EQ(hd[4], -1);  // unreachable
-  EXPECT_FALSE(comm.connected());
+  EXPECT_FALSE(analyze_connectivity(net, net.gamma()).connected());
 }
 
 TEST(Comm, MaxHopsTruncates) {
@@ -410,7 +403,7 @@ TEST(Comm, GatherMatchesHopDistanceOracle) {
     Network net(&d, whole ? connected : split, 18.0);
     CommModel comm(net);
     if (!whole) {
-      ASSERT_FALSE(comm.connected());
+      ASSERT_FALSE(analyze_connectivity(net, net.gamma()).connected());
     }
     for (int trial = 0; trial < 40; ++trial) {
       const int i = rng.uniform_int(0, net.size() - 1);
@@ -443,8 +436,12 @@ TEST(Comm, ConnectedDenseNetwork) {
   Domain d = Domain::rectangle(50, 50);
   Rng rng(6);
   Network net(&d, deploy_uniform(d, 80, rng), 15.0);
-  CommModel comm(net);
-  EXPECT_TRUE(comm.connected());
+  // The comm graph's BFS reaches every node, and analyze_connectivity's
+  // graph over the same radio range agrees: one component.
+  const std::vector<int> hops = CommModel(net).hop_distances(0);
+  EXPECT_TRUE(std::none_of(hops.begin(), hops.end(),
+                           [](int h) { return h < 0; }));
+  EXPECT_TRUE(analyze_connectivity(net, net.gamma()).connected());
 }
 
 // ------------------------------------------------------------ boundary ----
