@@ -68,9 +68,6 @@ int main(int argc, char** argv) {
             &opt.workers, 0)
       .flag("--runner", "PATH", "campaign_runner (default: next to this one)",
             &opt.runner)
-      .flag("--max-restarts", "K",
-            "crash restarts allowed per shard (default 2)", &opt.max_restarts,
-            0)
       .flag("--resume", "pass --resume to each shard's first launch",
             &opt.resume)
       .flag("--merge-only", "launch nothing; merge existing shard manifests",

@@ -6,11 +6,11 @@
 //   Loads the base spec (default: scenarios/serve_base.scn, embedded at
 //   build time; the spec's timeline must be empty), starts
 //   the round loop, and answers newline-delimited JSON requests: knn,
-//   coverage, load, stats, health, event, drain, shutdown. On stdio,
-//   responses go to stdout and everything human goes to stderr, so a
-//   scripted session pipes cleanly. --log appends every accepted event to
-//   a replayable scenario file; --state dumps the canonical final state
-//   document after shutdown.
+//   coverage, load, stats, health, event, drain, shutdown. On stdio (the
+//   default; --port serves TCP instead), responses go to stdout and
+//   everything human goes to stderr, so a scripted session pipes cleanly.
+//   --log appends every accepted event to a replayable scenario file;
+//   --state dumps the canonical final state document after shutdown.
 //
 // Replay mode (--replay LOG --state PATH [--threads N]):
 //
@@ -44,7 +44,6 @@ struct Options {
   std::string trace_path;
   int port = -1;  // -1 = stdio
   int threads = -1;
-  int publish_every = 1;
   bool heartbeat = false;
   bool quiet = false;
 };
@@ -58,7 +57,6 @@ int serve_main(const Options& opt) {
   serve::ServeConfig cfg;
   cfg.spec = std::move(spec);
   cfg.log_path = opt.log_path;
-  cfg.publish_every = opt.publish_every;
   cfg.heartbeat = opt.heartbeat;
 
   if (!opt.trace_path.empty()) obs::start_trace(opt.trace_path);
@@ -124,9 +122,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("laacad_serve");
   cli.flag("--scn", "PATH", "base spec (default: embedded serve_base)",
            &opt.scn_path)
-      .flag("--stdio", "serve stdin to stdout (the default)",
-            [&opt](const std::string&) { opt.port = -1; })
-      .flag("--port", "P", "serve loopback TCP instead (0 = ephemeral)",
+      .flag("--port", "P", "serve loopback TCP, not stdio (0 = ephemeral)",
             &opt.port, 0)
       .flag("--log", "PATH", "append accepted events to a replayable log",
             &opt.log_path)
@@ -135,9 +131,6 @@ int main(int argc, char** argv) {
       .flag("--threads", "N",
             "engine threads (0 = hardware); bits never change", &opt.threads,
             0)
-      .flag("--publish-every", "N",
-            "mid-phase snapshot cadence (0 = phase ends only)",
-            &opt.publish_every, 0)
       .flag("--trace", "PATH", "Chrome trace JSON (request/round/publish)",
             &opt.trace_path)
       .flag("--heartbeat",

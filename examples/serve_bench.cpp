@@ -11,14 +11,15 @@
 //
 // The bench owns the server: it starts an in-process CoverageService +
 // TcpServer on an ephemeral port and shuts it down when done — one
-// command, no orchestration.
+// command, no orchestration. Every workload setting (request count, rate,
+// connections, seed, mix) lives in the .wl file and the server's engine
+// threads in the --scn file; a sweep writes one .wl per point.
 //
 // Exit status: 0 on a clean run, 1 if any protocol or transport errors
 // were tallied (ctest treats a nonzero error count as failure), 2 on usage
-// or setup problems, including a malformed or out-of-range flag value.
+// or setup problems, including a malformed or out-of-range spec value.
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -37,9 +38,6 @@ using namespace laacad;
 
 int main(int argc, char** argv) {
   std::string wl_path, out_path = "BENCH_serve_latency.json", scn_path;
-  std::optional<int> threads, requests, connections;
-  std::optional<double> rate;
-  std::optional<std::uint64_t> seed;
   bool quiet = false;
   cli::Parser cli("serve_bench");
   cli.flag("--wl", "PATH", "workload (default: embedded serve_mix)", &wl_path)
@@ -47,35 +45,17 @@ int main(int argc, char** argv) {
             &out_path)
       .flag("--scn", "PATH", "in-process server's base spec; sets query side",
             &scn_path)
-      .flag("--threads", "N", "engine threads for the in-process server",
-            &threads, 0)
-      .flag("--requests", "N", "override the workload's request count",
-            &requests, 1)
-      .flag("--rate", "R", "override the workload's rate (0 = closed loop)",
-            &rate)
-      .flag("--connections", "C", "override the workload's connection count",
-            &connections, 1)
-      .flag("--seed", "S", "override the workload's seed", &seed)
       .flag("--quiet", "print no summary on stderr", &quiet);
   if (const auto status = cli.parse(argc, argv)) return *status;
-  if (rate && !(*rate >= 0.0)) {
-    std::fprintf(stderr, "serve_bench: '--rate' expects a number >= 0\n");
-    return 2;
-  }
 
   try {
-    serve::WorkloadSpec wl =
+    const serve::WorkloadSpec wl =
         wl_path.empty() ? serve::parse_workload_string(kServeMixWorkload)
                         : serve::load_workload_file(wl_path);
-    if (requests) wl.requests = *requests;
-    if (rate) wl.rate = *rate;
-    if (connections) wl.connections = *connections;
-    if (seed) wl.seed = *seed;
 
-    scenario::ScenarioSpec spec =
+    const scenario::ScenarioSpec spec =
         scn_path.empty() ? scenario::parse_scenario_string(kServeBaseSpec)
                          : scenario::load_scenario_file(scn_path);
-    if (threads) spec.num_threads = *threads;
 
     serve::ServeConfig cfg;
     cfg.spec = spec;

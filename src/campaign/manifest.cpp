@@ -4,6 +4,7 @@
 #include <istream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/json_writer.hpp"
 #include "common/specparse.hpp"
@@ -63,13 +64,6 @@ std::optional<std::string> token_value(const std::string& tok,
   return tok.substr(key.size() + 1);
 }
 
-bool parse_exact_long(const std::string& s, int base, long* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtol(s.c_str(), &end, base);
-  return end == s.c_str() + s.size();
-}
-
 }  // namespace
 
 std::string format_manifest_header(const ManifestHeader& header) {
@@ -93,14 +87,15 @@ std::optional<ManifestHeader> parse_manifest_header(const std::string& line) {
     header.fingerprint = std::strtoull(fp->c_str(), &end, 16);
     if (end != fp->c_str() + fp->size()) return std::nullopt;
   }
-  long trials = 0, metrics = 0;
   const auto t = token_value(toks[2], "trials");
   const auto m = token_value(toks[3], "metrics");
-  if (!t || !m || !parse_exact_long(*t, 10, &trials) ||
-      !parse_exact_long(*m, 10, &metrics) || trials < 0 || metrics < 0)
+  if (!t || !m) return std::nullopt;
+  try {
+    header.trials = specparse::parse_int(*t, 0, "trials", 0);
+    header.metrics = specparse::parse_int(*m, 0, "metrics", 0);
+  } catch (const std::runtime_error&) {
     return std::nullopt;
-  header.trials = static_cast<int>(trials);
-  header.metrics = static_cast<int>(metrics);
+  }
   if (toks.size() == 5) {
     const auto s = token_value(toks[4], "shard");
     if (!s) return std::nullopt;

@@ -15,6 +15,9 @@ using geom::Vec2;
 
 namespace {
 
+/// Probe offset per meter of domain extent (see critical_point_coverage).
+constexpr double kProbeOffsetPerMeter = 1e-7;
+
 // All boundary segments of the domain (outer ring + holes).
 std::vector<std::pair<Vec2, Vec2>> domain_edges(const wsn::Domain& domain) {
   std::vector<std::pair<Vec2, Vec2>> out;
@@ -30,12 +33,11 @@ std::vector<std::pair<Vec2, Vec2>> domain_edges(const wsn::Domain& domain) {
 }  // namespace
 
 ExactReport critical_point_coverage(const wsn::Domain& domain,
-                                    const std::vector<Circle>& disks,
-                                    double probe_offset) {
+                                    const std::vector<Circle>& disks) {
   ExactReport rep;
   const geom::BBox bb = domain.bbox();
   const double scale = std::max(bb.width(), bb.height());
-  const double delta = probe_offset > 0.0 ? probe_offset : 1e-7 * (1 + scale);
+  const double delta = kProbeOffsetPerMeter * (1 + scale);
 
   // Depth evaluation accelerated by a grid over disk centers.
   double rmax = 0.0;

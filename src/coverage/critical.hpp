@@ -26,12 +26,11 @@ struct ExactReport {
   std::size_t candidates = 0;  ///< critical points examined
 };
 
-/// Exact minimum coverage depth of `domain` under closed `disks`.
-/// `probe_offset` is the face-probing distance (defaults to a scale-aware
-/// value when <= 0).
+/// Exact minimum coverage depth of `domain` under closed `disks`, probing
+/// faces at 1e-7 * (1 + the domain's larger bbox side) from each critical
+/// point.
 ExactReport critical_point_coverage(const wsn::Domain& domain,
-                                    const std::vector<geom::Circle>& disks,
-                                    double probe_offset = -1.0);
+                                    const std::vector<geom::Circle>& disks);
 
 /// True iff the domain is k-covered according to the critical-point check.
 bool is_k_covered(const wsn::Domain& domain,

@@ -8,6 +8,13 @@
 
 namespace laacad::cov {
 
+namespace {
+
+/// Safety cap on the simulated epochs; a node with zero range never dies.
+constexpr int kMaxEpochs = 1 << 20;
+
+}  // namespace
+
 LifetimeReport simulate_lifetime(const wsn::Network& net,
                                  const LifetimeConfig& cfg) {
   LifetimeReport rep;
@@ -17,10 +24,9 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
   // Per-epoch drain and deterministic death epoch per node.
   std::vector<int> death_epoch(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const double drain =
-        cfg.epoch * wsn::sensing_energy(net.sensing_range(i));
+    const double drain = wsn::sensing_energy(net.sensing_range(i));
     death_epoch[static_cast<std::size_t>(i)] =
-        drain <= 0.0 ? cfg.max_epochs
+        drain <= 0.0 ? kMaxEpochs
                      : static_cast<int>(std::floor(cfg.battery / drain));
   }
 
@@ -35,7 +41,7 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
 
   rep.epochs_until_first_death =
       std::min(death_epoch[static_cast<std::size_t>(order[0])],
-               cfg.max_epochs);
+               kMaxEpochs);
 
   std::vector<bool> alive(static_cast<std::size_t>(n), true);
   auto covered = [&]() {
@@ -60,14 +66,14 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
   int epoch = 0;
   while (next < order.size()) {
     epoch = std::min(death_epoch[static_cast<std::size_t>(order[next])],
-                     cfg.max_epochs);
+                     kMaxEpochs);
     // Kill every node dying at this epoch.
     while (next < order.size() &&
            death_epoch[static_cast<std::size_t>(order[next])] <= epoch) {
       alive[static_cast<std::size_t>(order[next])] = false;
       ++next;
     }
-    if (!covered() || epoch >= cfg.max_epochs) break;
+    if (!covered() || epoch >= kMaxEpochs) break;
   }
   rep.epochs_until_coverage_loss = epoch;
   int survivors = 0;
@@ -75,8 +81,7 @@ LifetimeReport simulate_lifetime(const wsn::Network& net,
   for (int i = 0; i < n; ++i) {
     if (!alive[static_cast<std::size_t>(i)]) continue;
     ++survivors;
-    const double drain =
-        cfg.epoch * wsn::sensing_energy(net.sensing_range(i));
+    const double drain = wsn::sensing_energy(net.sensing_range(i));
     unused += std::max(0.0, cfg.battery - drain * epoch);
   }
   rep.nodes_alive_at_loss = survivors;

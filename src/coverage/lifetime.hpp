@@ -3,11 +3,11 @@
 // E(r) = pi r^2 drains batteries proportionally, min-max range = balanced
 // drain = maximal time until the first coverage violation.
 //
-// The simulator gives every node an identical battery, drains it per epoch
-// proportionally to E(r_i), kills depleted nodes, and reports when coverage
-// first drops below the required degree. Comparing LAACAD's deployment
-// against an unbalanced one of equal total energy quantifies the lifetime
-// benefit end-to-end.
+// The simulator gives every node an identical battery, drains E(r_i) from
+// it per epoch (for at most 2^20 epochs), kills depleted nodes, and
+// reports when coverage first drops below the required degree. Comparing
+// LAACAD's deployment against an unbalanced one of equal total energy
+// quantifies the lifetime benefit end-to-end.
 #pragma once
 
 #include <vector>
@@ -19,8 +19,6 @@ namespace laacad::cov {
 
 struct LifetimeConfig {
   double battery = 1.0e6;     ///< initial energy per node (J-equivalents)
-  double epoch = 1.0;         ///< drain per epoch = epoch * E(r_i)
-  int max_epochs = 1 << 20;   ///< safety cap
   int required_k = 1;         ///< coverage degree that must survive
   double grid_resolution = 10.0;  ///< coverage check resolution (m)
 };

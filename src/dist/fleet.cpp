@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -46,46 +45,22 @@ struct Worker {
   std::chrono::steady_clock::time_point spawned;  ///< for the shard span
 };
 
-/// Fleet-level heartbeat state: folds the shards' campaign heartbeats into
-/// `{"hb":"fleet"}` lines on the supervisor's stderr.
-struct FleetBeat {
-  obs::Heartbeat hb;
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
+/// Crash restarts allowed per shard before the fleet gives up.
+constexpr int kMaxRestarts = 2;
 
-  explicit FleetBeat(std::string name) {
-    hb.kind = "fleet";
-    hb.name = std::move(name);
+/// Fold the shards' latest campaign heartbeats into one `{"hb":"fleet"}`
+/// line on the supervisor's stderr.
+void emit_fleet_beat(obs::HeartbeatEmitter& beat,
+                     const std::vector<Worker>& workers) {
+  int done = 0, total = 0, ok = 0, live = 0;
+  for (const Worker& w : workers) {
+    done += w.hb_done;
+    total += w.hb_total;
+    ok += w.hb_ok;
+    if (w.fd >= 0) ++live;
   }
-
-  void emit(const std::vector<Worker>& workers) {
-    int done = 0, total = 0, ok = 0, live = 0;
-    for (const Worker& w : workers) {
-      done += w.hb_done;
-      total += w.hb_total;
-      ok += w.hb_ok;
-      if (w.fd >= 0) ++live;
-    }
-    hb.done = done;
-    hb.total = total;
-    hb.ok = ok;
-    hb.live = live;
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    hb.rate_per_s = elapsed > 0.0 ? done / elapsed : 0.0;
-    hb.eta_s = hb.rate_per_s > 0.0 ? (total - done) / hb.rate_per_s
-                                   : std::nan("");
-    hb.ts_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    const std::string line = obs::format_heartbeat(hb);
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    std::fflush(stderr);
-  }
-};
+  beat.tick(done, ok, total, live);
+}
 
 /// Fork/exec one shard of the campaign; the child's stdout and stderr are
 /// funneled into a pipe the supervisor streams. `resume` re-runs only the
@@ -236,7 +211,8 @@ int run_fleet(const FleetOptions& opt) {
     // Supervision loop: stream output, reap exits, restart crashes with
     // --resume (the journal makes restarts cheap: only unfinished trials
     // re-run). Runs until every shard has exited cleanly or crashed out.
-    FleetBeat beat(spec.name);
+    obs::HeartbeatEmitter beat(stderr, "fleet", spec.name, /*shard=*/"",
+                               /*total=*/0);
     bool infra_failure = false;
     while (!infra_failure) {
       std::vector<pollfd> fds;
@@ -262,14 +238,14 @@ int run_fleet(const FleetOptions& opt) {
         if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
         if (n > 0) {
           w.buf.append(chunk, static_cast<std::size_t>(n));
-          if (flush_lines(w, opt, false)) beat.emit(workers);
+          if (flush_lines(w, opt, false)) emit_fleet_beat(beat, workers);
           continue;
         }
         // EOF: the child is gone (or closed its pipe); reap and decide.
         const bool had_beat = flush_lines(w, opt, true);
         close(w.fd);
         w.fd = -1;
-        if (had_beat) beat.emit(workers);
+        if (had_beat) emit_fleet_beat(beat, workers);
         // Shard lifecycle span (spawn -> reap) on the supervisor's
         // timeline; a no-op unless the caller started a trace session.
         obs::emit_span("shard", w.spawned,
@@ -293,14 +269,14 @@ int run_fleet(const FleetOptions& opt) {
                         to_string(w.shard).c_str(), code);
             std::fflush(stdout);
           }
-        } else if (w.restarts < opt.max_restarts) {
+        } else if (w.restarts < kMaxRestarts) {
           ++w.restarts;
           if (!opt.quiet) {
             std::printf("[shard %s] crashed (signal %d); restarting with "
                         "--resume (%d/%d)\n",
                         to_string(w.shard).c_str(),
                         WIFSIGNALED(status) ? WTERMSIG(status) : 0,
-                        w.restarts, opt.max_restarts);
+                        w.restarts, kMaxRestarts);
             std::fflush(stdout);
           }
           try {

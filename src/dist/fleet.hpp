@@ -6,11 +6,11 @@
 // output (each relayed line is one timestamped atomic write, prefixed
 // "[HH:MM:SS shard i/N]", so concurrent shards never shear each other's
 // lines), restarts a *crashed* shard (killed by a signal — OOM, ^C on the
-// child, machine hiccup) with `--resume` so it re-runs only the trials its
-// journal is missing, and finally merges via dist::merge_manifests. A
-// shard that exits cleanly with failing trials is NOT restarted: trials
-// are deterministic, so a re-run would fail the same way — the failure
-// belongs in the aggregates, not in a retry loop.
+// child, machine hiccup) with `--resume`, at most twice per shard, so it
+// re-runs only the trials its journal is missing, and finally merges via
+// dist::merge_manifests. A shard that exits cleanly with failing trials
+// is NOT restarted: trials are deterministic, so a re-run would fail the
+// same way — the failure belongs in the aggregates, not in a retry loop.
 //
 // With `heartbeat` set the shards run with --heartbeat and the supervisor
 // *consumes* their `{"hb":"campaign"}` stderr lines off the relay pipe
@@ -32,7 +32,6 @@ struct FleetOptions {
   std::string runner;         ///< campaign_runner binary to exec
   int shards = 2;             ///< N: one process per shard
   int workers = 1;      ///< per-shard --workers (0 = hardware concurrency)
-  int max_restarts = 2;  ///< crash restarts allowed per shard
   bool resume = false;   ///< first launch already passes --resume
   /// Directory for the shard manifests (default: current directory). The
   /// merged outputs land next to an unsharded run's: BENCH_campaign_<name>

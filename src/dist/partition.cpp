@@ -1,7 +1,8 @@
 #include "dist/partition.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/specparse.hpp"
 
 namespace laacad::dist {
 
@@ -37,20 +38,19 @@ std::string to_string(const ShardSpec& shard) {
 }
 
 ShardSpec parse_shard(const std::string& text) {
+  const std::runtime_error bad("shard must be <index>/<count> (e.g. 0/3), "
+                               "got '" + text + "'");
   const auto slash = text.find('/');
-  auto bad = [&text]() -> ShardSpec {
-    throw std::runtime_error("shard must be <index>/<count> (e.g. 0/3), got '" +
-                             text + "'");
-  };
   if (slash == std::string::npos || slash == 0 || slash + 1 == text.size())
-    return bad();
-  const std::string a = text.substr(0, slash), b = text.substr(slash + 1);
-  char* end = nullptr;
-  const long index = std::strtol(a.c_str(), &end, 10);
-  if (end != a.c_str() + a.size()) return bad();
-  const long count = std::strtol(b.c_str(), &end, 10);
-  if (end != b.c_str() + b.size()) return bad();
-  ShardSpec shard{static_cast<int>(index), static_cast<int>(count)};
+    throw bad;
+  ShardSpec shard;
+  try {
+    // parse_int refuses values past int's range instead of wrapping them.
+    shard.index = specparse::parse_int(text.substr(0, slash), 0, "index");
+    shard.count = specparse::parse_int(text.substr(slash + 1), 0, "count");
+  } catch (const std::runtime_error&) {
+    throw bad;
+  }
   validate(shard);
   return shard;
 }

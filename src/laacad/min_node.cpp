@@ -11,6 +11,10 @@ using geom::Vec2;
 
 namespace {
 
+/// Fraction of the current population added per infeasible step (at least
+/// one node).
+constexpr double kAddFraction = 0.05;
+
 // One full LAACAD optimization from the given positions; returns the
 // converged network state.
 struct InnerRun {
@@ -69,9 +73,8 @@ MinNodeResult plan_min_nodes(const wsn::Domain& domain, int k, double r_s,
       // Infeasible: reinforce the most loaded spot (co-locating near the
       // max-range node splits its dominating region most effectively).
       const int add = std::max(
-          1, static_cast<int>(std::lround(cfg.add_fraction *
-                                          static_cast<double>(
-                                              run.positions.size()))));
+          1, static_cast<int>(std::lround(
+                 kAddFraction * static_cast<double>(run.positions.size()))));
       const Vec2 hot = run.positions[argmax(run.ranges)];
       for (int a = 0; a < add; ++a) {
         run.positions.push_back(domain.project_inside(

@@ -15,9 +15,6 @@ namespace laacad::core {
 struct MinNodeConfig {
   /// Maximum add/remove adjustments before giving up.
   int max_outer_iters = 60;
-  /// Fraction of the current population added per infeasible step (at least
-  /// one node).
-  double add_fraction = 0.05;
   /// LAACAD settings used for every inner run.
   LaacadConfig laacad;
 };

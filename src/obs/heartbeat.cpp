@@ -43,6 +43,12 @@ std::string format_heartbeat(const Heartbeat& hb) {
   return s;
 }
 
+void write_heartbeat(std::FILE* sink, const Heartbeat& hb) {
+  const std::string line = format_heartbeat(hb);
+  std::fwrite(line.data(), 1, line.size(), sink);
+  std::fflush(sink);
+}
+
 bool is_heartbeat_line(std::string_view line) {
   return line.compare(0, kPrefix.size(), kPrefix) == 0;
 }
@@ -80,9 +86,11 @@ HeartbeatEmitter::HeartbeatEmitter(std::FILE* sink, std::string kind,
   hb_.total = total;
 }
 
-void HeartbeatEmitter::tick(int done, int ok) {
+void HeartbeatEmitter::tick(int done, int ok, int total, int live) {
   hb_.done = done;
   hb_.ok = ok;
+  hb_.total = total;
+  hb_.live = live;
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
@@ -93,11 +101,7 @@ void HeartbeatEmitter::tick(int done, int ok) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-  const std::string line = format_heartbeat(hb_);
-  // One write per line: heartbeats from concurrent processes interleave at
-  // line granularity, never mid-line.
-  std::fwrite(line.data(), 1, line.size(), sink_);
-  std::fflush(sink_);
+  write_heartbeat(sink_, hb_);
 }
 
 }  // namespace laacad::obs

@@ -45,6 +45,11 @@ struct Heartbeat {
 /// (`is_heartbeat_line`) sufficient.
 std::string format_heartbeat(const Heartbeat& hb);
 
+/// format_heartbeat(hb) handed to `sink` in one write, then flushed:
+/// heartbeats from concurrent emitters interleave at line granularity,
+/// never mid-line.
+void write_heartbeat(std::FILE* sink, const Heartbeat& hb);
+
 /// Cheap classifier: does this relay line claim to be a heartbeat?
 bool is_heartbeat_line(std::string_view line);
 
@@ -63,7 +68,11 @@ class HeartbeatEmitter {
                    std::string shard, int total);
 
   /// Emit one heartbeat for `done` completed / `ok` verified trials.
-  void tick(int done, int ok);
+  void tick(int done, int ok) { tick(done, ok, hb_.total, hb_.live); }
+
+  /// The fleet's form: its `total` grows as shards report their shares,
+  /// and `live` counts the shards still running.
+  void tick(int done, int ok, int total, int live);
 
  private:
   std::FILE* sink_;

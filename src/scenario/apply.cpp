@@ -90,23 +90,27 @@ std::vector<geom::Ring> new_blocked_cells(const wsn::Domain& domain,
   return cells;
 }
 
-/// Apply `cells` as new holes; nullptr when nothing remains to cover.
-std::unique_ptr<wsn::Domain> with_blocked_cells(
-    const wsn::Domain& domain, const std::vector<geom::Ring>& cells) {
+/// Block the rectangle [lo, hi] of `domain`: the blocked region becomes the
+/// union of the rectangle and what was blocked before. Returns the new
+/// domain, or nullptr when the rectangle adds no new blocked area. Throws
+/// "<what>: rectangle lies outside the domain" when it misses the outer
+/// ring altogether, and "<what>: no coverage area remains" when
+/// (essentially) nothing would be left to cover.
+std::unique_ptr<wsn::Domain> block_rect(const wsn::Domain& domain,
+                                        geom::Vec2 lo, geom::Vec2 hi,
+                                        const std::string& what) {
+  const geom::Ring clipped = geom::dedupe_ring(
+      geom::sutherland_hodgman(domain.outer(), geom::box_ring({lo, hi})));
+  if (!(geom::area(clipped) > 1e-6))
+    throw std::runtime_error(what + ": rectangle lies outside the domain");
+  const auto cells = new_blocked_cells(domain, lo, hi);
+  if (cells.empty()) return nullptr;
   std::vector<geom::Ring> holes = domain.holes();
   holes.insert(holes.end(), cells.begin(), cells.end());
   auto out = std::make_unique<wsn::Domain>(domain.outer(), std::move(holes));
-  if (out->area() <= 1e-6) return nullptr;
+  if (out->area() <= 1e-6)
+    throw std::runtime_error(what + ": no coverage area remains");
   return out;
-}
-
-/// True when the rect touches the domain's outer ring at all (used to
-/// distinguish "outside the domain" from "already fully blocked").
-bool rect_touches_domain(const wsn::Domain& domain, geom::Vec2 lo,
-                         geom::Vec2 hi) {
-  const geom::Ring clipped = geom::dedupe_ring(
-      geom::sutherland_hodgman(domain.outer(), geom::box_ring({lo, hi})));
-  return geom::area(clipped) > 1e-6;
 }
 
 /// The provider for the spec's backend word; `auto` picks by network size.
@@ -144,20 +148,10 @@ World build_world(ScenarioSpec spec) {
   // decomposition the jam_region event uses, so they may overlap each
   // other (or the canned `hole`) freely.
   for (const ObstacleRect& rect : w.spec.obstacles) {
-    const geom::Vec2 lo = bbox_point(base, rect.lo);
-    const geom::Vec2 hi = bbox_point(base, rect.hi);
-    if (!rect_touches_domain(base, lo, hi))
-      throw std::runtime_error(
-          "obstacle (spec line " + std::to_string(rect.line) +
-          "): rectangle lies outside the domain");
-    const auto cells = new_blocked_cells(base, lo, hi);
-    if (cells.empty()) continue;  // fully inside earlier obstacles
-    auto blocked = with_blocked_cells(base, cells);
-    if (!blocked)
-      throw std::runtime_error(
-          "obstacle (spec line " + std::to_string(rect.line) +
-          "): no coverage area remains");
-    base = std::move(*blocked);
+    auto blocked = block_rect(
+        base, bbox_point(base, rect.lo), bbox_point(base, rect.hi),
+        "obstacle (spec line " + std::to_string(rect.line) + ")");
+    if (blocked) base = std::move(*blocked);  // else inside earlier ones
   }
   w.domains.push_back(std::make_unique<wsn::Domain>(std::move(base)));
   const wsn::Domain& domain = *w.domains.back();
@@ -315,27 +309,17 @@ EventRecord apply_event(World& w, const Event& ev, int index,
       // The spec rect is in bbox fractions, so on a non-rectangular domain
       // it can spill outside the outer ring, and jams may overlap earlier
       // jams or declared obstacles: the blocked region becomes the *union*.
-      // Only the newly blocked area (decomposed into disjoint cells) is
-      // added as holes, which keeps Domain's pairwise-disjointness invariant
-      // and exact area bookkeeping. A jam entirely outside the domain is
-      // still a scenario-author error — reject it loudly.
-      if (!rect_touches_domain(w.domain(), lo, hi))
-        throw std::runtime_error(
-            "jam_region (spec line " + std::to_string(ev.line) +
-            "): rectangle lies outside the domain");
-      const auto cells = new_blocked_cells(w.domain(), lo, hi);
-      if (cells.empty()) {
+      // A jam entirely outside the domain is still a scenario-author error,
+      // and one swallowing (essentially) the whole domain would leave every
+      // node infeasible: block_rect rejects both loudly.
+      auto jammed = block_rect(
+          w.domain(), lo, hi,
+          "jam_region (spec line " + std::to_string(ev.line) + ")");
+      if (!jammed) {
         // Union semantics: re-jamming blocked ground changes nothing.
         rec.detail = "rectangle already jammed; no new area";
         break;
       }
-      auto jammed = with_blocked_cells(w.domain(), cells);
-      // Something must remain to cover: a jam swallowing (essentially) the
-      // whole domain would leave every node infeasible.
-      if (!jammed)
-        throw std::runtime_error(
-            "jam_region (spec line " + std::to_string(ev.line) +
-            "): no coverage area remains after the jam");
       w.domains.push_back(std::move(jammed));
       w.net->rebind_domain(w.domains.back().get());
       rec.detail = "jammed rectangle (" + JsonWriter::number_to_string(lo.x) +

@@ -9,8 +9,6 @@ constexpr const char* kVerbNames[kNumVerbs] = {
     "knn", "coverage", "load", "stats", "health", "event", "drain", "other"};
 }  // namespace
 
-const char* verb_name(Verb v) { return kVerbNames[static_cast<int>(v)]; }
-
 Verb verb_from_op(std::string_view op) {
   for (int i = 0; i < kNumVerbs - 1; ++i)
     if (op == kVerbNames[i]) return static_cast<Verb>(i);

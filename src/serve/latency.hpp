@@ -41,9 +41,6 @@ enum class Verb {
 };
 inline constexpr int kNumVerbs = 8;
 
-/// Stable lowercase name ("knn", ..., "other"); array-indexable literal.
-const char* verb_name(Verb v);
-
 /// Map a request's "op" value to its verb (unknown -> kOther).
 Verb verb_from_op(std::string_view op);
 

@@ -23,6 +23,10 @@ namespace laacad::serve {
 
 namespace {
 
+/// Pending connections the kernel queues before accept(); loopback clients
+/// connect a few at a time.
+constexpr int kListenBacklog = 16;
+
 /// The one error line a transport sends before it drops a session whose
 /// request line exceeds kMaxRequestLineBytes.
 std::string overlong_line_response() {
@@ -56,8 +60,7 @@ int serve_stdio(CoverageService& svc, std::istream& in, std::ostream& out) {
   return handled;
 }
 
-TcpServer::TcpServer(CoverageService& svc, int port, int backlog)
-    : svc_(svc) {
+TcpServer::TcpServer(CoverageService& svc, int port) : svc_(svc) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("serve: socket() failed");
   const int one = 1;
@@ -74,7 +77,7 @@ TcpServer::TcpServer(CoverageService& svc, int port, int backlog)
     throw std::runtime_error("serve: cannot bind port " +
                              std::to_string(port));
   }
-  if (::listen(listen_fd_, backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     throw std::runtime_error("serve: listen() failed");

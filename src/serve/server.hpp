@@ -73,7 +73,7 @@ class TcpServer {
  public:
   /// Bind + listen on `port` (0 = ephemeral; see port() for the result).
   /// Throws std::runtime_error on socket errors.
-  TcpServer(CoverageService& svc, int port, int backlog = 16);
+  TcpServer(CoverageService& svc, int port);
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;

@@ -11,7 +11,6 @@ namespace laacad::serve {
 CoverageService::CoverageService(ServeConfig cfg)
     : world_(scenario::build_world(std::move(cfg.spec))),
       log_(cfg.log_path, world_.spec),
-      publish_every_(cfg.publish_every),
       heartbeat_(cfg.heartbeat),
       applied_nodes_(world_.net->size()),
       start_time_(std::chrono::steady_clock::now()) {
@@ -19,8 +18,6 @@ CoverageService::CoverageService(ServeConfig cfg)
     throw std::runtime_error(
         "serve: the base spec must have an empty timeline — events arrive "
         "live and are logged as the daemon's own timeline");
-  if (publish_every_ < 0)
-    throw std::runtime_error("serve: publish_every must be >= 0");
   // Epoch 1: the initial deployment, sensing ranges not yet tuned.
   publish(/*finalized=*/false, /*converged=*/false);
 }
@@ -206,14 +203,6 @@ int CoverageService::snapshot_staleness_rounds() const {
   return global_round_ - snap->meta().global_round;
 }
 
-void CoverageService::emit_heartbeat() {
-  const std::string line = obs::format_heartbeat(health());
-  // One write per line, matching every other heartbeat source: concurrent
-  // emitters interleave at line granularity, never mid-line.
-  std::fwrite(line.data(), 1, line.size(), stderr);
-  std::fflush(stderr);
-}
-
 void CoverageService::run_one_phase() {
   obs::ScopedSpan phase_span("phase", phases_);
   // A queued event interrupts the phase exactly where the batch runner's
@@ -229,11 +218,12 @@ void CoverageService::run_one_phase() {
           ++global_round_;
         }
         if (m.moved == 0) return;  // converged: the phase-end publish follows
-        if (publish_every_ > 0 && m.round % publish_every_ == 0)
-          publish(/*finalized=*/false, /*converged=*/false);
+        // Mid-phase snapshot: current positions, the previous finalize's
+        // sensing ranges.
+        publish(/*finalized=*/false, /*converged=*/false);
         // Per-round beat: a supervisor watches a daemon the way it watches
         // campaign shards — rounds done, events applied, epoch, queue depth.
-        if (heartbeat_) emit_heartbeat();
+        if (heartbeat_) obs::write_heartbeat(stderr, health());
       });
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -241,7 +231,7 @@ void CoverageService::run_one_phase() {
     last_phase_converged_ = run.converged;
   }
   publish(/*finalized=*/true, run.converged);
-  if (heartbeat_) emit_heartbeat();
+  if (heartbeat_) obs::write_heartbeat(stderr, health());
 }
 
 void CoverageService::run_loop() {
@@ -316,7 +306,7 @@ void CoverageService::run_loop() {
         queue_.clear();
       }
       publish(/*finalized=*/true, last_phase_converged_);
-      if (heartbeat_) emit_heartbeat();
+      if (heartbeat_) obs::write_heartbeat(stderr, health());
       std::lock_guard<std::mutex> lk(mu_);
       finished_ = true;
       idle_ = true;

@@ -4,7 +4,8 @@
 // batch runner's phase structure on a background thread, driven by an
 // asynchronous event queue instead of a spec timeline:
 //
-//   run phase (rounds until converged / cap / event queued)
+//   run phase (rounds until converged / cap / event queued; a snapshot is
+//              published after every round that moves a node)
 //   finalize → publish snapshot → wait for event
 //   stamp event with the current global round → append to event log →
 //   scenario::apply_event → begin_phase → next phase
@@ -48,10 +49,6 @@ struct ServeConfig {
   scenario::ScenarioSpec spec;
   /// Event-log path; empty disables logging (and the replay guarantee).
   std::string log_path;
-  /// Mid-phase snapshot cadence: publish every N rounds while a phase is
-  /// running (0 = publish only at phase ends). Mid-phase snapshots carry
-  /// the previous finalize's sensing ranges.
-  int publish_every = 1;
   /// Emit `{"hb":"serve",...}` heartbeat lines to stderr after every round
   /// that moves a node and at every phase end (the /health schema,
   /// streamed).
@@ -140,7 +137,6 @@ class CoverageService {
   int snapshot_staleness_rounds() const;
 
   const scenario::ScenarioSpec& spec() const { return world_.spec; }
-  const EventLog& log() const { return log_; }
 
   /// Dump the canonical state document (event_log.hpp's
   /// write_network_state) for replay comparison. Only valid once stopped.
@@ -152,11 +148,9 @@ class CoverageService {
   bool queue_nonempty() const;
   /// Build + swap a snapshot from the live world (round-loop thread only).
   void publish(bool finalized, bool converged);
-  void emit_heartbeat();
 
   scenario::World world_;
   EventLog log_;
-  int publish_every_ = 1;
   bool heartbeat_ = false;
 
   std::thread thread_;

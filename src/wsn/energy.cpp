@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -10,12 +11,17 @@ namespace laacad::wsn {
 
 double sensing_energy(double range) { return M_PI * range * range; }
 
+namespace {
+
+/// Per-node loads E(r_i) for the current sensing ranges.
 std::vector<double> sensing_loads(const Network& net) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(net.size()));
   for (const double r : net.sensing_ranges()) out.push_back(sensing_energy(r));
   return out;
 }
+
+}  // namespace
 
 LoadReport load_report(const Network& net) {
   LoadReport rep;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <limits>
-#include <vector>
 
 #include "wsn/network.hpp"
 
@@ -12,9 +11,6 @@ namespace laacad::wsn {
 
 /// E(r) = pi r^2.
 double sensing_energy(double range);
-
-/// Per-node loads E(r_i) for the current sensing ranges.
-std::vector<double> sensing_loads(const Network& net);
 
 struct LoadReport {
   /// Extremes of the sensing ranges r_i; both 0 for a network with no nodes.

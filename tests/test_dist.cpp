@@ -62,6 +62,18 @@ TEST(ShardPartition, ParseRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(parse_shard("3/3"), std::runtime_error);   // index == count
   EXPECT_THROW(parse_shard("-1/3"), std::runtime_error);
   EXPECT_THROW(parse_shard("0/0"), std::runtime_error);
+  // Halves past int's range are refused, not wrapped (2^32 -> 0, 2^32+3 ->
+  // 3), and keep the format message.
+  for (const char* text : {"4294967296/3", "1/4294967299"}) {
+    try {
+      parse_shard(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard must be <index>/<count>"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardPartition, ManifestPathEncodesCoordinates) {
@@ -88,6 +100,14 @@ TEST(ManifestCodec, HeaderRoundTripsWithAndWithoutShard) {
       "laacad.campaign.manifest.v1 fp=zz trials=1 metrics=1"));
   EXPECT_FALSE(campaign::parse_manifest_header(
       "laacad.campaign.manifest.v1 fp=1 trials=1 metrics=1 shard=9/3"));
+  // Counts past int's range are refused, not wrapped (2^32 + 12 -> 12).
+  EXPECT_FALSE(campaign::parse_manifest_header(
+      "laacad.campaign.manifest.v1 fp=1 trials=4294967308 metrics=1"));
+  EXPECT_FALSE(campaign::parse_manifest_header(
+      "laacad.campaign.manifest.v1 fp=1 trials=1 metrics=4294967315"));
+  EXPECT_FALSE(campaign::parse_manifest_header(
+      "laacad.campaign.manifest.v1 fp=1 trials=1 metrics=1 "
+      "shard=4294967296/3"));
 }
 
 // A row longer than kMaxLineBytes ends the replay like a torn tail, even

@@ -192,15 +192,25 @@ TEST(Snapshot, EpochsAreMonotonicAcrossPhases) {
   CoverageService svc(std::move(cfg));
   const std::uint64_t initial = svc.snapshot()->meta().epoch;
   EXPECT_EQ(initial, 1u);
+  // The publish cadence: one snapshot after every round that moves a node
+  // and one at each phase end. Every phase here converges, and the
+  // converging round moves nothing, so each round adds exactly one epoch.
+  const auto one_epoch_per_round = [&svc] {
+    const CoverageService::Stats s = svc.stats();
+    EXPECT_EQ(s.epoch, static_cast<std::uint64_t>(s.global_round) + 1);
+  };
   svc.start();
   svc.drain();
   const auto converged = svc.snapshot();
   EXPECT_GT(converged->meta().epoch, initial);
   EXPECT_TRUE(converged->meta().converged);
+  one_epoch_per_round();
   svc.submit_event_line("fail_nodes count=2 pick=random");
   svc.drain();
   EXPECT_GT(svc.snapshot()->meta().epoch, converged->meta().epoch);
   EXPECT_EQ(svc.snapshot()->meta().events_applied, 1);
+  EXPECT_TRUE(svc.snapshot()->meta().converged);
+  one_epoch_per_round();
 }
 
 // ----------------------------------------------------- replay guarantee ----
