@@ -5,6 +5,8 @@
 // timed iterations), unlike the one-shot experiment benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/perf_counters.hpp"
 #include "common/rng.hpp"
 #include "geometry/welzl.hpp"
@@ -56,9 +58,16 @@ void BM_OrderKCell(benchmark::State& state) {
   auto sites = vor::separate_sites(random_points(40, 2, 100.0));
   const Ring window = geom::box_ring({{0, 0}, {100, 100}});
   const auto gens = vor::k_nearest_brute(sites, sites[0], k);
+  // Out-sites by ascending distance from the first generator, as
+  // order_k_cell's pruning requires.
   std::vector<int> others;
   for (int i = 0; i < 40; ++i)
     if (!std::count(gens.begin(), gens.end(), i)) others.push_back(i);
+  const Vec2 ref = sites[static_cast<std::size_t>(gens.front())];
+  std::sort(others.begin(), others.end(), [&](int a, int b) {
+    return geom::dist2(sites[static_cast<std::size_t>(a)], ref) <
+           geom::dist2(sites[static_cast<std::size_t>(b)], ref);
+  });
   for (auto _ : state) {
     benchmark::DoNotOptimize(vor::order_k_cell(sites, gens, others, window));
   }
@@ -155,6 +164,7 @@ void report_kernel_counters(benchmark::State& state) {
   state.counters["cells"] = per_iter(c.cells_built);
   state.counters["fallbacks"] = per_iter(c.kernel_fallbacks);
   state.counters["exact_fallbacks"] = per_iter(c.exact_fallbacks);
+  state.counters["bisector_scans"] = per_iter(c.bisector_scans);
 }
 
 void BM_OrderKRegionBrute(benchmark::State& state) {

@@ -81,11 +81,19 @@ std::optional<ManifestHeader> parse_manifest_header(const std::string& line) {
     return std::nullopt;
   ManifestHeader header;
   {
+    // 1-16 lowercase hex digits, as format_manifest_header writes them:
+    // no sign, no 0x, no value past 64 bits.
     const auto fp = token_value(toks[1], "fp");
-    if (!fp || fp->empty()) return std::nullopt;
-    char* end = nullptr;
-    header.fingerprint = std::strtoull(fp->c_str(), &end, 16);
-    if (end != fp->c_str() + fp->size()) return std::nullopt;
+    if (!fp || fp->empty() || fp->size() > 16) return std::nullopt;
+    header.fingerprint = 0;
+    for (const char c : *fp) {
+      const int digit = c >= '0' && c <= '9'   ? c - '0'
+                        : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                               : -1;
+      if (digit < 0) return std::nullopt;
+      header.fingerprint =
+          header.fingerprint << 4 | static_cast<unsigned>(digit);
+    }
   }
   const auto t = token_value(toks[2], "trials");
   const auto m = token_value(toks[3], "metrics");

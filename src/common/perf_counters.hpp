@@ -32,6 +32,7 @@ struct KernelCounters {
   std::uint64_t cells_built = 0;   ///< order-k cells constructed by the BFS
   std::uint64_t kernel_fallbacks = 0;  ///< grid kernel exhausted every site
   std::uint64_t exact_fallbacks = 0;   ///< filtered predicate fell back to hypot
+  std::uint64_t bisector_scans = 0;    ///< geom::bisector_side ring scans
 
   void reset() { *this = KernelCounters{}; }
 
@@ -44,6 +45,7 @@ struct KernelCounters {
     cells_built += o.cells_built;
     kernel_fallbacks += o.kernel_fallbacks;
     exact_fallbacks += o.exact_fallbacks;
+    bisector_scans += o.bisector_scans;
   }
 
   /// Field-wise difference against an earlier snapshot of the same block.
@@ -58,6 +60,7 @@ struct KernelCounters {
     d.cells_built = cells_built - before.cells_built;
     d.kernel_fallbacks = kernel_fallbacks - before.kernel_fallbacks;
     d.exact_fallbacks = exact_fallbacks - before.exact_fallbacks;
+    d.bisector_scans = bisector_scans - before.bisector_scans;
     return d;
   }
 };

@@ -24,6 +24,7 @@ RingSide bisector_side_exact(Vec2 keep, Vec2 other,
 }
 
 RingSide bisector_side(Vec2 keep, Vec2 other, std::span<const Vec2> ring) {
+  ++perf::counters().bisector_scans;
   // Error bound. Both scans share w = v - midpoint(keep, other) bit for
   // bit; they differ only in the normal. Each normal component is
   // e/|e| to within ~6u relative (u = 2^-53: the exact one through hypot

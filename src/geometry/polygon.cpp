@@ -160,19 +160,27 @@ Ring clip_ring(const Ring& ring, const HalfPlane& hp, double eps) {
 
 Ring sutherland_hodgman(const Ring& subject, const Ring& convex_window,
                         double eps) {
-  if (convex_window.size() < 3) return {};
-  Ring window = convex_window;
-  make_ccw(window);
-  Ring out = subject;
-  const std::size_t m = window.size();
+  const std::size_t m = convex_window.size();
+  if (m < 3) return {};
+  // Walk the window counter-clockwise in place (make_ccw's reversal) and
+  // ping-pong two rings through clip_ring_into.
+  const bool cw = signed_area(convex_window) < 0.0;
+  const auto corner = [&](std::size_t i) {
+    return convex_window[cw ? m - 1 - i : i];
+  };
+  Ring out, next;
+  out.reserve(subject.size() + m);
+  next.reserve(subject.size() + m);
+  out.assign(subject.begin(), subject.end());
   for (std::size_t i = 0; i < m && !out.empty(); ++i) {
-    const Vec2 a = window[i], b = window[(i + 1) % m];
+    const Vec2 a = corner(i), b = corner((i + 1) % m);
     HalfPlane hp;
     hp.point = a;
     // Window is CCW, so the inside lies to the left of a->b; the outward
     // normal is the right-hand perpendicular.
     hp.normal = Vec2{(b - a).y, -(b - a).x}.normalized();
-    out = clip_ring(out, hp, eps);
+    clip_ring_into(out, hp, next, eps);
+    std::swap(out, next);
   }
   return out;
 }

@@ -83,8 +83,10 @@ struct EdgeLabels {
 void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
                     double eps = kEps, EdgeLabels* labels = nullptr);
 
-/// Clip an arbitrary subject ring against a convex window ring (CCW):
-/// successive `clip_ring` against each window edge.
+/// Clip an arbitrary subject ring against a convex window ring (either
+/// orientation): successive `clip_ring_into` against each window edge,
+/// ping-ponging two rings, so the clip allocates two rings whatever the
+/// window's size.
 Ring sutherland_hodgman(const Ring& subject, const Ring& convex_window,
                         double eps = kEps);
 

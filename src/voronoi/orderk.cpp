@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -22,8 +23,10 @@ namespace {
 //
 // One order-k cell is the window clipped against bisectors with out-sites
 // taken in ascending distance from the reference generator, with the Lemma
-// pruning bound ending the scan early. The brute and grid paths share this
-// machinery; they differ only in how the candidate list is produced.
+// pruning bound or the CellBound stop certificate ending the scan early and
+// the reject certificate sparing most bisector scans before it. The brute
+// and grid paths share this machinery; they differ only in how the
+// candidate list is produced.
 //
 // Every edge of the cell carries a label naming what created it: the window
 // (kWindowEdge) or an index into `cuts`, the (kept generator h, out-site j)
@@ -39,6 +42,28 @@ namespace {
 // H - h + j, has no edge of its own to be found through.
 
 constexpr int kWindowEdge = -1;
+
+// Slack of the certificates, in metres: kCertAbs + kCertRel * scale, where
+// the scale bounds every length and coordinate magnitude involved. Why it
+// suffices: a certificate proves |v - u_j| - |v - u_h| > X for every vertex
+// v, with X = slack less the rounding of the bound itself. The signed
+// distance of v from bisector(h, j),
+//   (|v - u_h| - |v - u_j|) (|v - u_h| + |v - u_j|) / (2 |u_j - u_h|),
+// is then below -X / 2, since |v - u_h| + |v - u_j| >= |u_j - u_h|.
+// geom::bisector_side answers kInside once every computed distance is below
+// -kEps - band, band = kDistFilter (|w.x| + |w.y|), w = v - midpoint; a
+// computed distance is within 1e-15 (|w.x| + |w.y|) plus a few ulps of the
+// coordinates of the true one, and |w| <= (|v - u_h| + |v - u_j|) / 2
+// <= L + X / 2, with L = rv + R_H (stop), R_h + r_c or R_h + rv (reject).
+// So X / 2 > kEps + 1.5e-12 (L + X / 2) + ulps suffices, that is
+// X > 2.01 kEps + 3.01e-12 L + ulps. The scale, R_H + r_c + |c.x| + |c.y|,
+// is at least L / 2 and the coordinates' magnitude, so kCertAbs = 4 kEps
+// and kCertRel = 1e-10 cover that 30 times over, with room for the
+// rounding of the bound (a few ulps of each sqrt, sum and square) and for a
+// stale bound (a clip's new vertices lie on old edges, up to a few ulps of
+// the coordinates per clip).
+constexpr double kCertAbs = 4.0 * geom::kEps;
+constexpr double kCertRel = 1e-10;
 
 struct Swap {
   int h;  // generator left behind across the bisector
@@ -65,19 +90,21 @@ struct CellScratch {
 };
 
 // The pruning state. rv, the max distance from ref to any current cell
-// vertex, is exact only on demand: the pruning test decides from the max
-// squared distance, and only a gather radius or an unsure test needs rv's
-// bits.
+// vertex, is exact only on demand: the Lemma test decides from the max
+// squared distance, and only an unsure test needs rv's bits.
 struct CellState {
   Vec2 ref;           // first generator: reference for ordering and pruning
   double dmax_h = 0;  // max distance from ref to any generator
-  double reach2 = 0;  // (2 sqrt(rv2) + dmax_h)^2, the pruning bound squared
+  double reach2 = 0;  // (2 sqrt(rv2) + dmax_h)^2, the Lemma bound squared
   double rv = 0;      // valid when rv_known
   bool rv_known = false;
+  CellBound bound;    // the certificates, fitted to the current ring
 
-  // rv2: max dist2 from ref to any current cell vertex.
-  void set_ring(double rv2) {
-    const double reach = 2.0 * std::sqrt(rv2) + dmax_h;
+  // One pass over the ring refits every bound.
+  void set_ring(const std::vector<Vec2>& sites, const std::vector<int>& gens,
+                const Ring& cur) {
+    bound.fit(sites, gens, cur);
+    const double reach = 2.0 * std::sqrt(bound.rv2()) + dmax_h;
     reach2 = reach * reach;
     rv_known = false;
   }
@@ -110,14 +137,14 @@ bool init_cell(const std::vector<Vec2>& sites, const std::vector<int>& gens,
   for (auto h = gens.begin() + 1; h != gens.end(); ++h)
     s.gen_pts.push_back(sites[static_cast<std::size_t>(*h)]);
   st.dmax_h = geom::max_dist(st.ref, s.gen_pts);
-  st.set_ring(geom::max_dist2(st.ref, s.cur));
+  st.set_ring(sites, gens, s.cur);
   if (!(st.ref == s.window_ref)) {
     s.window_ref = st.ref;
     s.window_rv = geom::max_dist(st.ref, s.cur);
   }
   st.rv = s.window_rv;
   st.rv_known = true;
-  perf::counters().dist2_evals += gens.size() + s.cur.size();
+  perf::counters().dist2_evals += gens.size();
   return true;
 }
 
@@ -133,10 +160,27 @@ bool beyond_bound(double s, Vec2 uj, const Ring& cur, CellState& st) {
   return geom::dist(uj, st.ref) - rv > rv + st.dmax_h;
 }
 
+#ifndef NDEBUG
+// Debug check of a stop certificate: every out-site from cand[from] on
+// leaves the ring strictly inside its bisector with every generator.
+void assert_inside_from(const std::vector<Vec2>& sites,
+                        const std::vector<int>& gens,
+                        const std::vector<std::pair<double, int>>& cand,
+                        std::size_t from, const Ring& ring) {
+  for (std::size_t a = from; a < cand.size(); ++a)
+    for (int h : gens)
+      assert(geom::bisector_side_exact(
+                 sites[static_cast<std::size_t>(h)],
+                 sites[static_cast<std::size_t>(cand[a].second)],
+                 ring) == geom::RingSide::kInside &&
+             "stop certificate skipped a bisector that reaches the cell");
+}
+#endif
+
 // Clip scratch.cur against the out-sites cand[from..to) (in the order
 // given; both paths supply ascending (dist2, index), and every key is
-// dist2(u_j, ref)). Returns true when the scan stopped early — the pruning
-// bound fired or the cell emptied — which proves no out-site later in the
+// dist2(u_j, ref)). Returns true when the scan stopped early — a bound
+// fired or the cell emptied — which proves no out-site later in the
 // canonical order can cut the cell.
 bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
                   const std::vector<std::pair<double, int>>& cand,
@@ -146,17 +190,36 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
   for (std::size_t a = from; a < to; ++a) {
     if (s.cur.empty()) return true;
     const Vec2 uj = sites[static_cast<std::size_t>(cand[a].second)];
-    // Pruning: for any v in the cell, dist(v, u_j) >= |u_j - ref| - rv and
-    // dist(v, u_h) <= rv + dmax_h. If the former exceeds the latter for the
-    // nearest remaining out-site, no later out-site can cut either.
+    // Stop certificate first: it leaves every later out-site's bisectors
+    // strictly outside the cell, so stopping changes no output bit.
     ++pc.dist2_evals;
+    if (st.bound.stops(cand[a].first)) {
+#ifndef NDEBUG
+      assert_inside_from(sites, gens, cand, a, s.cur);
+#endif
+      return true;
+    }
+    // Lemma pruning: for any v in the cell, dist(v, u_j) >= |u_j - ref| - rv
+    // and dist(v, u_h) <= rv + dmax_h. If the former exceeds the latter for
+    // the nearest remaining out-site, no later out-site can cut either.
     if (beyond_bound(cand[a].first, uj, s.cur, st)) return true;
     const int j = cand[a].second;
+    const double c2 = geom::dist2(uj, st.bound.centre());
+    ++pc.dist2_evals;
     bool cut = false;
-    for (int h : gens) {
+    for (std::size_t g = 0; g < gens.size(); ++g) {
+      const int h = gens[g];
       const Vec2 uh = sites[static_cast<std::size_t>(h)];
-      // Quick reject: does the bisector actually cut the current cell?
-      // kTouch: some vertex lies on it (within kEps).
+      // The reject certificate holds for the ring it was fitted to and for
+      // every ring clipped from it since.
+      if (st.bound.rejects(g, cand[a].first, c2)) {
+        assert(geom::bisector_side_exact(uh, uj, s.cur) ==
+                   geom::RingSide::kInside &&
+               "reject certificate skipped a bisector that reaches the cell");
+        continue;
+      }
+      // Does the bisector actually cut the current cell? kTouch: some
+      // vertex lies on it (within kEps).
       const geom::RingSide side = geom::bisector_side(uh, uj, s.cur);
       if (side != geom::RingSide::kCut) {
         if (side == geom::RingSide::kTouch) s.touches.push_back(Swap{h, j});
@@ -172,10 +235,7 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
       cut = true;
       if (s.cur.empty()) break;
     }
-    if (cut) {
-      st.set_ring(geom::max_dist2(st.ref, s.cur));
-      pc.dist2_evals += s.cur.size();
-    }
+    if (cut && !s.cur.empty()) st.set_ring(sites, gens, s.cur);
   }
   return false;
 }
@@ -195,12 +255,13 @@ void cell_brute(const std::vector<Vec2>& sites, const std::vector<int>& gens,
 }
 
 // Grid path: gather candidates in expanding rings around the reference
-// generator. Once the gather radius R satisfies R >= 2 rv + dmax_h, any
-// site beyond R fails the clip_against pruning bound outright (its distance
-// exceeds R >= 2 rv + dmax_h), so the brute scan would have stopped at it —
-// the bounded candidate list yields the bit-identical cell. If every site
-// is gathered before the bound closes, the list has degenerated to the
-// exhaustive one (counted as a kernel fallback) and equality is trivial.
+// generator. Once the gather radius R reaches the stop radius
+// rv + R_H + slack, any site beyond R has dist2 above R^2 >= stop^2 and
+// fires the stop certificate outright, so the brute scan would have stopped
+// at it — the bounded candidate list yields the bit-identical cell. If
+// every site is gathered before the bound closes, the list has degenerated
+// to the exhaustive one (counted as a kernel fallback) and equality is
+// trivial.
 // Each expansion re-gathers and re-sorts the full disk rather than merging
 // in the new annulus: the bit-identity argument leans on the processed
 // prefix being a stable prefix of one sorted list, which a full re-gather
@@ -211,8 +272,8 @@ void cell_brute(const std::vector<Vec2>& sites, const std::vector<int>& gens,
 void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
                const std::vector<int>& gens, CellScratch& s, CellState& st) {
   const std::size_t n_out = sites.size() - gens.size();
-  double bound = 2.0 * st.exact_rv(s.cur) + st.dmax_h;
-  double radius = std::min(bound, st.dmax_h + grid.cell_size());
+  double radius =
+      std::min(st.bound.stop_radius(), st.dmax_h + grid.cell_size());
   std::size_t processed = 0;
   while (true) {
     grid.collect_within(st.ref, radius, s.cand);
@@ -230,8 +291,8 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
       ++perf::counters().kernel_fallbacks;
       return;
     }
-    bound = 2.0 * st.exact_rv(s.cur) + st.dmax_h;
-    if (radius >= bound) return;  // no ungathered site can pass the bound
+    const double bound = st.bound.stop_radius();
+    if (radius >= bound) return;  // every ungathered site stops the scan
     radius = std::min(radius * 2.0, bound);
   }
 }
@@ -399,19 +460,27 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
   return out;
 }
 
-// Seed sets for a dominating-region traversal around u_i.
+// Seed sets for a dominating-region traversal around u_i. The k nearest
+// sites are the prefix of the k + 1 nearest in the canonical (dist2, index)
+// order, so one query yields the first seed and the seed certificate.
 std::vector<std::vector<int>> region_seeds(const std::vector<Vec2>& sites,
                                            int i, int k,
                                            const wsn::SpatialGrid* grid) {
   const Vec2 ui = sites[static_cast<std::size_t>(i)];
   auto nearest = [&](Vec2 p) { return nearest_gens(sites, grid, p, k); };
   std::vector<std::vector<int>> seeds;
-  seeds.push_back(nearest(ui));
+  std::vector<int> first = nearest_gens(sites, grid, ui, k + 1);
+  const bool redundant = seed_probes_redundant(sites, i, k, first);
+  if (first.size() > static_cast<std::size_t>(k))
+    first.resize(static_cast<std::size_t>(k));
+  seeds.push_back(std::move(first));
+  // Every probe would push the first seed again: a visited-set no-op.
+  if (redundant) return seeds;
   // Extra probe seeds around u_i guard against degenerate ties at u_i
   // itself (e.g. when the k-nearest set at u_i has an empty cell).
   for (int dir = 0; dir < 8; ++dir) {
     const double ang = dir * M_PI / 4.0;
-    const Vec2 p = ui + Vec2{std::cos(ang), std::sin(ang)} * 1e-5;
+    const Vec2 p = ui + Vec2{std::cos(ang), std::sin(ang)} * kSeedProbeOffset;
     auto h = nearest(p);
     // Force i into the seed if the probe slipped outside its region.
     if (!std::count(h.begin(), h.end(), i) && !h.empty()) h.back() = i;
@@ -455,6 +524,73 @@ const wsn::SpatialGrid& scratch_grid(const std::vector<Vec2>& sites) {
 }
 
 }  // namespace
+
+void CellBound::fit(const std::vector<Vec2>& sites,
+                    const std::vector<int>& gens, const Ring& ring) {
+  // One pass over the vertices: rv2 and their bounding box.
+  const Vec2 ref = sites[static_cast<std::size_t>(gens.front())];
+  rv2_ = geom::max_dist2(ref, ring);
+  Vec2 lo = ring.front(), hi = ring.front();
+  for (const Vec2 v : ring) {
+    lo = {std::min(lo.x, v.x), std::min(lo.y, v.y)};
+    hi = {std::max(hi.x, v.x), std::max(hi.y, v.y)};
+  }
+  // The box's circumscribed disk holds every vertex, so R_h <= |u_h - c| +
+  // r_c for each generator but ref, whose R_h is rv itself. Each R_h waits
+  // in its Reach until the slack is known.
+  centre_ = geom::midpoint(lo, hi);
+  const double rc = 0.5 * std::sqrt(geom::dist2(lo, hi));
+  const double rv = std::sqrt(rv2_);
+  reach_.resize(gens.size());
+  reach_.front().centre2 = rv;
+  double rh = rv;
+  for (std::size_t g = 1; g < gens.size(); ++g) {
+    reach_[g].centre2 =
+        std::sqrt(geom::dist2(sites[static_cast<std::size_t>(gens[g])],
+                              centre_)) +
+        rc;
+    rh = std::max(rh, reach_[g].centre2);
+  }
+  perf::counters().dist2_evals += ring.size() + gens.size() - 1;
+  const double slack =
+      kCertAbs +
+      kCertRel * (rh + rc + std::abs(centre_.x) + std::abs(centre_.y));
+  if (!std::isfinite(slack)) {  // a NaN or inf vertex: certify nothing
+    stop_ = stop2_ = std::numeric_limits<double>::infinity();
+    reach_.assign(gens.size(), Reach{stop2_, stop2_});
+    return;
+  }
+  stop_ = rv + rh + slack;
+  stop2_ = stop_ * stop_;
+  for (Reach& r : reach_) {
+    const double rg = r.centre2;  // R_h
+    r.centre2 = (rg + rc + slack) * (rg + rc + slack);
+    r.ref2 = (rg + rv + slack) * (rg + rv + slack);
+  }
+}
+
+bool seed_probes_redundant(const std::vector<Vec2>& sites, int i, int k,
+                           const std::vector<int>& nearest) {
+  const auto kk = static_cast<std::size_t>(k);
+  if (k <= 0 || nearest.size() < kk ||
+      std::find(nearest.begin(), nearest.begin() + k, i) ==
+          nearest.begin() + k)
+    return false;
+  if (nearest.size() == kk) return true;  // no other site to swap in
+  // A probe point p lies within kSeedProbeOffset (plus ulps of u_i) of
+  // u_i, so each site's distance from p is within that of its distance
+  // from u_i: a gap over twice the offset plus slack keeps the k nearest
+  // sites at p, and their (dist2, index) order's first k, the same set.
+  const Vec2 ui = sites[static_cast<std::size_t>(i)];
+  const auto dist_to = [&](int s) {
+    return std::sqrt(geom::dist2(sites[static_cast<std::size_t>(s)], ui));
+  };
+  const double dk = dist_to(nearest[kk - 1]), dk1 = dist_to(nearest[kk]);
+  perf::counters().dist2_evals += 2;
+  const double slack =
+      kCertAbs + kCertRel * (dk1 + std::abs(ui.x) + std::abs(ui.y));
+  return dk1 - dk > 2.0 * kSeedProbeOffset + slack;
+}
 
 Ring order_k_cell(const std::vector<Vec2>& sites,
                   const std::vector<int>& gens,

@@ -30,18 +30,20 @@
 // candidate gathering (an exhaustive per-subset construction in the tests
 // is the reference for adjacency). The *grid* path routes every seed query
 // through a wsn::SpatialGrid and clips each cell against a distance-bounded
-// candidate list gathered from the grid in expanding rings: once the gather
-// radius R satisfies R >= 2 rv + dmax (rv = current max vertex distance of
-// the cell from the reference generator, dmax = generator spread), any site
-// beyond R fails the same pruning bound the brute loop breaks on, so the
-// two paths clip the same sites in the same order and produce bit-identical
-// cells (asserted against each other in Debug builds; if every site is
-// gathered before the bound closes, the gather has degenerated to the
-// exhaustive list, counted as a kernel_fallback). The default entry points
-// pick the grid path automatically above a small site count, reusing a
-// thread-local scratch grid, so all callers — the adaptive Lemma-1 solver,
-// the localized Algorithm-2 solver, tests, benches — share one accelerated
-// kernel.
+// candidate list gathered from the grid in expanding rings. Both paths take
+// out-sites in ascending distance from the reference generator and stop at
+// the first one past either of two bounds (rv = max vertex distance of the
+// cell from the reference, R_H = max vertex distance from any generator,
+// dmax = generator spread): the Lemma bound 2 rv + dmax, and the CellBound
+// certificate rv + R_H + slack below. Once the gather radius R reaches the
+// certificate, any site beyond R stops the scan outright, so the two paths
+// clip the same sites in the same order and produce bit-identical cells
+// (asserted against each other in Debug builds; if every site is gathered
+// before the bound closes, the gather has degenerated to the exhaustive
+// list, counted as a kernel_fallback). The default entry points pick the
+// grid path automatically above a small site count, reusing a thread-local
+// scratch grid, so all callers — the adaptive Lemma-1 solver, the localized
+// Algorithm-2 solver, tests, benches — share one accelerated kernel.
 #pragma once
 
 #include <vector>
@@ -60,9 +62,10 @@ struct OrderKCell {
 };
 
 /// Cell of an explicit generator set, clipped to the convex `window`.
-/// `others` lists candidate out-sites sorted by ascending distance from a
-/// reference point (pass all non-H sites; pruning is internal). Returns an
-/// empty ring when the cell is empty within the window.
+/// `others` lists candidate out-sites sorted by ascending distance from the
+/// first generator (pass all non-H sites; pruning is internal and stops at
+/// the first out-site past its bound). Returns an empty ring when the cell
+/// is empty within the window.
 geom::Ring order_k_cell(const std::vector<geom::Vec2>& sites,
                         const std::vector<int>& gens,
                         const std::vector<int>& others_sorted,
@@ -105,5 +108,73 @@ std::vector<OrderKCell> enumerate_order_k_cells(
 /// Exhaustive reference enumeration.
 std::vector<OrderKCell> enumerate_order_k_cells_brute(
     const std::vector<geom::Vec2>& sites, int k, const geom::Ring& window);
+
+// ------------------------------------------------ pruning certificates ----
+//
+// The cell engine bounds each cell ring of a generator set H by distances
+// that certify, in O(1), answers that would otherwise cost an O(ring)
+// bisector scan or a grid query. A certificate only ever answers "this
+// bisector leaves every vertex inside": whatever it skips,
+// geom::bisector_side would have classified kInside (no cut, no touch), so
+// cells, edge labels, cuts and touches stay bit-identical. Exposed for the
+// property tests in tests/test_orderk.cpp.
+
+/// Bounds of one cell ring. ref = u_{H.front()}; rv = max |v - ref| over
+/// the ring's vertices v; (c, r_c) is the disk circumscribing their
+/// bounding box; R_h bounds max |v - u_h| (rv for ref, |u_h - c| + r_c for
+/// the other generators) and R_H = max R_h.
+///  - stop: an out-site j with |u_j - ref| > rv + R_H + slack is farther
+///    than every generator from every vertex by more than slack
+///    (|v - u_j| >= |u_j - ref| - rv), and so is every farther out-site;
+///  - reject: the pair (h, j) alone, when |u_j - c| > R_h + r_c + slack or
+///    |u_j - ref| > R_h + rv + slack.
+/// A vertex nearer u_h than u_j by more than slack lies more than slack / 2
+/// inside their bisector, and slack exceeds 2 (kEps + the classifier's
+/// band) plus every rounding involved (see orderk.cpp). A clip only
+/// shrinks a ring (new vertices lie on old edges), so a bound fitted to an
+/// earlier ring of the same cell stays valid.
+class CellBound {
+ public:
+  /// Fit to `ring`, a non-empty cell ring of the generators `gens` (ref =
+  /// gens.front()), in one pass over the ring: |ring| + |gens| - 1 dist2
+  /// evaluations, counted.
+  void fit(const std::vector<geom::Vec2>& sites, const std::vector<int>& gens,
+           const geom::Ring& ring);
+
+  /// rv^2 (NaN when a vertex is NaN).
+  double rv2() const { return rv2_; }
+  /// The stop radius rv + R_H + slack around ref (+inf: never).
+  double stop_radius() const { return stop_; }
+  /// Stop certificate for an out-site at dist2 `s2` from ref.
+  bool stops(double s2) const { return s2 > stop2_; }
+  /// The disk's centre.
+  geom::Vec2 centre() const { return centre_; }
+  /// Reject certificate for the pair (gens[g], j), where `s2` and `c2` are
+  /// u_j's dist2 from ref and from the centre.
+  bool rejects(std::size_t g, double s2, double c2) const {
+    return c2 > reach_[g].centre2 || s2 > reach_[g].ref2;
+  }
+
+ private:
+  struct Reach {
+    double centre2 = 0, ref2 = 0;  // the two reject limits, squared
+  };
+  double rv2_ = 0;
+  double stop_ = 0, stop2_ = 0;
+  geom::Vec2 centre_;
+  std::vector<Reach> reach_;  // per generator
+};
+
+/// Offset of the eight probe seeds a dominating-region traversal places
+/// around u_i to guard against ties at u_i itself.
+inline constexpr double kSeedProbeOffset = 1e-5;
+
+/// Seed certificate. `nearest` lists the k + 1 sites nearest u_i in
+/// (dist2, index) order (fewer only when there are no more sites). When i
+/// is among the first k and the (k+1)-th lies farther than the k-th by more
+/// than 2 kSeedProbeOffset + slack, every probe point's k nearest are that
+/// same set, so each probe seed repeats the first seed; returns true then.
+bool seed_probes_redundant(const std::vector<geom::Vec2>& sites, int i, int k,
+                           const std::vector<int>& nearest);
 
 }  // namespace laacad::vor

@@ -108,6 +108,25 @@ TEST(ManifestCodec, HeaderRoundTripsWithAndWithoutShard) {
   EXPECT_FALSE(campaign::parse_manifest_header(
       "laacad.campaign.manifest.v1 fp=1 trials=1 metrics=1 "
       "shard=4294967296/3"));
+  // The fingerprint is 1-16 lowercase hex digits, nothing strtoull would
+  // also take: no sign, no 0x prefix, no upper case, no 17th digit
+  // (clamped to ffffffffffffffff) and no empty value.
+  for (const char* fp : {"-1", "+1f", "0x1f", "1F", "10000000000000000",
+                         "0000000000000001f", ""}) {
+    EXPECT_FALSE(campaign::parse_manifest_header(
+        std::string("laacad.campaign.manifest.v1 fp=") + fp +
+        " trials=1 metrics=1"))
+        << "fp=" << fp;
+  }
+  const auto widest = campaign::parse_manifest_header(
+      "laacad.campaign.manifest.v1 fp=ffffffffffffffff trials=1 metrics=1");
+  ASSERT_TRUE(widest);
+  EXPECT_EQ(widest->fingerprint, 0xffffffffffffffffULL);
+  header.fingerprint = 0;
+  header.shard = ShardSpec{};
+  EXPECT_EQ(campaign::parse_manifest_header(
+                campaign::format_manifest_header(header)),
+            header);
 }
 
 // A row longer than kMaxLineBytes ends the replay like a torn tail, even

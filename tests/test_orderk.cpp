@@ -452,14 +452,16 @@ TEST(SliverEdges, DominatingRegionMatchesOracleNearDegeneracy) {
 // 1 km^2, interior node, grid cell 50) in lockstep with
 // fig6_sites/interior_node in bench/bench_micro_kernels.cpp, whose
 // OrderKRegion{Brute,Grid} dist2_evals counters measure the same regime.
-TEST(GridKernel, HalvesDistanceEvalsOnFig6Config) {
+std::vector<Vec2> fig6_sites() {
   laacad::Rng rng(7);
   std::vector<Vec2> sites;
   for (int i = 0; i < 400; ++i)
     sites.push_back({rng.uniform(0, 1000), rng.uniform(0, 1000)});
-  sites = separate_sites(sites);
-  const Ring window = {{0, 0}, {1000, 0}, {1000, 1000}, {0, 1000}};
-  // Interior-most node, as in the benches.
+  return separate_sites(sites);
+}
+
+// Interior-most node, as in the benches.
+int fig6_center(const std::vector<Vec2>& sites) {
   int center = 0;
   double best = 1e18;
   for (int i = 0; i < 400; ++i) {
@@ -469,6 +471,13 @@ TEST(GridKernel, HalvesDistanceEvalsOnFig6Config) {
       center = i;
     }
   }
+  return center;
+}
+
+TEST(GridKernel, HalvesDistanceEvalsOnFig6Config) {
+  const std::vector<Vec2> sites = fig6_sites();
+  const Ring window = {{0, 0}, {1000, 0}, {1000, 1000}, {0, 1000}};
+  const int center = fig6_center(sites);
 
   auto& pc = laacad::perf::counters();
   for (int k : {1, 2, 3}) {
@@ -511,6 +520,186 @@ TEST(GridKernel, ExactFallbacksStayRareOnUniformSites) {
   EXPECT_LE(pc.exact_fallbacks * 1000, pc.dist2_evals)
       << "exact_fallbacks=" << pc.exact_fallbacks
       << " dist2_evals=" << pc.dist2_evals;
+}
+
+// The certificates spare most bisector scans: on the fig6 configuration
+// the kernel scans at most 2.5 bisectors per clip at k = 2 and 3 (the
+// clips themselves are necessary). Without them it scanned 8.0 and 10.3
+// per clip; with them 1.7 and 2.1. The seed certificate leaves one k + 1
+// nearest query where nine k-nearest queries ran before.
+TEST(GridKernel, CertificatesSpareBisectorScansOnFig6Config) {
+  const std::vector<Vec2> sites = fig6_sites();
+  const Ring window = {{0, 0}, {1000, 0}, {1000, 1000}, {0, 1000}};
+  const int center = fig6_center(sites);
+  const wsn::SpatialGrid grid(sites, 50.0);
+  auto& pc = laacad::perf::counters();
+  for (int k : {2, 3}) {
+    pc.reset();
+    const auto cells = dominating_region_cells(sites, grid, center, k, window);
+    EXPECT_GT(pc.clip_calls, 0u);
+    EXPECT_LE(pc.bisector_scans * 2, pc.clip_calls * 5)
+        << "k=" << k << " bisector_scans=" << pc.bisector_scans
+        << " clip_calls=" << pc.clip_calls;
+    // One seed query, one gather per cell (plus rare expansions).
+    EXPECT_LE(pc.grid_queries, 1 + 2 * cells.size()) << "k=" << k;
+  }
+}
+
+// ------------------------------------------------ pruning certificates ----
+
+// The inputs the certificates are checked on: uniform random sites, an
+// exact square lattice (ties everywhere), and co-located triples pulled
+// apart by separate_sites (near-coincident bisectors).
+std::vector<std::pair<std::string, std::vector<Vec2>>> certificate_inputs() {
+  laacad::Rng rng(61);
+  std::vector<Vec2> random, lattice, stacked;
+  for (int i = 0; i < 60; ++i)
+    random.push_back({rng.uniform(2, 98), rng.uniform(2, 98)});
+  for (int r = 0; r < 6; ++r)
+    for (int c = 0; c < 6; ++c)
+      lattice.push_back({10.0 + 16 * c, 10.0 + 16 * r});
+  for (int a = 0; a < 12; ++a) {
+    const Vec2 at{rng.uniform(5, 95), rng.uniform(5, 95)};
+    for (int g = 0; g < 3; ++g) stacked.push_back(at);
+  }
+  return {{"random", separate_sites(random)},
+          {"lattice", lattice},
+          {"stacked", separate_sites(stacked)}};
+}
+
+// Every pair (gens[g], j) that `bound` lets the kernel skip — by the stop
+// certificate or the reject certificate — must leave `ring` strictly
+// inside the bisector: bisector_side_exact answers kInside. `ring` is the
+// ring the bound was fitted to or one clipped from it. Returns the number
+// of skipped pairs.
+int expect_skips_inside(const std::vector<Vec2>& sites,
+                        const std::vector<int>& gens, const CellBound& bound,
+                        const Ring& ring, const std::string& what) {
+  const Vec2 ref = sites[static_cast<std::size_t>(gens.front())];
+  int skips = 0;
+  for (int j = 0; j < static_cast<int>(sites.size()); ++j) {
+    if (std::binary_search(gens.begin(), gens.end(), j)) continue;
+    const Vec2 uj = sites[static_cast<std::size_t>(j)];
+    const double s2 = geom::dist2(uj, ref);
+    const double c2 = geom::dist2(uj, bound.centre());
+    const bool stop = bound.stops(s2);
+    for (std::size_t g = 0; g < gens.size(); ++g) {
+      if (!stop && !bound.rejects(g, s2, c2)) continue;
+      ++skips;
+      EXPECT_EQ(geom::bisector_side_exact(
+                    sites[static_cast<std::size_t>(gens[g])], uj, ring),
+                geom::RingSide::kInside)
+          << what << " h=" << gens[g] << " j=" << j
+          << (stop ? " (stop)" : " (reject)");
+    }
+  }
+  return skips;
+}
+
+TEST(CellBound, EverySkippedBisectorLeavesTheCellInside) {
+  const Ring window = window100();
+  for (const auto& [name, sites] : certificate_inputs()) {
+    for (int k = 1; k <= 3; ++k) {
+      int skips = 0;
+      for (const OrderKCell& cell :
+           enumerate_order_k_cells_brute(sites, k, window)) {
+        const std::string what = name + " k=" + std::to_string(k) + " cell " +
+                                 ::testing::PrintToString(cell.gens);
+        CellBound on_cell, on_window;
+        on_cell.fit(sites, cell.gens, cell.poly);
+        on_window.fit(sites, cell.gens, window);
+        skips +=
+            expect_skips_inside(sites, cell.gens, on_cell, cell.poly, what);
+        skips += expect_skips_inside(sites, cell.gens, on_window, window,
+                                     what + " window bound");
+        // A bound fitted to an earlier, larger ring stays valid.
+        skips += expect_skips_inside(sites, cell.gens, on_window, cell.poly,
+                                     what + " stale window bound");
+      }
+      EXPECT_GT(skips, 0) << name << " k=" << k;
+    }
+  }
+}
+
+TEST(CellBound, NearMissesAtTheThresholdAreNotSkipped) {
+  // u_j = u_h + 2 (1 + t) (v - u_h) for the vertex v farthest from u_h:
+  // at t = 0 the bisector runs through v (kTouch), and v sinks inside it
+  // only by about t |v - u_h|. Sweep t from 1e-16 to 1e-2 over generators
+  // inside and outside a unit-scale and a km-scale square: wherever a
+  // certificate skips, the exact classifier must say kInside, and the
+  // certificates must start skipping once t clears their slack.
+  for (const double side : {1.0, 1000.0}) {
+    const Ring square = {{0, 0}, {side, 0}, {side, side}, {0, side}};
+    for (const Vec2 h : {Vec2{0.3, 0.6} * side, Vec2{-0.5, 0.2} * side,
+                         Vec2{0.5, 0.5} * side}) {
+      Vec2 far = square.front();
+      for (const Vec2 v : square)
+        if (geom::dist2(v, h) > geom::dist2(far, h)) far = v;
+      int skipped = 0;
+      for (double t = 1e-16; t < 2e-2; t *= 3.0) {
+        const std::vector<Vec2> sites = {h, h + (far - h) * (2.0 * (1.0 + t))};
+        CellBound bound;
+        bound.fit(sites, {0}, square);
+        skipped += expect_skips_inside(
+            sites, {0}, bound, square,
+            "side=" + std::to_string(side) + " t=" + std::to_string(t));
+      }
+      EXPECT_GT(skipped, 0) << "side=" << side;
+    }
+  }
+}
+
+// Some k fires on every input: the lattice's equidistant neighbours and
+// the stacked triples' 1e-7 m spacing leave no gap at other k.
+TEST(SeedCertificate, FiresOnlyWhenEveryProbeRepeatsTheFirstSeed) {
+  for (const auto& [name, sites] : certificate_inputs()) {
+    int fired = 0;
+    for (int k = 1; k <= 3; ++k) {
+      for (int i = 0; i < static_cast<int>(sites.size()); ++i) {
+        const Vec2 ui = sites[static_cast<std::size_t>(i)];
+        const auto nearest = k_nearest_brute(sites, ui, k + 1);
+        if (!seed_probes_redundant(sites, i, k, nearest)) continue;
+        ++fired;
+        std::vector<int> first(nearest.begin(), nearest.begin() + k);
+        std::sort(first.begin(), first.end());
+        for (int dir = 0; dir < 8; ++dir) {
+          const double ang = dir * M_PI / 4.0;
+          const Vec2 p =
+              ui + Vec2{std::cos(ang), std::sin(ang)} * kSeedProbeOffset;
+          auto probe = k_nearest_brute(sites, p, k);
+          std::sort(probe.begin(), probe.end());
+          EXPECT_EQ(probe, first) << name << " k=" << k << " i=" << i
+                                  << " dir=" << dir;
+        }
+      }
+    }
+    EXPECT_GT(fired, 0) << name;
+  }
+}
+
+TEST(SeedCertificate, RefusesAGapAProbeCanClose) {
+  // k = 2 around site 0: site 1 sits 1 mm west, site 2 1 mm plus `gap`
+  // east. The east probe is kSeedProbeOffset nearer site 2 and farther
+  // from site 1, so it swaps them exactly when gap < 2 kSeedProbeOffset.
+  for (const double gap : {1.9e-5, 2.1e-5}) {
+    const std::vector<Vec2> sites = {{0, 0}, {-1e-3, 0}, {1e-3 + gap, 0}};
+    auto probe = k_nearest_brute(sites, {kSeedProbeOffset, 0}, 2);
+    std::sort(probe.begin(), probe.end());
+    const bool same = probe == std::vector<int>{0, 1};
+    EXPECT_EQ(same, gap > 2 * kSeedProbeOffset) << "gap=" << gap;
+    EXPECT_EQ(seed_probes_redundant(sites, 0, 2,
+                                    k_nearest_brute(sites, sites[0], 3)),
+              same)
+        << "gap=" << gap;
+  }
+  // Site 0 outside its own k nearest (a co-located lower index wins the
+  // tie): the probes force it in, so they are never redundant.
+  const std::vector<Vec2> tie = {{5, 5}, {5, 5}, {9, 9}};
+  EXPECT_FALSE(
+      seed_probes_redundant(tie, 1, 1, k_nearest_brute(tie, tie[1], 2)));
+  // No site beyond the k nearest: every probe returns all of them.
+  EXPECT_TRUE(
+      seed_probes_redundant(tie, 0, 3, k_nearest_brute(tie, tie[0], 4)));
 }
 
 // -------------------------------------------- full-diagram enumeration ----

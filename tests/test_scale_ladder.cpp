@@ -55,10 +55,16 @@ std::uint64_t bits(double d) {
 // metric plus the final node states. Any reordering of the reduction, any
 // change to grid slot order that leaks into candidate order, any FP
 // re-association in the hot path shows up here as a different hash.
-std::uint64_t run_hash(const std::string& backend, int threads) {
+// `stacked` swaps the start for 50 co-located pairs (wsn::stacked, the
+// paper's clustered equilibrium for k = 2, 1 mm jitter): bisectors of
+// near-coincident generators, where the kernel's margins are thinnest.
+std::uint64_t run_hash(const std::string& backend, int threads,
+                       bool stacked = false) {
   wsn::Domain domain = wsn::Domain::square_km();
   Rng rng(3);
-  const auto initial = wsn::deploy_corner(domain, 100, rng);
+  const auto initial =
+      stacked ? wsn::stacked(wsn::deploy_uniform(domain, 50, rng), 2, rng)
+              : wsn::deploy_corner(domain, 100, rng);
   wsn::Network net(&domain, initial, 150.0);
   core::LaacadConfig cfg;
   cfg.k = 2;
@@ -105,6 +111,20 @@ TEST(ScaleTrajectory, LocalizedBitIdenticalToPreRefactorBaseline) {
   for (int threads : {1, 2, 8})
     EXPECT_EQ(run_hash("localized", threads), kGoldenLocalized)
         << "threads=" << threads;
+}
+
+// Recorded on the kernel before its disk-certified pruning (stop bound,
+// per-pair reject, seed-probe skip): the pruning must not move a bit.
+constexpr std::uint64_t kGoldenStackedGlobal = 0xf4e32596e0d3a7d0ULL;
+constexpr std::uint64_t kGoldenStackedLocalized = 0x7ec2ee9c7be9529aULL;
+
+TEST(ScaleTrajectory, StackedBitIdenticalToParent) {
+  for (int threads : {1, 8}) {
+    EXPECT_EQ(run_hash("global", threads, true), kGoldenStackedGlobal)
+        << "threads=" << threads;
+    EXPECT_EQ(run_hash("localized", threads, true), kGoldenStackedLocalized)
+        << "threads=" << threads;
+  }
 }
 
 // --------------------------------------------------------------------------
