@@ -15,7 +15,7 @@
 // nightly job runs the full ladder. --budget loads that file;
 // dist2-evaluation budgets are enforced unconditionally for every
 // --trial-threads value (they are deterministic and machine-independent:
-// the thread pool folds every worker chunk's counter delta back into the
+// the thread pool folds every worker thread's counter delta back into the
 // measuring thread, so the totals are exact at any thread count), while
 // wall-clock and RSS caps apply only when LAACAD_ENFORCE_BUDGET is set in
 // the environment (CI runners), so developer laptops never flake on a
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       campaign::CampaignSpec rung = spec;
       rung.axes[0].values = {value};
       // A one-trial campaign runs on this thread with `workers` engine
-      // threads, and the engine pool folds its worker chunks' counter
+      // threads, and the engine pool folds its workers' counter
       // deltas back here — so this scope reads exact global totals for any
       // --trial-threads.
       campaign::CampaignOptions opt;

@@ -12,10 +12,10 @@
 //
 // Threading: each thread owns an independent block, so the counts a kernel
 // call produces land on the calling thread. common::ThreadPool::run()
-// closes the fan-out gap: it snapshots each worker chunk's block around the
-// chunk and folds the deltas into the *calling* thread's block after the
-// join (uint64 addition commutes, so the fold is deterministic for any
-// chunk schedule). A caller that brackets a parallel_for with snapshots of
+// closes the fan-out gap: it snapshots each worker's block around the
+// blocks of indices it claims and folds the deltas into the *calling*
+// thread's block after the join (uint64 addition commutes, so the fold is
+// deterministic for any block schedule). A caller that brackets a parallel_for with snapshots of
 // its own block therefore reads exact global totals for any thread count —
 // see obs::CounterScope for the snapshot-delta reader.
 #pragma once
@@ -36,7 +36,7 @@ struct KernelCounters {
 
   void reset() { *this = KernelCounters{}; }
 
-  /// Fold another block (typically a worker chunk's delta) into this one.
+  /// Fold another block (typically a pool worker's delta) into this one.
   void add(const KernelCounters& o) {
     dist2_evals += o.dist2_evals;
     clip_calls += o.clip_calls;

@@ -115,18 +115,18 @@ std::vector<int> Engine::dirty_nodes() const {
     ends.rebuild(pts, finite > 0 ? sum / finite : 1.0);
   }
 
-  auto next_moved = moved.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double support = cache_[i].support;
-    bool stale = !std::isfinite(support);
-    if (next_moved != moved.end() && *next_moved == static_cast<int>(i)) {
-      stale = true;
-      ++next_moved;
-    } else if (!stale && !moved.empty()) {
-      stale = !ends.within(pos[i], support).empty();
-    }
-    if (stale) dirty.push_back(static_cast<int>(i));
-  }
+  // Each node's test reads only positions and its own cache slot and
+  // writes its own flag, so the flags, compacted in node order below, are
+  // the same for every thread count and block schedule.
+  std::vector<unsigned char> stale(n);
+  common::parallel_for(pool_.get(), static_cast<int>(n), [&](int i) {
+    const auto u = static_cast<std::size_t>(i);
+    const double support = cache_[u].support;
+    stale[u] = !std::isfinite(support) || !same_bits(pos[u], cache_pos_[u]) ||
+               ends.any_within(pos[u], support);
+  });
+  for (std::size_t i = 0; i < n; ++i)
+    if (stale[i]) dirty.push_back(static_cast<int>(i));
   return dirty;
 }
 
@@ -139,7 +139,7 @@ void Engine::refresh(const std::vector<int>& dirty,
   cache_pos_.clear();
 
   // Each dirty slot is written by exactly one index, so the cache contents
-  // are independent of the chunk schedule. Providers that query the
+  // are independent of the block schedule. Providers that query the
   // network's spatial index warm it during begin_round (and
   // Network::grid() is safe under concurrent readers regardless).
   if (comm != nullptr) comm->assign(dirty.size(), wsn::CommStats{});

@@ -24,10 +24,11 @@
 // its previous result bit for bit, so trajectories, metrics and ranges are
 // exactly those of a full recompute. finalize() runs the same pass and then
 // only writes the cached circumradii as sensing ranges, so it reuses the
-// last round wherever nothing moved. The dirty set is a serial function of
-// positions only, hence identical for every thread count. The cache is
-// dropped by begin_phase() and whenever the node count or the domain
-// changes; the localized provider (infinite support) recomputes everything.
+// last round wherever nothing moved. The dirty set is a pure function of
+// positions, computed on the pool, hence identical for every thread count.
+// The cache is dropped by begin_phase() and whenever the node count or the
+// domain changes; the localized provider (infinite support) recomputes
+// everything.
 //
 // Memory is O(n), independent of round count and of region complexity: each
 // per-node region is reduced to a few doubles (target, radii) on the worker
@@ -189,7 +190,8 @@ class Engine {
   void snapshot_round();
 
   /// Ascending ids of the nodes whose cached result may be stale (every
-  /// node when the cache is invalid). Serial, positions only.
+  /// node when the cache is invalid). A pure function of positions and
+  /// the cache, computed on the round pool.
   std::vector<int> dirty_nodes() const;
 
   /// Recompute the `dirty` nodes' regions against the current snapshot and

@@ -39,7 +39,10 @@ void GlobalRegionProvider::begin_round(const wsn::Network& net, int k,
         "LaacadConfig::provider_auto_threshold) at this scale");
   }
   k_ = k;
-  sites_ = vor::separate_sites(net.positions());
+  {
+    obs::ScopedSpan span("separate", net.size());
+    sites_ = vor::separate_sites(net.positions());
+  }
   {
     obs::ScopedSpan span("grid_rebuild", net.size());
     grid_.rebuild(sites_, std::max(net.gamma(), 1.0), pool);

@@ -2,9 +2,9 @@
 //
 // `common/perf_counters.hpp` stays the lock-free thread-local substrate the
 // kernels increment (one add per event batch, Release-cheap).
-// common::ThreadPool::run() captures each worker chunk's counter delta and
+// common::ThreadPool::run() captures each worker thread's counter delta and
 // folds it into the calling thread's block after the join (uint64 addition
-// commutes, so the total is deterministic for any chunk schedule).
+// commutes, so the total is deterministic for any block schedule).
 // CounterScope reads that calling-thread block as before/after snapshots,
 // so dist²/clip/grid totals are exact for *any* num_threads.
 //

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/perf_counters.hpp"
@@ -599,12 +601,19 @@ Ring order_k_cell(const std::vector<Vec2>& sites,
   CellState st;
   if (!init_cell(sites, gens, window, s, st)) return {};
   // Honour the caller-provided order exactly; the keys feed the pruning
-  // test only.
+  // test, which stops at the first site past its bound and so is only
+  // sound when the keys never decrease.
   s.cand.clear();
   s.cand.reserve(others_sorted.size());
-  for (int j : others_sorted)
-    s.cand.emplace_back(
-        geom::dist2(sites[static_cast<std::size_t>(j)], st.ref), j);
+  for (int j : others_sorted) {
+    const double key = geom::dist2(sites[static_cast<std::size_t>(j)], st.ref);
+    if (!s.cand.empty() && key < s.cand.back().first)
+      throw std::invalid_argument(
+          "order_k_cell: others_sorted is not in ascending distance from "
+          "gens.front(); dist2 decreases at position " +
+          std::to_string(s.cand.size()));
+    s.cand.emplace_back(key, j);
+  }
   clip_against(sites, gens, s.cand, 0, s.cand.size(), s, st);
   return std::move(s.cur);
 }

@@ -64,8 +64,10 @@ struct OrderKCell {
 /// Cell of an explicit generator set, clipped to the convex `window`.
 /// `others` lists candidate out-sites sorted by ascending distance from the
 /// first generator (pass all non-H sites; pruning is internal and stops at
-/// the first out-site past its bound). Returns an empty ring when the cell
-/// is empty within the window.
+/// the first out-site past its bound). Equal distances may come in any
+/// order; a list whose distance decreases somewhere throws
+/// std::invalid_argument naming that position. Returns an empty ring when
+/// the cell is empty within the window.
 geom::Ring order_k_cell(const std::vector<geom::Vec2>& sites,
                         const std::vector<int>& gens,
                         const std::vector<int>& others_sorted,

@@ -1,6 +1,7 @@
 #include "voronoi/sites.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -14,13 +15,33 @@ using geom::Vec2;
 
 namespace {
 
+/// Site lists up to this size are prescreened by an x-sorted sweep on the
+/// stack (a region's gathered list); longer ones (a network snapshot) by a
+/// hash grid.
+constexpr std::size_t kSweepMaxSites = 256;
+
+/// True iff every coordinate is finite and divides by min_sep into a cell
+/// index far inside int64 (|c| < 2^62 min_sep, which leaves room for the
+/// one-cell probes), so both prescreens below may key and order the
+/// points. Anything else — a NaN, a coordinate past about 4.6e11 m at the
+/// default min_sep, a non-positive min_sep — goes straight to the pair
+/// loop, which handles it with plain comparisons.
+bool prescreenable(const std::vector<Vec2>& positions, double min_sep) {
+  const double limit = 0x1p62 * min_sep;
+  if (!(min_sep > 0.0) || !std::isfinite(limit)) return false;
+  return std::all_of(positions.begin(), positions.end(), [&](Vec2 p) {
+    return std::abs(p.x) < limit && std::abs(p.y) < limit;
+  });
+}
+
 /// True iff some pair of points lies strictly closer than min_sep. Hash-grid
 /// sweep with cell == min_sep: any violating pair shares a cell or sits in
 /// adjacent cells, so each point checks at most its 3x3 neighbourhood —
 /// O(n) expected, versus the O(n^2) scan it prescreens. Only a boolean
 /// leaves this function, so it cannot perturb the (order-sensitive,
-/// bit-pinned) separation loop below.
-bool has_close_pair(const std::vector<Vec2>& positions, double min_sep) {
+/// bit-pinned) separation loop. Needs prescreenable(positions, min_sep).
+bool has_close_pair_hashed(const std::vector<Vec2>& positions,
+                           double min_sep) {
   const double inv = 1.0 / min_sep;
   const double sep2 = min_sep * min_sep;
   // Key packs the two 64-bit cell coordinates (coordinates over metres-scale
@@ -58,22 +79,53 @@ bool has_close_pair(const std::vector<Vec2>& positions, double min_sep) {
   return false;
 }
 
+/// The same answer for short lists (at most kSweepMaxSites), by a sweep in
+/// ascending x on a stack copy. A pair whose x gap rounds to >= min_sep
+/// has dist2 >= min_sep^2 as the pair loop computes it (rounding is
+/// monotone and dy^2 >= 0), and so has every pair further along the
+/// sweep, so the sweep checks exactly the pairs the pair loop could find
+/// too close, with the pair loop's expression. Needs
+/// prescreenable(positions, min_sep).
+bool has_close_pair_swept(const std::vector<Vec2>& positions,
+                          double min_sep) {
+  // No default member initializers, so the buffer is not zero-filled.
+  struct XY {
+    double x, y;
+  };
+  std::array<XY, kSweepMaxSites> sorted;
+  const auto end = std::transform(positions.begin(), positions.end(),
+                                  sorted.begin(),
+                                  [](Vec2 p) { return XY{p.x, p.y}; });
+  std::sort(sorted.begin(), end, [](XY a, XY b) { return a.x < b.x; });
+  const double sep2 = min_sep * min_sep;
+  for (auto a = sorted.begin(); a != end; ++a)
+    for (auto b = a + 1; b != end && b->x - a->x < min_sep; ++b)
+      if (geom::dist2({a->x, a->y}, {b->x, b->y}) < sep2) return true;
+  return false;
+}
+
 }  // namespace
 
 std::vector<Vec2> separate_sites(std::vector<Vec2> positions, double min_sep) {
+  // Fast path: a prescreen proves the quadratic separation loop would find
+  // nothing to do (by far the common case — live networks only produce
+  // sub-min_sep pairs near the k >= 2 co-location equilibrium). Returning
+  // the input unchanged is exactly what the loop would do, so the fast
+  // path is bit-identical by construction. When a violating pair does
+  // exist we fall back to the original pairwise loop: its in-place,
+  // index-ordered mutations are part of the pinned deterministic contract
+  // and cannot be reordered.
+  if (prescreenable(positions, min_sep) &&
+      !(positions.size() <= kSweepMaxSites
+            ? has_close_pair_swept(positions, min_sep)
+            : has_close_pair_hashed(positions, min_sep)))
+    return positions;
+  return separate_sites_brute(std::move(positions), min_sep);
+}
+
+std::vector<Vec2> separate_sites_brute(std::vector<Vec2> positions,
+                                       double min_sep) {
   const std::size_t n = positions.size();
-  // Fast path for large site sets: a linear-time prescreen proves the
-  // quadratic separation loop would find nothing to do (by far the common
-  // case — live networks only produce sub-min_sep pairs near the k >= 2
-  // co-location equilibrium). Returning the input unchanged is exactly what
-  // the loop below would do, so the fast path is bit-identical by
-  // construction. When a violating pair does exist we fall back to the
-  // original pairwise loop: its in-place, index-ordered mutations are part
-  // of the pinned deterministic contract and cannot be reordered.
-  if (n > 256 && !has_close_pair(positions, min_sep)) return positions;
-  // O(n^2) in the worst case but the inner work only triggers for
-  // near-coincident pairs; region computations call this on small local
-  // lists, and full-network calls are once per round.
   for (std::size_t pass = 0; pass < std::size_t{kSeparationPasses}; ++pass) {
     bool moved = false;
     for (std::size_t a = 0; a < n; ++a) {

@@ -35,9 +35,16 @@ constexpr double max_separation_shift(int n,
 
 /// Returns a copy of `positions` where near-coincident points have been
 /// pushed apart deterministically (by index-dependent directions), leaving
-/// all other points untouched.
+/// all other points untouched. A prescreen returns the input as is when no
+/// pair is closer than min_sep; otherwise this is separate_sites_brute.
 std::vector<geom::Vec2> separate_sites(std::vector<geom::Vec2> positions,
                                        double min_sep = kMinSiteSeparation);
+
+/// The separation itself, with no prescreen: up to kSeparationPasses
+/// passes over all pairs in index order. The reference separate_sites
+/// must equal bit for bit.
+std::vector<geom::Vec2> separate_sites_brute(
+    std::vector<geom::Vec2> positions, double min_sep = kMinSiteSeparation);
 
 /// Indices of the k nearest sites to q among `sites` (brute force; intended
 /// for the small local site lists inside region computations). Includes a

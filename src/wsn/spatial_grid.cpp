@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/perf_counters.hpp"
@@ -80,11 +81,12 @@ void SpatialGrid::rebuild(const std::vector<Vec2>& points, double cell_size,
     return;
   }
 
-  // Parallel count-then-scatter. Chunk t covers the same contiguous index
-  // range ThreadPool::run assigns chunk t, so per-chunk histograms line up
-  // with the scatter pass. Final slot order: cells ascending, and within a
-  // cell chunks ascending then indices ascending — i.e. ascending point
-  // index, identical to the serial pass for every thread count.
+  // Parallel count-then-scatter over one chunk per thread. chunk_bounds
+  // fixes chunk t's contiguous index range, whichever thread runs it, so
+  // the per-chunk histograms line up with the scatter pass. Final slot
+  // order: cells ascending, and within a cell chunks ascending then
+  // indices ascending — i.e. ascending point index, identical to the
+  // serial pass for every thread count.
   const auto chunk_bounds = [&](int t) {
     const long long b = static_cast<long long>(t) * nn / threads;
     const long long e = static_cast<long long>(t + 1) * nn / threads;
@@ -142,6 +144,9 @@ int SpatialGrid::cell_index(int cx, int cy) const { return cy * nx_ + cx; }
 
 template <class Hit>
 void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
+  // A hit that returns bool ends the scan by returning true.
+  constexpr bool kStoppable =
+      std::is_same_v<std::invoke_result_t<Hit&, double, int>, bool>;
   const int r_cells = static_cast<int>(std::ceil(radius / cell_)) + 1;
   auto [cx, cy] = cell_of(q.x, q.y);
   const double r2 = radius * radius;
@@ -164,7 +169,16 @@ void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
         continue;
       }
       const double d2 = geom::dist2(Vec2{px_[slot], py_[slot]}, q);
-      if (d2 <= r2) hit(d2, order_[slot]);
+      if (!(d2 <= r2)) continue;
+      if constexpr (kStoppable) {
+        if (hit(d2, order_[slot])) {
+          checked -= static_cast<std::uint64_t>(end - 1 - j);  // unscanned
+          perf::counters().dist2_evals += checked;
+          return;
+        }
+      } else {
+        hit(d2, order_[slot]);
+      }
     }
   }
   perf::counters().dist2_evals += checked;
@@ -186,6 +200,17 @@ std::vector<int> SpatialGrid::within(Vec2 q, double radius) const {
        [&out](double, int idx) { out.push_back(idx); });
   std::sort(out.begin(), out.end());
   return out;
+}
+
+bool SpatialGrid::any_within(Vec2 q, double radius) const {
+  if (n_ == 0 || radius < 0.0) return false;
+  ++perf::counters().grid_queries;
+  bool found = false;
+  scan(q, radius, /*exclude=*/-1, [&found](double, int) {
+    found = true;
+    return true;
+  });
+  return found;
 }
 
 void SpatialGrid::collect_within(Vec2 q, double radius,

@@ -50,6 +50,10 @@ class SpatialGrid {
   /// to q itself), sorted ascending by index.
   std::vector<int> within(geom::Vec2 q, double radius) const;
 
+  /// within(q, radius) is non-empty: the same predicate and scan window,
+  /// but it allocates nothing and stops at the first hit.
+  bool any_within(geom::Vec2 q, double radius) const;
+
   /// Appends (dist2(p, q), index) for every point within `radius` of q into
   /// `out` (cleared first), sorted by (dist2, index) — the canonical
   /// nearest-first order shared with k_nearest(). Lets callers that need a
@@ -81,7 +85,8 @@ class SpatialGrid {
   int cell_index(int cx, int cy) const;
   /// The one radius scan: the clamped window of cell rows around q, calling
   /// hit(dist2, index) for every point within `radius` except `exclude`
-  /// (-1 = none), in slot order. Books the distance evaluations.
+  /// (-1 = none), in slot order; a hit that returns bool stops the scan by
+  /// returning true. Books the distance evaluations.
   template <class Hit>
   void scan(geom::Vec2 q, double radius, int exclude, Hit&& hit) const;
   void gather(geom::Vec2 q, double radius, int exclude,

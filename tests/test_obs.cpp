@@ -11,6 +11,7 @@
 //     write_json output is byte-identical to an untraced run's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "laacad/engine.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
@@ -375,6 +377,32 @@ TEST(Trace, StructureIdenticalAcrossThreadCounts) {
       reference = fp;
     else
       EXPECT_EQ(fp, reference) << "threads=" << threads;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(Trace, PoolChunkArgsSumToTheBlockCount) {
+  // One span per participating thread, labelled with the blocks it ran:
+  // 1000 indices on 4 threads are 64 blocks, 10 indices are 10.
+  for (const int n : {1000, 10}) {
+    const std::string path = temp_path("blocks" + std::to_string(n) + ".json");
+    common::ThreadPool pool(4);
+    start_trace(path);
+    pool.run(n, [](int) {});
+    stop_trace();
+    int spans = 0;
+    double blocks = 0.0;
+    for (const Span& s : complete_events(parse_file(path))) {
+      if (s.name != "pool_chunk") continue;
+      ++spans;
+      ASSERT_TRUE(s.has_n) << "pool_chunk carries its block count";
+      blocks += s.n;
+    }
+    EXPECT_GE(spans, 1) << "n=" << n;
+    EXPECT_LE(spans, pool.size()) << "n=" << n;
+    EXPECT_EQ(blocks, std::min(n, common::ThreadPool::kBlocksPerThread *
+                                      pool.size()))
+        << "n=" << n;
     std::remove(path.c_str());
   }
 }

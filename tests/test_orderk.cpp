@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/perf_counters.hpp"
@@ -56,6 +58,115 @@ TEST(Sites, CloserCount) {
   EXPECT_EQ(closer_count(pts, 2, {0, 0}), 2);
   EXPECT_EQ(closer_count(pts, 0, {0, 0}), 0);
   EXPECT_EQ(closer_count(pts, 1, {9, 0}), 0);
+}
+
+bool same_bits(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i].x) !=
+            std::bit_cast<std::uint64_t>(b[i].x) ||
+        std::bit_cast<std::uint64_t>(a[i].y) !=
+            std::bit_cast<std::uint64_t>(b[i].y))
+      return false;
+  return true;
+}
+
+// The prescreens only decide whether the pair loop runs, so separate_sites
+// must equal separate_sites_brute bit for bit. Inputs sit on both sides
+// of the sweep's cut-off: a column of equal x (the sweep's window never
+// closes on it), pairs planted exactly min_sep apart and just under, and
+// a power-of-two min_sep on which the planted gap is exact.
+TEST(Sites, PrescreenMatchesThePairLoopBitForBit) {
+  Rng rng(29);
+  int separated = 0, untouched = 0;
+  for (const double min_sep : {kMinSiteSeparation, 0x1p-20}) {
+    for (const int n : {2, 12, 75, 256, 300}) {
+      for (int variant = 0; variant < 6; ++variant) {
+        std::vector<Vec2> pts;
+        for (int i = 0; i < n; ++i) {
+          // Coordinates on a 2^-10 lattice, so a 0x1p-20 step is exact.
+          const auto lattice = [&] {
+            return std::floor(rng.uniform(0, 100) * 1024.0) / 1024.0;
+          };
+          pts.push_back({lattice(), lattice()});
+        }
+        const std::size_t a = 0, b = pts.size() / 2;
+        if (variant == 1)  // a column of equal x, spaced 1 m
+          for (std::size_t i = 0; i < pts.size(); i += 3)
+            pts[i] = {50.0, static_cast<double>(i % 97)};
+        if (variant == 2 && n > 1) pts[b] = pts[a] + Vec2{min_sep, 0.0};
+        if (variant == 3 && n > 1) pts[b] = pts[a] + Vec2{0.0, min_sep};
+        if (variant == 4 && n > 1)
+          pts[b] = pts[a] + Vec2{std::nextafter(min_sep, 0.0), 0.0};
+        if (variant == 5 && n > 1)
+          pts[b] = pts[a] + Vec2{0.6 * min_sep, 0.7 * min_sep};
+        const auto fast = separate_sites(pts, min_sep);
+        const auto brute = separate_sites_brute(pts, min_sep);
+        EXPECT_TRUE(same_bits(fast, brute))
+            << "min_sep=" << min_sep << " n=" << n << " variant=" << variant;
+        (same_bits(brute, pts) ? untouched : separated) += 1;
+      }
+    }
+  }
+  EXPECT_GT(separated, 0);
+  EXPECT_GT(untouched, 0);
+}
+
+// A NaN or a coordinate beyond int64 cells (about 9.2e11 m at 1e-7 m)
+// cannot be keyed or ordered; both prescreens hand such lists to the pair
+// loop instead of casting them.
+TEST(Sites, NonFiniteOrFarCoordinatesGoToThePairLoop) {
+  Rng rng(31);
+  for (const int n : {300, 40}) {
+    for (const Vec2 bad : {Vec2{std::nan(""), 5.0}, Vec2{1e13, 0.0},
+                           Vec2{-3.0, -1e300}, Vec2{0.0, HUGE_VAL}}) {
+      std::vector<Vec2> pts;
+      for (int i = 0; i < n; ++i)
+        pts.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
+      pts[static_cast<std::size_t>(n / 3)] = bad;
+      EXPECT_TRUE(same_bits(separate_sites(pts), separate_sites_brute(pts)))
+          << "n=" << n << " bad=(" << bad.x << "," << bad.y << ")";
+    }
+  }
+}
+
+// order_k_cell's pruning stops at the first out-site past its bound, so an
+// out-site list in index order would return a cell several times too
+// large (1 219.6 m^2 here, against 341.2 m^2 sorted). It must refuse it,
+// naming the first position where dist2 from gens.front() decreases.
+// Equal distances stay legal (the lattice oracles below pass them).
+TEST(OrderKCellInput, RefusesOutSitesNotSortedByDistance) {
+  Rng rng(2);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 40; ++i)
+    pts.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
+  const auto sites = separate_sites(pts);
+  const std::vector<int> gens = k_nearest_brute(sites, sites[0], 1);
+  const Vec2 ref = sites[static_cast<std::size_t>(gens.front())];
+  std::vector<int> others;
+  for (int i = 0; i < 40; ++i)
+    if (i != gens.front()) others.push_back(i);
+  std::size_t first_drop = 0;
+  for (std::size_t p = 1; p < others.size() && first_drop == 0; ++p)
+    if (geom::dist2(sites[static_cast<std::size_t>(others[p])], ref) <
+        geom::dist2(sites[static_cast<std::size_t>(others[p - 1])], ref))
+      first_drop = p;
+  ASSERT_GT(first_drop, 0u) << "index order happens to be sorted";
+  try {
+    (void)order_k_cell(sites, gens, others, window100());
+    FAIL() << "an unsorted out-site list was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("position " +
+                                         std::to_string(first_drop)),
+              std::string::npos)
+        << e.what();
+  }
+  std::stable_sort(others.begin(), others.end(), [&](int a, int b) {
+    return geom::dist2(sites[static_cast<std::size_t>(a)], ref) <
+           geom::dist2(sites[static_cast<std::size_t>(b)], ref);
+  });
+  EXPECT_NEAR(geom::area(order_k_cell(sites, gens, others, window100())),
+              341.2, 0.05);
 }
 
 // ------------------------------------------------------- order-1 cells ----

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "baselines/movement.hpp"
@@ -156,7 +159,29 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoIdentical) {
 // count — also across the disturbances the scenario and serving layers
 // apply between rounds without begin_phase(): external moves, a domain
 // swap, an interleaved region_of() and a mid-run finalize().
-RunRecord run_disturbed(int threads) {
+// Forwards to the global provider and counts compute() calls, so a test
+// can read how many regions each pass recomputed.
+class CountingProvider final : public RegionProvider {
+ public:
+  void begin_round(const wsn::Network& net, int k, std::uint64_t epoch,
+                   common::ThreadPool* pool) override {
+    inner_->begin_round(net, k, epoch, pool);
+  }
+  RegionOutput compute(wsn::NodeId i) const override {
+    calls_.fetch_add(1);
+    return inner_->compute(i);
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+  long calls() const { return calls_.load(); }
+
+ private:
+  std::shared_ptr<RegionProvider> inner_ = make_global_provider();
+  mutable std::atomic<long> calls_{0};
+};
+
+/// `recomputed`, when set, receives the regions each pass recomputed.
+RunRecord run_disturbed(int threads, std::vector<long>* recomputed = nullptr) {
   const wsn::Domain square = wsn::Domain::rectangle(240, 240);
   const wsn::Domain holed = wsn::Domain::rectangle(220, 240).with_rect_hole(
       {90, 90}, {140, 140});
@@ -166,18 +191,33 @@ RunRecord run_disturbed(int threads) {
   cfg.k = 2;
   cfg.epsilon = 1.0;
   cfg.num_threads = threads;
+  const auto counting = std::make_shared<CountingProvider>();
+  cfg.provider = counting;
   Engine engine(net, cfg);
   RunRecord rec;
+  long seen = 0;
+  const auto count_pass = [&] {
+    if (recomputed != nullptr) recomputed->push_back(counting->calls() - seen);
+    seen = counting->calls();
+  };
   for (int pass = 1; pass <= 40; ++pass) {
     if (pass == 3)
       for (const int i : {0, 21, 49})
         net.set_position(i, net.position(i) + Vec2{-6.0, 9.0});
-    if (pass == 5) (void)engine.region_of(7);
+    if (pass == 5) {
+      (void)engine.region_of(7);
+      count_pass();
+    }
     if (pass == 7) net.rebind_domain(&holed);
-    if (pass == 9) engine.finalize();
+    if (pass == 9) {
+      engine.finalize();
+      count_pass();
+    }
     rec.history.push_back(engine.step());
+    count_pass();
   }
   engine.finalize();
+  count_pass();
   rec.final_positions = net.positions();
   rec.final_ranges = net.sensing_ranges();
   return rec;
@@ -186,6 +226,18 @@ RunRecord run_disturbed(int threads) {
 TEST(ParallelDeterminism, IncrementalRoundsIdenticalAcrossThreadCounts) {
   const RunRecord serial = run_disturbed(1);
   expect_bit_identical(serial, run_disturbed(4), 4);
+}
+
+// The dirty scan runs on the engine pool; which nodes it marks must not
+// depend on the thread count, pass by pass.
+TEST(ParallelDeterminism, IncrementalRoundsRecomputeSameNodesAcrossThreadCounts) {
+  std::vector<long> serial, pooled;
+  run_disturbed(1, &serial);
+  run_disturbed(4, &pooled);
+  EXPECT_EQ(pooled, serial);
+  // Some pass reused cached regions, or the scan decided nothing.
+  ASSERT_FALSE(serial.empty());
+  EXPECT_LT(*std::min_element(serial.begin(), serial.end()), 50);
 }
 
 // The localized snapshot (boundary verdicts, connectivity model) built on a

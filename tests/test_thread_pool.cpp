@@ -1,22 +1,28 @@
-// common::ThreadPool / parallel_for: partition coverage, exception
-// propagation, nested-use rejection, and the 0/1/N worker-count contract.
+// common::ThreadPool / parallel_for: block coverage, exception
+// propagation, counter folding, nested-use rejection, and the 0/1/N
+// worker-count contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/perf_counters.hpp"
 #include "common/thread_pool.hpp"
 
 namespace laacad::common {
 namespace {
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+  // n straddles the block count (16 blocks per thread: 64 at 4 threads)
+  // and the one-index-per-block regime.
   for (int threads : {1, 2, 3, 8}) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.size(), threads);
-    for (int n : {0, 1, 2, 7, 100}) {
+    for (int n : {0, 1, 2, 63, 64, 65, 1000}) {
       std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
       pool.run(n, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
       for (int i = 0; i < n; ++i)
@@ -39,9 +45,9 @@ TEST(ThreadPool, NegativeThreadCountRejected) {
 }
 
 TEST(ThreadPool, PropagatesLowestChunkException) {
-  // Multiple chunks throw; the rethrown exception must be the one from the
-  // lowest-indexed chunk (deterministic regardless of timing). With 4
-  // threads and n = 4 each chunk is a single index.
+  // Multiple blocks throw; the rethrown exception must be the one from the
+  // lowest-indexed block (deterministic regardless of timing). With 4
+  // threads and n = 4 each block is a single index.
   ThreadPool pool(4);
   try {
     pool.run(4, [](int i) {
@@ -50,6 +56,16 @@ TEST(ThreadPool, PropagatesLowestChunkException) {
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 2");
+  }
+  // 1000 indices over 64 blocks: every block from the one holding 500 on
+  // throws, and whichever thread claims it, that block stops at 500 first.
+  try {
+    pool.run(1000, [](int i) {
+      if (i >= 500) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "500");
   }
 }
 
@@ -63,16 +79,41 @@ TEST(ThreadPool, PoolRemainsUsableAfterException) {
 }
 
 TEST(ThreadPool, NestedRunRejected) {
-  ThreadPool pool(2);
-  std::atomic<bool> nested_threw{false};
-  pool.run(2, [&](int) {
+  // Every index tries, so the blocks claimed last are tried too: a thread
+  // that has claimed any block is still inside the pool.
+  ThreadPool pool(3);
+  const int n = 1000;
+  std::atomic<int> nested_threw{0};
+  pool.run(n, [&](int) {
     try {
       pool.run(2, [](int) {});
     } catch (const std::logic_error&) {
-      nested_threw = true;
+      ++nested_threw;
     }
   });
-  EXPECT_TRUE(nested_threw.load());
+  EXPECT_EQ(nested_threw.load(), n);
+}
+
+TEST(ThreadPool, CounterTotalsEqualTheSerialRun) {
+  // Each index books i % 7 + 1 dist2 evaluations and one grid query; the
+  // caller's block must read the serial totals for any pool size.
+  const auto body = [](int i) {
+    perf::counters().dist2_evals += static_cast<std::uint64_t>(i % 7 + 1);
+    ++perf::counters().grid_queries;
+  };
+  const int n = 1000;
+  const perf::KernelCounters before_serial = perf::counters();
+  parallel_for(nullptr, n, body);
+  const perf::KernelCounters serial = perf::counters().diff(before_serial);
+  for (int threads : {2, 3, 8}) {
+    ThreadPool pool(threads);
+    const perf::KernelCounters before = perf::counters();
+    pool.run(n, body);
+    const perf::KernelCounters pooled = perf::counters().diff(before);
+    EXPECT_EQ(pooled.dist2_evals, serial.dist2_evals) << "threads=" << threads;
+    EXPECT_EQ(pooled.grid_queries, serial.grid_queries)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParallelFor, NullPoolRunsSerially) {

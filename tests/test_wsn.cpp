@@ -40,6 +40,30 @@ TEST(SpatialGrid, WithinMatchesBruteForce) {
   }
 }
 
+TEST(SpatialGrid, AnyWithinAgreesWithWithin) {
+  Rng rng(17);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 200; ++i)
+    pts.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
+  SpatialGrid grid(pts, 6.0);
+  std::vector<Vec2> queries = {pts[0], pts[57], {-500, 50}, {50, 1e5},
+                               {-1e4, -1e4}, {100, 100}};
+  for (int trial = 0; trial < 40; ++trial)
+    queries.push_back({rng.uniform(-20, 120), rng.uniform(-20, 120)});
+  int hits = 0, misses = 0;
+  for (const Vec2 q : queries) {
+    for (const double r : {-1.0, 0.0, 0.5, 3.0, 12.0, 80.0, 2e5}) {
+      const bool any = grid.any_within(q, r);
+      EXPECT_EQ(any, !grid.within(q, r).empty())
+          << "q=(" << q.x << "," << q.y << ") r=" << r;
+      (any ? hits : misses) += 1;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  EXPECT_FALSE(SpatialGrid().any_within({0, 0}, 1.0));
+}
+
 TEST(SpatialGrid, KNearestMatchesBruteForce) {
   Rng rng(13);
   std::vector<Vec2> pts;
