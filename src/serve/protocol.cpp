@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/flatjson.hpp"
@@ -71,8 +72,14 @@ std::string handle_knn(CoverageService& svc, const std::string& line,
       !std::isfinite(y))
     return error_response("knn needs finite numbers x and y");
   int k = 1;
-  if (flatjson::get_number(line, "k", &kd)) k = static_cast<int>(kd);
-  if (k < 1) return error_response("knn needs k >= 1");
+  if (flatjson::get_number(line, "k", &kd)) {
+    // Checked as a double: casting a NaN, 1e20 or 2.5 would be undefined
+    // or silently serve another k.
+    if (!(kd >= 1.0 && kd <= std::numeric_limits<int>::max()) ||
+        kd != std::floor(kd))
+      return error_response("knn needs an integer k >= 1");
+    k = static_cast<int>(kd);
+  }
 
   const auto snap = svc.snapshot();
   const auto nodes = snap->closest_nodes({x, y}, k);

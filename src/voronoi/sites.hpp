@@ -35,8 +35,11 @@ constexpr double max_separation_shift(int n,
 
 /// Returns a copy of `positions` where near-coincident points have been
 /// pushed apart deterministically (by index-dependent directions), leaving
-/// all other points untouched. A prescreen returns the input as is when no
-/// pair is closer than min_sep; otherwise this is separate_sites_brute.
+/// all other points untouched. One prescreen serves every list size: a
+/// sweep over a copy sorted by (x, y) returns the input as is when it
+/// proves no pair closer than min_sep, in O(n log n) for lists with no
+/// crowded min_sep band. Otherwise — and for a non-finite coordinate or a
+/// min_sep that is not finite and > 0 — this is separate_sites_brute.
 std::vector<geom::Vec2> separate_sites(std::vector<geom::Vec2> positions,
                                        double min_sep = kMinSiteSeparation);
 

@@ -132,12 +132,31 @@ void SpatialGrid::rebuild(const std::vector<Vec2>& points, double cell_size,
   });
 }
 
+namespace {
+
+/// `c` (a whole number of cells, or NaN) clamped to [0, n - 1] while still
+/// a double, so a far or non-finite coordinate casts nothing out of int's
+/// range; NaN maps to 0.
+int clamp_cell(double c, int n) {
+  return c > 0.0 ? (c < n - 1 ? static_cast<int>(c) : n - 1) : 0;
+}
+
+}  // namespace
+
 std::pair<int, int> SpatialGrid::cell_of(double x, double y) const {
-  int cx = static_cast<int>(std::floor((x - origin_.x) / cell_));
-  int cy = static_cast<int>(std::floor((y - origin_.y) / cell_));
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return {cx, cy};
+  return {clamp_cell(std::floor((x - origin_.x) / cell_), nx_),
+          clamp_cell(std::floor((y - origin_.y) / cell_), ny_)};
+}
+
+std::pair<int, int> SpatialGrid::axis_window(double v, double origin,
+                                             double radius, int n) const {
+  // q's own cell (unclamped) plus ceil(radius / cell) cells and one more
+  // for rounding each way. Past 2^50 cells that slack drowns in rounding,
+  // so such a window (and an infinite radius) takes the whole axis.
+  const double c = std::floor((v - origin) / cell_);
+  const double reach = std::ceil(radius / cell_) + 1.0;
+  if (!(std::abs(c) + reach < 0x1p50)) return {0, n - 1};
+  return {clamp_cell(c - reach, n), clamp_cell(c + reach, n)};
 }
 
 int SpatialGrid::cell_index(int cx, int cy) const { return cy * nx_ + cx; }
@@ -147,14 +166,12 @@ void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
   // A hit that returns bool ends the scan by returning true.
   constexpr bool kStoppable =
       std::is_same_v<std::invoke_result_t<Hit&, double, int>, bool>;
-  const int r_cells = static_cast<int>(std::ceil(radius / cell_)) + 1;
-  auto [cx, cy] = cell_of(q.x, q.y);
+  // A NaN query point is within no distance of anything.
+  if (std::isnan(q.x) || std::isnan(q.y)) return;
+  const auto [x_lo, x_hi] = axis_window(q.x, origin_.x, radius, nx_);
+  const auto [y_lo, y_hi] = axis_window(q.y, origin_.y, radius, ny_);
   const double r2 = radius * radius;
   std::uint64_t checked = 0;
-  // Clamp the scan window up front: for far-outside queries r_cells can be
-  // orders of magnitude larger than the grid itself.
-  const int y_lo = std::max(0, cy - r_cells), y_hi = std::min(ny_ - 1, cy + r_cells);
-  const int x_lo = std::max(0, cx - r_cells), x_hi = std::min(nx_ - 1, cx + r_cells);
   for (int y = y_lo; y <= y_hi; ++y) {
     // One cell row is a contiguous slot range: batch the dist² evaluations
     // over the SoA coordinate slices instead of visiting cell by cell.
@@ -187,14 +204,14 @@ void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
 void SpatialGrid::gather(Vec2 q, double radius, int exclude,
                          std::vector<std::pair<double, int>>& out) const {
   out.clear();
-  if (n_ == 0 || radius < 0.0) return;
+  if (n_ == 0 || !(radius >= 0.0)) return;
   scan(q, radius, exclude,
        [&out](double d2, int idx) { out.emplace_back(d2, idx); });
 }
 
 std::vector<int> SpatialGrid::within(Vec2 q, double radius) const {
   std::vector<int> out;
-  if (n_ == 0 || radius < 0.0) return out;
+  if (n_ == 0 || !(radius >= 0.0)) return out;
   ++perf::counters().grid_queries;
   scan(q, radius, /*exclude=*/-1,
        [&out](double, int idx) { out.push_back(idx); });
@@ -203,7 +220,7 @@ std::vector<int> SpatialGrid::within(Vec2 q, double radius) const {
 }
 
 bool SpatialGrid::any_within(Vec2 q, double radius) const {
-  if (n_ == 0 || radius < 0.0) return false;
+  if (n_ == 0 || !(radius >= 0.0)) return false;
   ++perf::counters().grid_queries;
   bool found = false;
   scan(q, radius, /*exclude=*/-1, [&found](double, int) {
@@ -223,22 +240,30 @@ void SpatialGrid::collect_within(Vec2 q, double radius,
 
 std::vector<int> SpatialGrid::k_nearest(Vec2 q, int k, int exclude) const {
   std::vector<int> out;
-  if (n_ == 0 || k <= 0) return out;
+  if (n_ == 0 || k <= 0 || std::isnan(q.x) || std::isnan(q.y)) return out;
   ++perf::counters().grid_queries;
   // Expanding-radius search. `cover` provably reaches every point from q
   // wherever q lies — also outside the points' bounding box, where the old
   // grid-diagonal cap could stop the expansion while points were still
-  // beyond the last gathered radius.
+  // beyond the last gathered radius. No point lies nearer than `base`,
+  // q's distance to the grid box (0 inside it), so the radius grows from
+  // there: a far query starts at the box edge instead of doubling its way
+  // out to it over windows that span the whole grid.
   const Vec2 hi{origin_.x + nx_ * cell_, origin_.y + ny_ * cell_};
   const double span_x = std::max(std::abs(q.x - origin_.x), std::abs(hi.x - q.x));
   const double span_y = std::max(std::abs(q.y - origin_.y), std::abs(hi.y - q.y));
   const double cover = std::hypot(span_x, span_y) + cell_;
-  double radius = cell_;
+  const double base =
+      std::hypot(std::max({origin_.x - q.x, 0.0, q.x - hi.x}),
+                 std::max({origin_.y - q.y, 0.0, q.y - hi.y}));
+  double step = cell_;
+  double radius = base + step;
   std::vector<std::pair<double, int>> cand;
   while (true) {
     gather(q, radius, exclude, cand);
     if (static_cast<int>(cand.size()) >= k || radius >= cover) break;
-    radius = std::min(radius * 2.0, cover);
+    step *= 2.0;
+    radius = std::min(base + step, cover);
   }
   // Every gathered candidate lies within `radius` and every missing point
   // lies beyond it, so once k candidates exist the k nearest are among

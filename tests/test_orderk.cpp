@@ -71,17 +71,19 @@ bool same_bits(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
   return true;
 }
 
-// The prescreens only decide whether the pair loop runs, so separate_sites
+// The prescreen only decides whether the pair loop runs, so separate_sites
 // must equal separate_sites_brute bit for bit. Inputs sit on both sides
-// of the sweep's cut-off: a column of equal x (the sweep's window never
-// closes on it), pairs planted exactly min_sep apart and just under, and
-// a power-of-two min_sep on which the planted gap is exact.
+// of the sweep's cut-offs: columns of equal x (the x window never closes
+// on them, the y skip must), pairs planted exactly min_sep apart and just
+// under in x and in y, and a power-of-two min_sep on which the planted
+// gap is exact. At n = 2 000 (the global provider's snapshot size) the
+// first 1 100 sites form one column and the planted pair lies inside it.
 TEST(Sites, PrescreenMatchesThePairLoopBitForBit) {
   Rng rng(29);
   int separated = 0, untouched = 0;
   for (const double min_sep : {kMinSiteSeparation, 0x1p-20}) {
-    for (const int n : {2, 12, 75, 256, 300}) {
-      for (int variant = 0; variant < 6; ++variant) {
+    for (const int n : {2, 12, 75, 256, 300, 2000}) {
+      for (int variant = 0; variant < 7; ++variant) {
         std::vector<Vec2> pts;
         for (int i = 0; i < n; ++i) {
           // Coordinates on a 2^-10 lattice, so a 0x1p-20 step is exact.
@@ -94,12 +96,17 @@ TEST(Sites, PrescreenMatchesThePairLoopBitForBit) {
         if (variant == 1)  // a column of equal x, spaced 1 m
           for (std::size_t i = 0; i < pts.size(); i += 3)
             pts[i] = {50.0, static_cast<double>(i % 97)};
+        if (n >= 2000)  // nodes pinned on a vertical edge, 1/16 m apart
+          for (std::size_t i = 0; i < 1100; ++i)
+            pts[i] = {25.0, static_cast<double>(i) / 16.0};
         if (variant == 2 && n > 1) pts[b] = pts[a] + Vec2{min_sep, 0.0};
         if (variant == 3 && n > 1) pts[b] = pts[a] + Vec2{0.0, min_sep};
         if (variant == 4 && n > 1)
           pts[b] = pts[a] + Vec2{std::nextafter(min_sep, 0.0), 0.0};
         if (variant == 5 && n > 1)
           pts[b] = pts[a] + Vec2{0.6 * min_sep, 0.7 * min_sep};
+        if (variant == 6 && n > 1)
+          pts[b] = pts[a] + Vec2{0.0, std::nextafter(min_sep, 0.0)};
         const auto fast = separate_sites(pts, min_sep);
         const auto brute = separate_sites_brute(pts, min_sep);
         EXPECT_TRUE(same_bits(fast, brute))
@@ -112,9 +119,9 @@ TEST(Sites, PrescreenMatchesThePairLoopBitForBit) {
   EXPECT_GT(untouched, 0);
 }
 
-// A NaN or a coordinate beyond int64 cells (about 9.2e11 m at 1e-7 m)
-// cannot be keyed or ordered; both prescreens hand such lists to the pair
-// loop instead of casting them.
+// A NaN has no place in the sweep's (x, y) sort, so a list holding a NaN
+// or an infinity goes to the pair loop; finite far coordinates (1e13,
+// -1e300) take the sweep. Either way the result is the pair loop's.
 TEST(Sites, NonFiniteOrFarCoordinatesGoToThePairLoop) {
   Rng rng(31);
   for (const int n : {300, 40}) {

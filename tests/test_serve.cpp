@@ -405,6 +405,21 @@ TEST(Protocol, SessionAnswersEveryOp) {
   EXPECT_TRUE(flatjson::get_bool(knn, "ok", &flag) && flag) << knn;
   EXPECT_TRUE(flatjson::get_number(knn, "k", &num));
   EXPECT_EQ(num, 3.0);
+  // k is checked as a number before any cast: NaN (null), 1e20 and 2.5
+  // get one refusal line instead of undefined behaviour or a k of 2.
+  for (const std::string k : {"null", "1e20", "2.5", "0", "-1"})
+    EXPECT_EQ(ask(svc, R"({"op":"knn","x":50,"y":50,"k":)" + k + "}"),
+              R"({"ok":false,"error":"knn needs an integer k >= 1"})")
+        << "k=" << k;
+  // A query far outside the nodes' grid still finds its k nearest.
+  const std::string far = ask(svc, R"({"op":"knn","x":1e12,"y":0,"k":3})");
+  std::string nodes;
+  ASSERT_TRUE(flatjson::get_raw(far, "nodes", &nodes)) << far;
+  std::size_t ids = 0;
+  for (std::size_t at = nodes.find("\"id\""); at != std::string::npos;
+       at = nodes.find("\"id\"", at + 1))
+    ++ids;
+  EXPECT_EQ(ids, 3u) << far;
 
   const std::string cov50 = ask(svc, R"({"op":"coverage","x":50,"y":50})");
   EXPECT_TRUE(flatjson::get_bool(cov50, "covered_k", &flag)) << cov50;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "common/stats.hpp"
 #include "voronoi/sites.hpp"
@@ -29,9 +31,16 @@ TEST(SpatialGrid, WithinMatchesBruteForce) {
   for (int i = 0; i < 300; ++i)
     pts.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
   SpatialGrid grid(pts, 10.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Vec2 q{rng.uniform(0, 100), rng.uniform(0, 100)};
-    const double r = rng.uniform(1.0, 40.0);
+  // Past int cells the window is clamped in double before any cast:
+  // radius 1e300 reaches every point, a NaN radius or query point none.
+  const double nan = std::nan("");
+  const std::vector<std::pair<Vec2, double>> extreme = {
+      {{50, 50}, 1e300}, {{1e12, 0}, 1e300}, {{-7, -1e12}, 1e300},
+      {{50, 50}, nan},   {{nan, 50}, 1e300}, {{50, nan}, 10.0}};
+  for (int trial = 0; trial < 20 + static_cast<int>(extreme.size()); ++trial) {
+    Vec2 q{rng.uniform(0, 100), rng.uniform(0, 100)};
+    double r = rng.uniform(1.0, 40.0);
+    if (trial >= 20) std::tie(q, r) = extreme[static_cast<size_t>(trial - 20)];
     auto got = grid.within(q, r);
     std::vector<int> expect;
     for (int i = 0; i < 300; ++i)
@@ -46,13 +55,15 @@ TEST(SpatialGrid, AnyWithinAgreesWithWithin) {
   for (int i = 0; i < 200; ++i)
     pts.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
   SpatialGrid grid(pts, 6.0);
-  std::vector<Vec2> queries = {pts[0], pts[57], {-500, 50}, {50, 1e5},
-                               {-1e4, -1e4}, {100, 100}};
+  std::vector<Vec2> queries = {pts[0],       pts[57],    {-500, 50},
+                               {50, 1e5},    {-1e4, -1e4}, {100, 100},
+                               {1e12, -1e12}, {std::nan(""), 50}};
   for (int trial = 0; trial < 40; ++trial)
     queries.push_back({rng.uniform(-20, 120), rng.uniform(-20, 120)});
   int hits = 0, misses = 0;
   for (const Vec2 q : queries) {
-    for (const double r : {-1.0, 0.0, 0.5, 3.0, 12.0, 80.0, 2e5}) {
+    for (const double r :
+         {-1.0, 0.0, 0.5, 3.0, 12.0, 80.0, 2e5, 1e300, std::nan("")}) {
       const bool any = grid.any_within(q, r);
       EXPECT_EQ(any, !grid.within(q, r).empty())
           << "q=(" << q.x << "," << q.y << ") r=" << r;
@@ -62,6 +73,7 @@ TEST(SpatialGrid, AnyWithinAgreesWithWithin) {
   EXPECT_GT(hits, 0);
   EXPECT_GT(misses, 0);
   EXPECT_FALSE(SpatialGrid().any_within({0, 0}, 1.0));
+  EXPECT_TRUE(grid.k_nearest({std::nan(""), 50}, 3).empty());
 }
 
 TEST(SpatialGrid, KNearestMatchesBruteForce) {
@@ -83,7 +95,8 @@ TEST(SpatialGrid, KNearestMatchesBruteForce) {
 // with vor::k_nearest_brute over randomized site sets — including the
 // `exclude` path and query points far outside the points' bounding box
 // (where the pre-fix search could stop at its radius cap with points still
-// ungathered, returning a short or wrong answer).
+// ungathered, returning a short or wrong answer), out to coordinates of
+// +-1e12 m and +-1e300 m, where a cell count no longer fits an int.
 TEST(SpatialGrid, KNearestAgreesWithBruteProperty) {
   Rng rng(29);
   for (int round = 0; round < 8; ++round) {
@@ -107,6 +120,12 @@ TEST(SpatialGrid, KNearestAgreesWithBruteProperty) {
       Vec2 q{rng.uniform(0, 200), rng.uniform(0, 200)};
       if (trial % 4 == 0) {  // far outside the bounding box
         q = {rng.uniform(-3000, 5000), rng.uniform(2000, 9000)};
+      }
+      if (trial % 4 == 1) {  // one or both axes at +-1e4, +-1e12, +-1e300
+        constexpr double kFar[] = {1e4, -1e4, 1e12, -1e12, 1e300, -1e300};
+        const double far = kFar[(trial / 4) % 6];
+        if (trial % 3 != 2) q.x = far;
+        if (trial % 3 != 1) q.y = -far;
       }
       const int k = rng.uniform_int(1, std::min(n, 15));
       const int exclude = (trial % 3 == 0) ? rng.uniform_int(0, n - 1) : -1;
