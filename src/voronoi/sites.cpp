@@ -12,54 +12,56 @@ using geom::Vec2;
 
 namespace {
 
-/// True iff the sweep below may run: min_sep is finite and > 0 and every
-/// coordinate is finite. A NaN has no place in the (x, y) order std::sort
-/// needs, so such a list, like a non-positive min_sep, goes straight to
-/// the pair loop, which handles it with plain comparisons.
-bool prescreenable(const std::vector<Vec2>& positions, double min_sep) {
-  if (!(min_sep > 0.0) || !std::isfinite(min_sep)) return false;
-  return std::all_of(positions.begin(), positions.end(), [](Vec2 p) {
-    return std::isfinite(p.x) && std::isfinite(p.y);
-  });
+/// Sorts the run of sites sharing a's x (it starts at a, in an x-sorted
+/// range ending at end) by y, and returns one past its end. Kept out of
+/// line: runs are rare, and inlined it made the sweep's hot loop slower.
+[[gnu::noinline]] std::vector<Vec2>::iterator sort_run_by_y(
+    std::vector<Vec2>::iterator a, std::vector<Vec2>::iterator end) {
+  const auto run_end =
+      std::find_if(a + 1, end, [x = a->x](Vec2 p) { return p.x != x; });
+  std::sort(a, run_end, [](Vec2 p, Vec2 q) { return p.y < q.y; });
+  return run_end;
 }
 
-/// True iff some pair of points lies strictly closer than min_sep, by a
-/// sweep over a copy sorted by (x, y): by x, then each run of equal x by y
-/// (cheaper than a two-key sort when, as usual, runs are single sites).
-/// A pair whose x gap rounds to >= min_sep has dist2 >= min_sep^2 as the
-/// pair loop computes it (rounding is monotone and dy^2 >= 0), and so has
-/// every pair further along the sweep. Within a run of equal x (nodes
-/// pinned on a vertical edge) dx is exactly 0 and y ascends, so once the
-/// y gap reaches min_sep the rest of the run is skipped. The sweep thus
-/// checks exactly the pairs the pair loop could find too close, with the
-/// pair loop's expression, and only a boolean leaves it: it cannot perturb
-/// the (order-sensitive, bit-pinned) separation loop. O(n log n) plus the
-/// pairs inside the min_sep band. Needs prescreenable(positions, min_sep).
-bool has_close_pair(const std::vector<Vec2>& positions, double min_sep) {
+/// False only when a sweep proves that no pair of points lies strictly
+/// closer than min_sep; true, untested, for a non-finite coordinate (a
+/// NaN has no place in the order std::sort needs) or a min_sep that is
+/// not finite and > 0, which the pair loop handles with plain comparisons.
+/// The sweep runs in ascending x over a sorted copy. A pair whose x gap
+/// rounds to >= min_sep has dist2 >= min_sep^2 as the pair loop computes
+/// it (rounding is monotone and dy^2 >= 0), and so has every pair further
+/// along the sweep. A run of equal x (nodes pinned on a vertical edge) is
+/// sorted by y when the sweep reaches its first site; there dx is exactly
+/// 0 and y ascends, so once the y gap reaches min_sep the rest of the run
+/// is skipped. The sweep thus checks exactly the pairs the pair loop could
+/// find too close, with the pair loop's expression, and only a boolean
+/// leaves it: it cannot perturb the (order-sensitive, bit-pinned)
+/// separation loop. O(n log n) plus the pairs inside the min_sep band.
+bool needs_pair_loop(const std::vector<Vec2>& positions, double min_sep) {
+  if (!(min_sep > 0.0) || !std::isfinite(min_sep) ||
+      !std::all_of(positions.begin(), positions.end(), [](Vec2 p) {
+        return std::isfinite(p.x) && std::isfinite(p.y);
+      }))
+    return true;
   // One sort buffer per thread: most lists are a region's short gather,
-  // where a fresh allocation per call costs as much as the sweep.
+  // where a fresh allocation per call costs as much as the sweep. It keeps
+  // the capacity of the longest list its thread has checked (16 B a site:
+  // the global provider's snapshot on the round thread, a gather on each
+  // pool worker) until the thread exits.
   thread_local std::vector<Vec2> sorted;
   sorted.assign(positions.begin(), positions.end());
   const auto end = sorted.end();
+  // By x alone: an (x, y) comparator made the whole check 1.2-2x slower
+  // (256 sites to a 2 000-site column), and equal-x runs are rare.
   std::sort(sorted.begin(), end, [](Vec2 a, Vec2 b) { return a.x < b.x; });
-  for (auto run = sorted.begin(); run != end;) {
-    auto next = run + 1;
-    while (next != end && next->x == run->x) ++next;
-    if (next - run > 1)
-      std::sort(run, next, [](Vec2 a, Vec2 b) { return a.y < b.y; });
-    run = next;
-  }
   const double sep2 = min_sep * min_sep;
-  auto run_end = sorted.begin();  // one past the last equal-x run skipped
+  auto run_end = sorted.begin();  // one past the last equal-x run sorted
   for (auto a = sorted.begin(); a != end; ++a) {
     for (auto b = a + 1; b != end && b->x - a->x < min_sep; ++b) {
+      if (b->x == a->x && run_end <= a)  // b == a + 1: a opens a run
+        run_end = sort_run_by_y(a, end);
       if (geom::dist2(*a, *b) < sep2) return true;
-      if (b->x == a->x && b->y - a->y >= min_sep) {
-        if (run_end <= b)
-          run_end =
-              std::find_if(b, end, [x = a->x](Vec2 p) { return p.x != x; });
-        b = run_end - 1;
-      }
+      if (b->x == a->x && b->y - a->y >= min_sep) b = run_end - 1;
     }
   }
   return false;
@@ -76,8 +78,7 @@ std::vector<Vec2> separate_sites(std::vector<Vec2> positions, double min_sep) {
   // exist we fall back to the original pairwise loop: its in-place,
   // index-ordered mutations are part of the pinned deterministic contract
   // and cannot be reordered.
-  if (prescreenable(positions, min_sep) && !has_close_pair(positions, min_sep))
-    return positions;
+  if (!needs_pair_loop(positions, min_sep)) return positions;
   return separate_sites_brute(std::move(positions), min_sep);
 }
 

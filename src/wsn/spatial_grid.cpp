@@ -141,22 +141,24 @@ int clamp_cell(double c, int n) {
   return c > 0.0 ? (c < n - 1 ? static_cast<int>(c) : n - 1) : 0;
 }
 
+/// The cells [lo, hi] of an axis (n cells of size `cell` from `origin`)
+/// that can hold a point within `radius` of coordinate v: v's own cell
+/// (unclamped) plus ceil(radius / cell) cells and one more for rounding
+/// each way. Past 2^50 cells that slack drowns in rounding, so such a
+/// window (and an infinite radius) takes the whole axis.
+std::pair<int, int> axis_window(double v, double origin, double cell,
+                                double radius, int n) {
+  const double c = std::floor((v - origin) / cell);
+  const double reach = std::ceil(radius / cell) + 1.0;
+  if (!(std::abs(c) + reach < 0x1p50)) return {0, n - 1};
+  return {clamp_cell(c - reach, n), clamp_cell(c + reach, n)};
+}
+
 }  // namespace
 
 std::pair<int, int> SpatialGrid::cell_of(double x, double y) const {
   return {clamp_cell(std::floor((x - origin_.x) / cell_), nx_),
           clamp_cell(std::floor((y - origin_.y) / cell_), ny_)};
-}
-
-std::pair<int, int> SpatialGrid::axis_window(double v, double origin,
-                                             double radius, int n) const {
-  // q's own cell (unclamped) plus ceil(radius / cell) cells and one more
-  // for rounding each way. Past 2^50 cells that slack drowns in rounding,
-  // so such a window (and an infinite radius) takes the whole axis.
-  const double c = std::floor((v - origin) / cell_);
-  const double reach = std::ceil(radius / cell_) + 1.0;
-  if (!(std::abs(c) + reach < 0x1p50)) return {0, n - 1};
-  return {clamp_cell(c - reach, n), clamp_cell(c + reach, n)};
 }
 
 int SpatialGrid::cell_index(int cx, int cy) const { return cy * nx_ + cx; }
@@ -168,8 +170,8 @@ void SpatialGrid::scan(Vec2 q, double radius, int exclude, Hit&& hit) const {
       std::is_same_v<std::invoke_result_t<Hit&, double, int>, bool>;
   // A NaN query point is within no distance of anything.
   if (std::isnan(q.x) || std::isnan(q.y)) return;
-  const auto [x_lo, x_hi] = axis_window(q.x, origin_.x, radius, nx_);
-  const auto [y_lo, y_hi] = axis_window(q.y, origin_.y, radius, ny_);
+  const auto [x_lo, x_hi] = axis_window(q.x, origin_.x, cell_, radius, nx_);
+  const auto [y_lo, y_hi] = axis_window(q.y, origin_.y, cell_, radius, ny_);
   const double r2 = radius * radius;
   std::uint64_t checked = 0;
   for (int y = y_lo; y <= y_hi; ++y) {

@@ -82,11 +82,6 @@ class SpatialGrid {
 
  private:
   std::pair<int, int> cell_of(double x, double y) const;
-  /// The cells [lo, hi] along one axis that can hold a point within
-  /// `radius` of coordinate v: v's cell +- the radius, clamped to [0, n - 1]
-  /// in double before any cast.
-  std::pair<int, int> axis_window(double v, double origin, double radius,
-                                  int n) const;
   int cell_index(int cx, int cy) const;
   /// The one radius scan: the clamped window of cell rows around q (none
   /// for a NaN q), calling hit(dist2, index) for every point within

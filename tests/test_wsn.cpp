@@ -116,16 +116,19 @@ TEST(SpatialGrid, KNearestAgreesWithBruteProperty) {
       }
     }
     SpatialGrid grid(pts, rng.uniform(2.0, 25.0));
-    for (int trial = 0; trial < 40; ++trial) {
+    // Trials 0-39: random in-box queries, every fourth one far outside
+    // the bounding box; trials 40-57: x, y or both at each kFar value.
+    constexpr double kFar[] = {1e4, -1e4, 1e12, -1e12, 1e300, -1e300};
+    for (int trial = 0; trial < 58; ++trial) {
       Vec2 q{rng.uniform(0, 200), rng.uniform(0, 200)};
-      if (trial % 4 == 0) {  // far outside the bounding box
+      if (trial % 4 == 0 && trial < 40) {  // far outside the bounding box
         q = {rng.uniform(-3000, 5000), rng.uniform(2000, 9000)};
       }
-      if (trial % 4 == 1) {  // one or both axes at +-1e4, +-1e12, +-1e300
-        constexpr double kFar[] = {1e4, -1e4, 1e12, -1e12, 1e300, -1e300};
-        const double far = kFar[(trial / 4) % 6];
-        if (trial % 3 != 2) q.x = far;
-        if (trial % 3 != 1) q.y = -far;
+      if (trial >= 40) {
+        const double far = kFar[(trial - 40) % 6];
+        const int axes = (trial - 40) / 6;  // 0: x, 1: y, 2: both
+        if (axes != 1) q.x = far;
+        if (axes != 0) q.y = -far;
       }
       const int k = rng.uniform_int(1, std::min(n, 15));
       const int exclude = (trial % 3 == 0) ? rng.uniform_int(0, n - 1) : -1;
